@@ -637,21 +637,21 @@ let rec transform_loop (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
       annotate_decision sp ~before ctx ~index:h.Ast.index ~depth;
       result)
 
-(* Consult the shared nest memo around [transform_loop_raw].  A hit
-   replays the stored statements and reports with names mapped into this
-   call site (fresh names re-drawn from the live counter, so numbering
-   matches a direct run exactly); a miss runs the transformation with the
-   fresh-name stream logged and stores the result.  The validator wrapper
-   above stays live either way: demotion of THIS nest is never cached,
-   only re-derived. *)
+(* Consult the shared nest memo around [transform_loop_raw], for
+   top-level nests only: an inner nest is reached only after its outer
+   nest missed, and then it almost never hits, so its key would be paid
+   for nothing.  A hit replays the stored statements and reports with
+   names mapped into this call site (fresh names re-drawn from the live
+   counter, so numbering matches a direct run exactly); a miss runs the
+   transformation with the fresh-name stream logged and stores the
+   result.  The validator wrapper above stays live either way: demotion
+   of THIS nest is never cached, only re-derived. *)
 and transform_loop_memo ctx sp ~avail ~after_reads ~facts ~depth h blk =
   match ctx.memo with
-  | None -> transform_loop_raw ctx ~avail ~after_reads ~facts ~depth h blk
-  | Some memo -> (
+  | Some memo when depth = 0 -> (
       match
         Memo.prepare ~syms:ctx.syms ~interproc:ctx.interproc ~opts:ctx.opts
-          ~avail:(avail.spread, avail.cluster) ~after_reads ~facts ~depth h
-          blk
+          ~avail:(avail.spread, avail.cluster) ~after_reads ~facts h blk
       with
       | None ->
           Obs.Trace.attr sp "memo" "bypass";
@@ -671,7 +671,6 @@ and transform_loop_memo ctx sp ~avail ~after_reads ~facts ~depth h blk =
                       r with
                       r_unit = ctx.unit_name;
                       r_index = rp.Memo.rp_rename r.r_index;
-                      r_depth = r.r_depth + depth;
                       r_blockers = List.map rp.Memo.rp_text r.r_blockers;
                     })
                 (List.rev entry.Memo.e_reports);
@@ -693,16 +692,12 @@ and transform_loop_memo ctx sp ~avail ~after_reads ~facts ~depth h blk =
                 else
                   match l with
                   | [] -> List.rev acc (* unreachable: only prepends *)
-                  | r :: tl -> added (r :: acc) tl
+                  | r :: tl -> added ({ r with r_unit = "" } :: acc) tl
               in
-              let reports =
-                List.map
-                  (fun (r : loop_report) ->
-                    { r with r_unit = ""; r_depth = r.r_depth - depth })
-                  (added [] ctx.reports)
-              in
-              Memo.store memo prep ~stmts ~reports ~fresh:(List.rev !log);
+              Memo.store memo prep ~stmts ~reports:(added [] ctx.reports)
+                ~fresh:(List.rev !log);
               stmts))
+  | _ -> transform_loop_raw ctx ~avail ~after_reads ~facts ~depth h blk
 
 and validator_issues ctx ~facts stmts =
   Obs.Trace.with_span "validate" (fun sp ->

@@ -11,7 +11,10 @@
     together with the decision reports, in a bounded LRU shared across
     jobs, so a program that shares loop nests with any previously seen
     program skips straight to the answer instead of missing the
-    whole-program cache.
+    whole-program cache.  The driver consults it for top-level nests
+    only, so most lookups of unseen code are misses and a miss must stay
+    cheap: the key text is written without allocating per name or
+    constant, and the table's bookkeeping ([Lru]) is O(1).
 
     Byte-identity with an unmemoized run is the contract (test_memo pins
     it corpus-wide).  Three mechanisms carry it:
@@ -37,7 +40,6 @@
 
 open Fortran
 module SSet = Ast_utils.SSet
-module SMap = Ast_utils.SMap
 
 (* ------------------------------------------------------------------ *)
 (* Key normalization                                                   *)
@@ -77,17 +79,30 @@ let template_words =
    derived from a symbol name (stripmine, reduction_par, recurrence_sub). *)
 let literal_prefixes = [ "i3_"; "iup_"; "mx_"; "jr_" ]
 
-type names = { mutable data : SSet.t; mutable calls : SSet.t }
+(* [pending]: data names found but not yet closed over (see close_names) *)
+type names = {
+  mutable data : SSet.t;
+  mutable pending : string list;
+  mutable calls : SSet.t;
+}
+
+(* [SSet.add] returns its argument itself when [v] is already present *)
+let add_data ns v =
+  let data = SSet.add v ns.data in
+  if data != ns.data then begin
+    ns.data <- data;
+    ns.pending <- v :: ns.pending
+  end
 
 let rec scan_expr ns (e : Ast.expr) =
   match e with
   | Ast.Int _ | Ast.Num _ | Ast.Str _ | Ast.Bool _ -> ()
-  | Ast.Var v -> ns.data <- SSet.add v ns.data
+  | Ast.Var v -> add_data ns v
   | Ast.Idx (a, es) ->
-      ns.data <- SSet.add a ns.data;
+      add_data ns a;
       List.iter (scan_expr ns) es
   | Ast.Section (a, dims) ->
-      ns.data <- SSet.add a ns.data;
+      add_data ns a;
       List.iter (scan_section ns) dims
   | Ast.Call (f, es) ->
       ns.calls <- SSet.add f ns.calls;
@@ -104,16 +119,16 @@ and scan_section ns = function
 
 let scan_lhs ns (l : Ast.lhs) =
   match l with
-  | Ast.LVar v -> ns.data <- SSet.add v ns.data
+  | Ast.LVar v -> add_data ns v
   | Ast.LIdx (a, es) ->
-      ns.data <- SSet.add a ns.data;
+      add_data ns a;
       List.iter (scan_expr ns) es
   | Ast.LSection (a, dims) ->
-      ns.data <- SSet.add a ns.data;
+      add_data ns a;
       List.iter (scan_section ns) dims
 
 let scan_decl ns (d : Ast.decl) =
-  ns.data <- SSet.add d.Ast.d_name ns.data;
+  add_data ns d.Ast.d_name;
   List.iter
     (fun (lo, hi) ->
       scan_expr ns lo;
@@ -144,7 +159,7 @@ let rec scan_stmt ns (s : Ast.stmt) =
   | Ast.Read ls -> List.iter (scan_lhs ns) ls
 
 and scan_header ns (h : Ast.do_header) =
-  ns.data <- SSet.add h.Ast.index ns.data;
+  add_data ns h.Ast.index;
   scan_expr ns h.Ast.lo;
   scan_expr ns h.Ast.hi;
   Option.iter (scan_expr ns) h.Ast.step;
@@ -163,9 +178,17 @@ type ser = { buf : Buffer.t; slot : (string, int) Hashtbl.t }
 
 let put_tag sr c = Buffer.add_char sr.buf c
 
+(* zigzag (small magnitudes of either sign stay short), then LEB128:
+   self-delimiting, injective, and no string_of_int allocation *)
 let put_int sr n =
-  Buffer.add_string sr.buf (string_of_int n);
-  Buffer.add_char sr.buf ';'
+  let rec go z =
+    if z land lnot 0x7f = 0 then Buffer.add_char sr.buf (Char.unsafe_chr z)
+    else begin
+      Buffer.add_char sr.buf (Char.unsafe_chr (z land 0x7f lor 0x80));
+      go (z lsr 7)
+    end
+  in
+  go ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
 let put_raw sr s =
   (* length-prefixed so "ab"+"c" never equals "a"+"bc" *)
@@ -173,11 +196,11 @@ let put_raw sr s =
   Buffer.add_string sr.buf s
 
 let put_name sr v =
-  match Hashtbl.find_opt sr.slot v with
-  | Some i ->
+  match Hashtbl.find sr.slot v with
+  | i ->
       put_tag sr '#';
       put_int sr i
-  | None ->
+  | exception Not_found ->
       (* a name outside the collected closure (impossible by
          construction); keep the key total anyway *)
       put_tag sr '!';
@@ -190,7 +213,7 @@ let rec put_expr sr (e : Ast.expr) =
       put_int sr n
   | Ast.Num f ->
       put_tag sr 'f';
-      put_raw sr (Printf.sprintf "%h" f)
+      Buffer.add_int64_le sr.buf (Int64.bits_of_float f)
   | Ast.Str s ->
       put_tag sr 's';
       put_raw sr s
@@ -378,28 +401,25 @@ type prep = {
 }
 
 (* Close the data-name set over the symbol metadata the driver consults:
-   array dimension bounds and PARAMETER values mention further names. *)
-let close_names (syms : Symbols.t) (ns : names) =
-  let rec grow pending =
-    match SSet.choose_opt pending with
-    | None -> ()
-    | Some v ->
-        let before = ns.data in
-        (match Symbols.lookup syms v with
-        | Some s ->
-            List.iter
-              (fun (lo, hi) ->
-                scan_expr ns lo;
-                scan_expr ns hi)
-              s.Symbols.s_dims
-        | None -> ());
-        (match List.assoc_opt v syms.Symbols.params with
-        | Some e -> scan_expr ns e
-        | None -> ());
-        let fresh = SSet.diff ns.data before in
-        grow (SSet.union (SSet.remove v pending) fresh)
-  in
-  grow ns.data
+   array dimension bounds and PARAMETER values mention further names.
+   Each name is expanded once: scanning pushes only names not seen yet. *)
+let rec close_names (syms : Symbols.t) (ns : names) =
+  match ns.pending with
+  | [] -> ()
+  | v :: rest ->
+      ns.pending <- rest;
+      (match Symbols.lookup syms v with
+      | Some s ->
+          List.iter
+            (fun (lo, hi) ->
+              scan_expr ns lo;
+              scan_expr ns hi)
+            s.Symbols.s_dims
+      | None -> ());
+      (match List.assoc_opt v syms.Symbols.params with
+      | Some e -> scan_expr ns e
+      | None -> ());
+      close_names syms ns
 
 (* One digest per distinct options record, not per lookup: the driver
    hands every nest of a restructure call the same [opts], so a
@@ -424,18 +444,22 @@ let opts_digest (opts : Options.t) =
 
 let size_cap = 1 lsl 16
 
-let bypass_counter =
-  lazy
-    (Obs.Metrics.counter Obs.Metrics.global
-       ~help:"nests not memoizable (oversized)" "memo_bypass_total")
+let counter name help = Obs.Metrics.counter Obs.Metrics.global ~help name
+let m_bypass = counter "memo_bypass_total" "nests not memoizable (oversized)"
+let m_hits = counter "memo_hits_total" "memo lookups served"
+let m_misses = counter "memo_misses_total" "memo lookups missed"
+let m_evictions = counter "memo_evictions_total" "memo LRU evictions"
+
+let m_corruptions =
+  counter "memo_corruptions_total" "memo entries dropped on checksum mismatch"
 
 (** Build the lookup key for one nest, or [None] (bypass) when the nest
     is too large to be worth caching. *)
 let prepare ~(syms : Symbols.t) ~(interproc : Analysis.Interproc.t)
     ~(opts : Options.t) ~(avail : bool * bool) ~(after_reads : SSet.t)
-    ~(facts : (string * string) list) ~(depth : int) (h : Ast.do_header)
-    (blk : Ast.block) : prep option =
-  let ns = { data = SSet.empty; calls = SSet.empty } in
+    ~(facts : (string * string) list) (h : Ast.do_header) (blk : Ast.block) :
+    prep option =
+  let ns = { data = SSet.empty; pending = []; calls = SSet.empty } in
   scan_header ns h;
   scan_block ns blk;
   close_names syms ns;
@@ -505,20 +529,19 @@ let prepare ~(syms : Symbols.t) ~(interproc : Analysis.Interproc.t)
   let spread, cluster = avail in
   put_tag sr (if spread then 'S' else '.');
   put_tag sr (if cluster then 'K' else '.');
-  put_int sr depth;
   put_raw sr (opts_digest opts);
   if Buffer.length sr.buf > size_cap then begin
-    Obs.Metrics.incr (Lazy.force bypass_counter);
+    Obs.Metrics.incr m_bypass;
     None
   end
   else
     let safe =
       Array.for_all (fun v -> not (SSet.mem v template_words)) names
-      && SSet.is_empty (SSet.inter ns.data ns.calls)
+      && SSet.disjoint ns.data ns.calls
     in
     Some
       {
-        p_key = Digest.to_hex (Digest.string (Buffer.contents sr.buf));
+        p_key = Digest.string (Buffer.contents sr.buf);
         p_names = names;
         p_safe = safe;
       }
@@ -540,11 +563,8 @@ type 'r entry = {
 }
 
 type 'r t = {
-  capacity : int;
+  lru : 'r entry Lru.t;
   mutex : Mutex.t;
-  mutable table : ('r entry * int) SMap.t;  (* key -> entry, last tick *)
-  recency : (string * int) Queue.t;  (* lazy-deletion LRU, as Cache *)
-  mutable tick : int;
   corrupt : unit -> bool;  (* chaos hook: poison the entry being stored *)
   mutable hits : int;
   mutable misses : int;
@@ -552,16 +572,10 @@ type 'r t = {
   mutable corruptions : int;
 }
 
-let metric name help =
-  Obs.Metrics.counter Obs.Metrics.global ~help name
-
 let create ?(capacity = 512) ?(corrupt = fun () -> false) () =
   {
-    capacity = max 1 capacity;
+    lru = Lru.create ~capacity:(max 1 capacity);
     mutex = Mutex.create ();
-    table = SMap.empty;
-    recency = Queue.create ();
-    tick = 0;
     corrupt;
     hits = 0;
     misses = 0;
@@ -573,7 +587,7 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-let size t = locked t (fun () -> SMap.cardinal t.table)
+let size t = locked t (fun () -> Lru.length t.lru)
 
 type stats = {
   st_hits : int;
@@ -590,70 +604,45 @@ let stats t =
         st_misses = t.misses;
         st_evictions = t.evictions;
         st_corruptions = t.corruptions;
-        st_size = SMap.cardinal t.table;
+        st_size = Lru.length t.lru;
       })
 
 let checksum (stmts, reports, fresh) =
-  Digest.to_hex
-    (Digest.string (Marshal.to_string (stmts, reports, fresh) [ Marshal.No_sharing ]))
-
-let touch t key =
-  t.tick <- t.tick + 1;
-  Queue.push (key, t.tick) t.recency;
-  t.tick
-
-(* pop queue pairs that no longer name the entry's latest tick *)
-let rec evict_lru t =
-  if SMap.cardinal t.table > t.capacity then
-    match Queue.take_opt t.recency with
-    | None -> ()
-    | Some (key, tk) -> (
-        match SMap.find_opt key t.table with
-        | Some (_, latest) when latest = tk ->
-            t.table <- SMap.remove key t.table;
-            t.evictions <- t.evictions + 1;
-            Obs.Metrics.incr (metric "memo_evictions_total" "memo LRU evictions");
-            evict_lru t
-        | _ -> evict_lru t)
+  Digest.string (Marshal.to_string (stmts, reports, fresh) [ Marshal.No_sharing ])
 
 (* Re-checksumming a resident entry on every hit costs a full marshal +
    digest of the stored result — on small nests that is the same order
    as the transformation the memo exists to skip.  Bit-rot is rare and
    persistent, so verification is amortized: every [verify_mask]+1-th
    hit re-digests (a rotted entry is still dropped within a bounded
-   number of serves), and the hot hit path pays only the map lookup. *)
+   number of serves), and the hot hit path pays only the table lookup. *)
 let verify_mask = 31
 
 let find (t : 'r t) (prep : prep) : 'r entry option =
+  let servable e =
+    Array.length e.e_names = Array.length prep.p_names
+    && (e.e_names = prep.p_names || not e.e_exact)
+  in
+  let miss () =
+    t.misses <- t.misses + 1;
+    Obs.Metrics.incr m_misses;
+    None
+  in
   locked t @@ fun () ->
-  match SMap.find_opt prep.p_key t.table with
-  | Some (e, _)
-    when Array.length e.e_names = Array.length prep.p_names
-         && (e.e_names = prep.p_names || not e.e_exact) ->
-      if
-        t.hits land verify_mask = 0
-        && checksum (e.e_stmts, e.e_reports, e.e_fresh) <> Lazy.force e.e_sum
-      then begin
-        (* bit-rot defense, mirroring the result cache's checksum *)
-        t.table <- SMap.remove prep.p_key t.table;
-        t.corruptions <- t.corruptions + 1;
-        Obs.Metrics.incr
-          (metric "memo_corruptions_total" "memo entries dropped on checksum mismatch");
-        t.misses <- t.misses + 1;
-        Obs.Metrics.incr (metric "memo_misses_total" "memo lookups missed");
-        None
-      end
-      else begin
-        let tk = touch t prep.p_key in
-        t.table <- SMap.add prep.p_key (e, tk) t.table;
-        t.hits <- t.hits + 1;
-        Obs.Metrics.incr (metric "memo_hits_total" "memo lookups served");
-        Some e
-      end
-  | _ ->
-      t.misses <- t.misses + 1;
-      Obs.Metrics.incr (metric "memo_misses_total" "memo lookups missed");
-      None
+  match Lru.find ~accept:servable t.lru prep.p_key with
+  | Some e
+    when t.hits land verify_mask = 0
+         && checksum (e.e_stmts, e.e_reports, e.e_fresh) <> Lazy.force e.e_sum ->
+      (* bit-rot defense, mirroring the result cache's checksum *)
+      Lru.remove t.lru prep.p_key;
+      t.corruptions <- t.corruptions + 1;
+      Obs.Metrics.incr m_corruptions;
+      miss ()
+  | Some e ->
+      t.hits <- t.hits + 1;
+      Obs.Metrics.incr m_hits;
+      Some e
+  | None -> miss ()
 
 (* chaos poison: flip the first sequential DO of the stored statements to
    CDOALL — the unsafe direction, exactly what the validator gate exists
@@ -711,9 +700,10 @@ let store (t : 'r t) (prep : prep) ~(stmts : Ast.stmt list)
     }
   in
   locked t @@ fun () ->
-  let tk = touch t prep.p_key in
-  t.table <- SMap.add prep.p_key (e, tk) t.table;
-  evict_lru t
+  if Lru.add t.lru prep.p_key e then begin
+    t.evictions <- t.evictions + 1;
+    Obs.Metrics.incr m_evictions
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)

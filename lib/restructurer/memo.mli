@@ -7,6 +7,7 @@
     symbol-table rows of the nest's names, interprocedural summaries of
     its callees, post-loop liveness, disequality facts over its names,
     and the options (minus inline limits, which act before nests exist).
+    The driver looks up top-level nests only.
     A bounded, mutex-guarded LRU shared across worker domains caches the
     finished statements plus decision reports; replays are byte-identical
     with a direct run (fresh names are re-drawn from the live counter,
@@ -31,7 +32,6 @@ val prepare :
   avail:bool * bool ->
   after_reads:SSet.t ->
   facts:(string * string) list ->
-  depth:int ->
   Fortran.Ast.do_header ->
   Fortran.Ast.block ->
   prep option

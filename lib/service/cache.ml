@@ -1,18 +1,9 @@
-(* LRU via lazy deletion: every access stamps the entry with a fresh tick
-   and appends (key, tick) to a recency queue.  Eviction pops the queue
-   until it finds a pair whose tick still matches the entry's — stale
-   pairs (the entry was touched again later, or already evicted) are
-   discarded.  Amortized O(1); the queue never exceeds one pair per
-   table operation. *)
-
-type 'a entry = { value : 'a; mutable stamp : int }
+(* The table, its LRU order and the bound live in [Lru]; this layer adds
+   the lock and the hit/miss/eviction accounting. *)
 
 type 'a t = {
-  table : (string, 'a entry) Hashtbl.t;
-  recency : (string * int) Queue.t;
-  capacity : int;
+  lru : 'a Lru.t;
   mutex : Mutex.t;
-  mutable tick : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -36,13 +27,9 @@ let m_evictions =
     "service_cache_evictions_total"
 
 let create ~capacity =
-  if capacity < 0 then invalid_arg "Cache.create: capacity < 0";
   {
-    table = Hashtbl.create (max 16 capacity);
-    recency = Queue.create ();
-    capacity;
+    lru = Lru.create ~capacity;
     mutex = Mutex.create ();
-    tick = 0;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -54,61 +41,34 @@ let with_lock c f =
   Mutex.lock c.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.mutex) f
 
-let touch c key e =
-  c.tick <- c.tick + 1;
-  e.stamp <- c.tick;
-  Queue.push (key, c.tick) c.recency
-
 let find c key =
   with_lock c (fun () ->
-      match Hashtbl.find_opt c.table key with
-      | Some e ->
+      match Lru.find c.lru key with
+      | Some _ as hit ->
           c.hits <- c.hits + 1;
           Obs.Metrics.incr m_hits;
-          touch c key e;
-          Some e.value
+          hit
       | None ->
           c.misses <- c.misses + 1;
           Obs.Metrics.incr m_misses;
           None)
 
-let evict_lru c =
-  let rec go () =
-    match Queue.take_opt c.recency with
-    | None -> ()
-    | Some (key, stamp) -> (
-        match Hashtbl.find_opt c.table key with
-        | Some e when e.stamp = stamp ->
-            Hashtbl.remove c.table key;
-            c.evictions <- c.evictions + 1;
-            Obs.Metrics.incr m_evictions
-        | _ -> go () (* stale pair: entry touched since, or gone *))
-  in
-  go ()
-
 let add c key value =
-  if c.capacity > 0 then
-    with_lock c (fun () ->
-        (match Hashtbl.find_opt c.table key with
-        | Some _ -> Hashtbl.remove c.table key
-        | None ->
-            if Hashtbl.length c.table >= c.capacity then evict_lru c);
-        let e = { value; stamp = 0 } in
-        touch c key e;
-        Hashtbl.add c.table key e)
-
-let remove c key =
   with_lock c (fun () ->
-      (* the recency queue's pairs for this key go stale and are skipped
-         by evict_lru; not counted as an eviction (the caller dropped it
-         deliberately, e.g. on a checksum mismatch) *)
-      Hashtbl.remove c.table key)
+      if Lru.add c.lru key value then begin
+        c.evictions <- c.evictions + 1;
+        Obs.Metrics.incr m_evictions
+      end)
+
+(* not counted as an eviction: the caller dropped it deliberately, e.g.
+   on a checksum mismatch *)
+let remove c key = with_lock c (fun () -> Lru.remove c.lru key)
 
 let export c =
   with_lock c (fun () ->
       (* a snapshot, deliberately without touching recency: exporting for
          replication must not perturb the LRU order *)
-      Hashtbl.fold (fun key e acc -> (key, e.value) :: acc) c.table [])
+      Lru.fold (fun key value acc -> (key, value) :: acc) c.lru [])
 
 let stats c =
   with_lock c (fun () ->
@@ -116,7 +76,7 @@ let stats c =
         hits = c.hits;
         misses = c.misses;
         evictions = c.evictions;
-        entries = Hashtbl.length c.table;
+        entries = Lru.length c.lru;
       })
 
 let hit_rate (s : stats) =

@@ -2,7 +2,7 @@
    BYTE-identical to restructuring without — printer output and decision
    notes — across the whole workloads corpus and random programs, warm or
    cold, renamed or not, with or without the validator.  Plus unit tests
-   for key normalization and LRU bounds. *)
+   for key normalization, the lookup policy and LRU bounds. *)
 
 open Fortran
 module R = Restructurer
@@ -94,15 +94,17 @@ let first_nest (u : Ast.punit) =
   in
   find u.Ast.u_body
 
-let prep_of ?(opts = advanced) src =
+(* [edit] rewrites the parsed unit before the key is built, for constants
+   the parser never produces (negative literals) *)
+let prep_of ?(opts = advanced) ?(edit = Fun.id) src =
   let prog = Parser.parse_program src in
-  let u = List.hd prog in
+  let u = edit (List.hd prog) in
   let syms = Symbols.of_unit u in
   let interproc = Analysis.Interproc.analyze prog in
   let h, blk = first_nest u in
   match
     R.Memo.prepare ~syms ~interproc ~opts ~avail:(true, true)
-      ~after_reads:Ast_utils.SSet.empty ~facts:[] ~depth:0 h blk
+      ~after_reads:Ast_utils.SSet.empty ~facts:[] h blk
   with
   | Some p -> p
   | None -> Alcotest.fail "unexpected memo bypass"
@@ -119,6 +121,17 @@ let saxpy_src ~index ~arr1 ~arr2 ~scal ~stride =
     arr1 arr2 index
     (if stride = 1 then "" else Printf.sprintf ", %d" stride)
     arr1 index arr2 index scal
+
+(* the unit with its first nest's lower bound replaced by [n] *)
+let with_lo n (u : Ast.punit) =
+  let rec go = function
+    | Ast.Do (h, blk) :: rest -> Ast.Do ({ h with Ast.lo = Ast.Int n }, blk) :: rest
+    | Ast.Labeled (l, Ast.Do (h, blk)) :: rest ->
+        Ast.Labeled (l, Ast.Do ({ h with Ast.lo = Ast.Int n }, blk)) :: rest
+    | s :: rest -> s :: go rest
+    | [] -> []
+  in
+  { u with Ast.u_body = go u.Ast.u_body }
 
 let key_alpha_invariant () =
   (* order-preserving renaming: aa<bb<i1<ss and cc<dd<j1<tt *)
@@ -165,7 +178,33 @@ let key_sensitivity () =
   in
   Alcotest.(check bool)
     "codegen target is part of the key" true
-    (base.R.Memo.p_key <> omp_opts.R.Memo.p_key)
+    (base.R.Memo.p_key <> omp_opts.R.Memo.p_key);
+  (* integer constants that only a broken encoding would merge: decimal
+     prefixes, sign, and bits above the low 32 *)
+  let saxpy = saxpy_src ~index:"i1" ~arr1:"aa" ~arr2:"bb" ~scal:"ss" ~stride:1 in
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "lower bound %d vs %d splits the key" a b)
+        true
+        ((prep_of ~edit:(with_lo a) saxpy).R.Memo.p_key
+        <> (prep_of ~edit:(with_lo b) saxpy).R.Memo.p_key))
+    [ (1, 11); (-1, 1); (1 lsl 40, 0) ];
+  let param_src =
+    {|      program p
+      parameter (nn = 100)
+      real aa(100), bb(100)
+      do 10 i1 = 1, nn
+        aa(i1) = bb(i1) + 1.0
+ 10   continue
+      end
+|}
+  in
+  let with_param v (u : Ast.punit) = { u with Ast.u_params = [ ("nn", Ast.Int v) ] } in
+  Alcotest.(check bool)
+    "PARAMETER differing only in sign splits the key" true
+    ((prep_of ~edit:(with_param 100) param_src).R.Memo.p_key
+    <> (prep_of ~edit:(with_param (-100)) param_src).R.Memo.p_key)
 
 (* one shared memo, two codegen targets: the second target must not be
    served the first target's nests — each fills its own entry *)
@@ -208,6 +247,32 @@ let renamed_replay () =
   Alcotest.(check bool) "served from the table" true (st.R.Memo.st_hits >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* Lookup policy                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The memo is consulted at top-level nests only: inner nests are never
+   probed, so a warm pass repeats exactly the cold pass's lookups, and
+   every one of them hits. *)
+let lookup_policy opts () =
+  let lookups (s : R.Memo.stats) = s.R.Memo.st_hits + s.R.Memo.st_misses in
+  List.iter
+    (fun (n, prog) ->
+      let memo = R.Driver.create_memo () in
+      ignore (R.Driver.restructure ~memo opts prog);
+      let cold = R.Driver.memo_stats memo in
+      ignore (R.Driver.restructure ~memo opts prog);
+      let warm = R.Driver.memo_stats memo in
+      Alcotest.(check int)
+        (n ^ ": warm pass makes the cold pass's lookups")
+        (lookups cold)
+        (lookups warm - lookups cold);
+      Alcotest.(check int)
+        (n ^ ": every warm lookup hits")
+        (lookups cold)
+        (warm.R.Memo.st_hits - cold.R.Memo.st_hits))
+    (corpus_programs ())
+
+(* ------------------------------------------------------------------ *)
 (* LRU bounds                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -233,6 +298,26 @@ let lru_eviction () =
   Alcotest.(check bool)
     "resident nest replays as a hit" true
     (after.R.Memo.st_hits > before.R.Memo.st_hits)
+
+(* hits on one resident nest never evict, so the recency bookkeeping
+   they leave behind must not accumulate in a long-running service *)
+let recency_bounded () =
+  let prep = prep_of (saxpy_src ~index:"i1" ~arr1:"aa" ~arr2:"bb" ~scal:"ss" ~stride:1) in
+  let memo : unit R.Memo.t = R.Memo.create () in
+  R.Memo.store memo prep ~stmts:[] ~reports:[] ~fresh:[];
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  for _ = 1 to 1_000_000 do
+    ignore (R.Memo.find memo prep)
+  done;
+  let grown = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap flat across 1M hits (grew %d words)" grown)
+    true (grown < 1 lsl 17);
+  Alcotest.(check int) "every lookup hit" 1_000_000 (R.Memo.stats memo).R.Memo.st_hits
 
 (* checksum defense: a corrupted-in-place entry is dropped, not served *)
 let checksum_drop () =
@@ -292,7 +377,13 @@ let tests =
       renamed_replay;
     Alcotest.test_case "codegen targets fill separate memo entries" `Quick
       target_isolation;
+    Alcotest.test_case "lookups at top-level nests only (auto)" `Quick
+      (lookup_policy auto);
+    Alcotest.test_case "lookups at top-level nests only (advanced)" `Quick
+      (lookup_policy advanced);
     Alcotest.test_case "LRU capacity and eviction counters" `Quick lru_eviction;
+    Alcotest.test_case "recency bookkeeping bounded under hits" `Quick
+      recency_bounded;
     Alcotest.test_case "chaos corrupt hook poisons the stored nest" `Quick
       checksum_drop;
   ]

@@ -102,6 +102,43 @@ let test_cache_disabled () =
   Cache.add c "k" 1;
   Alcotest.(check (option int)) "nothing stored" None (Cache.find c "k")
 
+(* live heap after a full collection, in words *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* hits on a resident set below capacity never evict, so the recency
+   bookkeeping they leave behind must not accumulate: a long-running
+   cedard serves hits forever *)
+let test_cache_recency_bounded () =
+  let c = Cache.create ~capacity:256 in
+  let keys = Array.init 128 (fun i -> Cache.digest (string_of_int i)) in
+  Array.iteri (fun i k -> Cache.add c k i) keys;
+  let before = live_words () in
+  for i = 1 to 1_000_000 do
+    ignore (Cache.find c keys.(i land 127))
+  done;
+  let grown = live_words () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live heap flat across 1M hits (grew %d words)" grown)
+    true (grown < 1 lsl 17);
+  Alcotest.(check int) "all resident" 128 (Cache.stats c).Cache.entries
+
+(* the bounded bookkeeping keeps the LRU order: after many hits on k1,
+   one on k2, the next insert still evicts the untouched k3 *)
+let test_cache_lru_order_after_many_hits () =
+  let c = Cache.create ~capacity:3 in
+  List.iter (fun (k, v) -> Cache.add c k v) [ ("k1", 1); ("k2", 2); ("k3", 3) ];
+  for _ = 1 to 100 do
+    ignore (Cache.find c "k1")
+  done;
+  ignore (Cache.find c "k2");
+  Cache.add c "k4" 4;
+  Alcotest.(check (option int)) "k3 evicted" None (Cache.find c "k3");
+  List.iter
+    (fun (k, v) -> Alcotest.(check (option int)) (k ^ " resident") (Some v) (Cache.find c k))
+    [ ("k1", 1); ("k2", 2); ("k4", 4) ]
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -623,6 +660,10 @@ let tests =
     Alcotest.test_case "cache: overwrite does not evict" `Quick
       test_cache_overwrite_no_evict;
     Alcotest.test_case "cache: capacity 0 disables" `Quick test_cache_disabled;
+    Alcotest.test_case "cache: recency bookkeeping bounded under hits" `Quick
+      test_cache_recency_bounded;
+    Alcotest.test_case "cache: LRU order kept across many hits" `Quick
+      test_cache_lru_order_after_many_hits;
     Alcotest.test_case "stats: nearest-rank percentiles" `Quick test_percentiles;
     Alcotest.test_case "reservoir: exact count/max, bounded sample" `Quick
       test_reservoir_basics;

@@ -112,7 +112,7 @@ let sweep_validate verbose target =
    front-end and run until a Shutdown frame or SIGINT/SIGTERM arrives.
    Both stop paths converge on the same deterministic drain: stop
    accepting, reject new work, finish in-flight replies, join the
-   connection threads, then Service.Server.shutdown flushes stats. *)
+   event-loop thread, then Service.Server.shutdown flushes stats. *)
 let serve server fault ?on_cluster_change ~host ~port ~max_conns
     ~max_inflight ~max_source_bytes ~net_timeout_s ~metrics_port ~metrics ()
     =

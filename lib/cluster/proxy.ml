@@ -1,15 +1,13 @@
-(* The proxy rides the same Aio fiber scheduler as Net.Server: one
-   event-loop thread runs an accept fiber plus, per client connection,
-   a reader fiber (Wire.Stream decode, per-frame deadlines) and a
-   writer fiber (the single producer on the socket, so pipelined
-   replies never interleave — the old per-connection write mutex is now
-   a mailbox).  Each admitted submit gets a relay *fiber*, not a relay
-   thread: the blocking shard round trip (Pool / Net.Client are
-   synchronous) runs on a small fixed executor pool, fulfils a promise,
-   and the relay fiber suspends in [Aio.await] until the reply comes
-   back through the scheduler's completion queue.  A thousand clients
-   cost a thousand fibers and one poll set; the thread count is fixed at
-   the executor width however many requests are in flight. *)
+(* The proxy is a Net.Server front end with a relay handler: the front
+   end owns the connections (accept, reader, responder and corked writer
+   fibers, deadlines, both budgets, drain) and this file decides what
+   each request means.  A relayed request is [Defer]red: the blocking
+   shard round trip (Pool / Net.Client are synchronous) runs on a small
+   fixed executor pool and fulfils a promise, which the front end's
+   responder awaits through the scheduler's completion queue.  A
+   thousand clients cost a thousand connections' fibers and one poll
+   set; the thread count is fixed at the executor width however many
+   requests are in flight. *)
 
 module M = Obs.Metrics
 
@@ -36,9 +34,9 @@ let default_cfg =
 
 (* ------------------------------------------------------------------ *)
 (* Relay executor: the fixed pool of threads that run the blocking
-   shard round trips on behalf of relay fibers.  The queue is
-   unbounded, but the proxy's in-flight budget already caps how many
-   jobs can be outstanding, so it never grows past [max_inflight].     *)
+   shard round trips on behalf of deferred requests.  The queue is
+   unbounded, but the front end's in-flight budget already caps how
+   many relays can be outstanding (read-repairs ride along).          *)
 (* ------------------------------------------------------------------ *)
 
 module Exec = struct
@@ -101,27 +99,15 @@ module Exec = struct
     e.workers <- []
 end
 
-type conn = {
-  c_fd : Unix.file_descr;
-  c_out : string Aio.Mailbox.mb;  (* encoded frames for the writer *)
-  mutable c_dead : bool;
-  mutable c_alive : int;  (* reader + outstanding relay fibers *)
-}
-
 type t = {
   cfg : cfg;
   members : Membership.t;
   mutable pools : (string * Pool.t) list;  (* by shard id; topo_mu *)
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  sched : Aio.t;
   exec : Exec.t;
-  stop : bool Atomic.t;
-  draining : bool Atomic.t;
-  inflight : int Atomic.t;
+  front : Net.Server.t option Atomic.t;  (* set once the socket is bound *)
   routed : int Atomic.t;
   failovers : int Atomic.t;
-  shed : int Atomic.t;
+  shed : int Atomic.t;  (* relays that found no live candidate *)
   mutable route_counters : (string * M.counter) list;  (* topo_mu *)
   (* Topology barrier: a membership change drains in-flight relays
      against the old ring before the new one routes anything.  Relays
@@ -135,10 +121,6 @@ type t = {
   topo_gen : int Atomic.t;  (* completed topology changes *)
   stale_routes : int Atomic.t;
   read_repairs : int Atomic.t;
-  scratch : Bytes.t;
-  mutable conns : conn list;  (* loop thread only *)
-  mutable accept_fiber : Aio.fiber option;
-  mutable loop_thread : Thread.t option;
 }
 
 let m_failover =
@@ -146,12 +128,9 @@ let m_failover =
     "cluster_failover_total"
 
 let m_shed =
-  M.counter M.global ~help:"requests shed by the proxy (budget or no live shard)"
+  M.counter M.global
+    ~help:"submits shed by the proxy because no live shard could take them"
     "cluster_proxy_shed_total"
-
-let m_inflight =
-  M.gauge M.global ~help:"submits in flight through the proxy"
-    "cluster_proxy_inflight"
 
 let m_stale =
   M.counter M.global
@@ -167,45 +146,11 @@ let m_topo_changes =
   M.counter M.global ~help:"membership changes applied through the proxy"
     "cluster_topology_changes_total"
 
-(* ------------------------------------------------------------------ *)
-(* Writing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let kill_conn conn =
-  conn.c_dead <- true;
-  try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
-
-let send conn ~id msg =
-  if not conn.c_dead then
-    ignore (Aio.Mailbox.put conn.c_out (Net.Wire.encode ~id msg))
-
-let writer t conn =
-  let rec loop () =
-    match Aio.Mailbox.take conn.c_out with
-    | None -> ()
-    | Some s ->
-        if not conn.c_dead then begin
-          let b = Bytes.unsafe_of_string s in
-          match
-            Aio.write_all
-              ~deadline:(Aio.now () +. 30.0)
-              conn.c_fd b 0 (Bytes.length b)
-          with
-          | `Ok -> ()
-          | `Deadline | `Closed -> kill_conn conn
-        end;
-        loop ()
-  in
-  loop ();
-  (* the writer is the last fiber out: producers closed the mailbox *)
-  (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
-  t.conns <- List.filter (fun c -> not (c == conn)) t.conns
-
-(* reader and relay fibers are the producers on [c_out]; the last one
-   to finish closes the mailbox, which lets the writer drain and close *)
-let producer_finished conn =
-  conn.c_alive <- conn.c_alive - 1;
-  if conn.c_alive = 0 then Aio.Mailbox.close conn.c_out
+(* budget and connection sheds are the front end's, counted once in
+   net_shed_total; the proxy adds the relays no candidate could take *)
+let shed_total t =
+  Atomic.get t.shed
+  + match Atomic.get t.front with Some f -> Net.Server.shed_total f | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Topology barrier                                                    *)
@@ -432,7 +377,7 @@ let aggregated_stats_json t =
   in
   Printf.sprintf
     "{\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"members\":%s},\"shards\":{%s}}"
-    (Atomic.get t.routed) (Atomic.get t.failovers) (Atomic.get t.shed)
+    (Atomic.get t.routed) (Atomic.get t.failovers) (shed_total t)
     (Membership.members_json t.members)
     (String.concat "," shards)
 
@@ -502,7 +447,7 @@ let enriched_members_json t =
     "{\"epoch\":%d,\"vnodes\":%d,\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"stale_routes\":%d,\"read_repairs\":%d,\"topology_changes\":%d},\"shards\":[%s]}"
     (Membership.epoch t.members)
     (Membership.vnodes t.members)
-    (Atomic.get t.routed) (Atomic.get t.failovers) (Atomic.get t.shed)
+    (Atomic.get t.routed) (Atomic.get t.failovers) (shed_total t)
     (Atomic.get t.stale_routes)
     (Atomic.get t.read_repairs)
     (Atomic.get t.topo_gen)
@@ -511,7 +456,7 @@ let enriched_members_json t =
 let aggregated_stats_text t =
   let header =
     Printf.sprintf "cluster     routed %d  failovers %d  shed %d"
-      (Atomic.get t.routed) (Atomic.get t.failovers) (Atomic.get t.shed)
+      (Atomic.get t.routed) (Atomic.get t.failovers) (shed_total t)
   in
   let sections =
     Membership.snapshot t.members
@@ -637,303 +582,100 @@ let handle_cluster_remove t sid =
       }
 
 (* ------------------------------------------------------------------ *)
-(* Per-connection fibers                                               *)
+(* The relay handler                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec try_reserve t =
-  let cur = Atomic.get t.inflight in
-  if cur >= t.cfg.max_inflight then false
-  else if Atomic.compare_and_set t.inflight cur (cur + 1) then begin
-    M.set_gauge m_inflight (float_of_int (cur + 1));
-    true
-  end
-  else try_reserve t
+(* A relayed request is deferred: [work] runs on the executor and its
+   promise carries the reply back through the scheduler's completion
+   queue.  [start] yields [None] only once the executor is closed, and
+   the front end then sheds. *)
+let defer t ?(trace = 0) ?(overload = Net.Wire.Result Net.Wire.R_overloaded)
+    work =
+  let start () =
+    let reply = Aio.promise () in
+    if
+      Exec.submit t.exec (fun () ->
+          Aio.fulfil reply
+            (try work ()
+             with _ -> Net.Wire.Result (Net.Wire.R_error "proxy relay failed")))
+    then Some reply
+    else None
+  in
+  Net.Server.Defer { overload; trace; start }
 
-let release t =
-  Atomic.decr t.inflight;
-  M.set_gauge m_inflight (float_of_int (Atomic.get t.inflight))
+(* every relay that touches the ring or the pools runs inside the
+   barrier; topology changes take its drain side instead *)
+let relay t ?trace ?overload work =
+  defer t ?trace ?overload (fun () -> with_relay_barrier t work)
 
-(* the aggregated-stats round trips dial every shard synchronously, so
-   they also belong on the executor, not the event loop *)
-let spawn_relay t conn ~id work =
-  conn.c_alive <- conn.c_alive + 1;
-  ignore
-    (Aio.spawn (fun () ->
-         let pr = Aio.promise () in
-         let ran =
-           Exec.submit t.exec (fun () ->
-               let reply =
-                 try work ()
-                 with _ ->
-                   Net.Wire.Result (Net.Wire.R_error "proxy relay failed")
-               in
-               Aio.fulfil pr reply)
-         in
-         if not ran then begin
-           (* executor gone: only possible mid-teardown; shed typed *)
-           Atomic.incr t.shed;
-           M.incr m_shed;
-           Aio.fulfil pr (Net.Wire.Result Net.Wire.R_overloaded)
-         end;
-         (match Aio.await pr with
-         | `Value reply -> send conn ~id reply
-         | `Deadline -> ());
-         release t;
-         producer_finished conn))
+let membership_refused t =
+  Net.Wire.Cluster_ack
+    {
+      Net.Wire.ack_ok = false;
+      ack_epoch = Membership.epoch t.members;
+      ack_msg = "proxy overloaded; retry the membership change";
+    }
 
-let dispatch t conn ~id msg =
+let handle t msg =
   match msg with
-  | Net.Wire.Ping ->
-      send conn ~id Net.Wire.Pong;
-      `Continue
   | Net.Wire.Submit s ->
-      if not (try_reserve t) then begin
-        Atomic.incr t.shed;
-        M.incr m_shed;
-        send conn ~id (Net.Wire.Result Net.Wire.R_overloaded)
-      end
-      else
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Result (relay_submit t s)));
-      `Continue
+      relay t ~trace:s.Net.Wire.sub_trace (fun () ->
+          Net.Wire.Result (relay_submit t s))
   | Net.Wire.Cache_push p ->
-      if not (try_reserve t) then begin
-        Atomic.incr t.shed;
-        M.incr m_shed;
-        send conn ~id (Net.Wire.Cache_ack false)
-      end
-      else
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Cache_ack (relay_cache_push t p)));
-      `Continue
+      relay t ~overload:(Net.Wire.Cache_ack false) (fun () ->
+          Net.Wire.Cache_ack (relay_cache_push t p))
   | Net.Wire.Stats_req ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Stats_text (aggregated_stats_text t)))
-      else send conn ~id (Net.Wire.Result Net.Wire.R_overloaded);
-      `Continue
+      relay t (fun () -> Net.Wire.Stats_text (aggregated_stats_text t))
   | Net.Wire.Stats_json_req ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Stats_json (aggregated_stats_json t)))
-      else send conn ~id (Net.Wire.Result Net.Wire.R_overloaded);
-      `Continue
+      relay t (fun () -> Net.Wire.Stats_json (aggregated_stats_json t))
   | Net.Wire.Members_json_req ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            with_relay_barrier t (fun () ->
-                Net.Wire.Members_json (enriched_members_json t)))
-      else send conn ~id (Net.Wire.Result Net.Wire.R_overloaded);
-      `Continue
+      relay t (fun () -> Net.Wire.Members_json (enriched_members_json t))
   | Net.Wire.Cluster_add a ->
-      (* topology changes take the drain side of the barrier, never the
-         relay side — no [with_relay_barrier] here *)
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            Net.Wire.Cluster_ack (handle_cluster_add t a))
-      else
-        send conn ~id
-          (Net.Wire.Cluster_ack
-             {
-               Net.Wire.ack_ok = false;
-               ack_epoch = Membership.epoch t.members;
-               ack_msg = "proxy overloaded; retry the membership change";
-             });
-      `Continue
+      defer t ~overload:(membership_refused t) (fun () ->
+          Net.Wire.Cluster_ack (handle_cluster_add t a))
   | Net.Wire.Cluster_remove sid ->
-      if try_reserve t then
-        spawn_relay t conn ~id (fun () ->
-            Net.Wire.Cluster_ack (handle_cluster_remove t sid))
-      else
-        send conn ~id
-          (Net.Wire.Cluster_ack
-             {
-               Net.Wire.ack_ok = false;
-               ack_epoch = Membership.epoch t.members;
-               ack_msg = "proxy overloaded; retry the membership change";
-             });
-      `Continue
+      defer t ~overload:(membership_refused t) (fun () ->
+          Net.Wire.Cluster_ack (handle_cluster_remove t sid))
   | Net.Wire.Metrics_req ->
-      send conn ~id (Net.Wire.Metrics_text (M.dump M.global));
-      `Continue
+      Net.Server.Reply (Net.Wire.Metrics_text (M.dump M.global))
   | Net.Wire.Metrics_json_req ->
-      send conn ~id (Net.Wire.Metrics_json (M.to_json M.global));
-      `Continue
+      Net.Server.Reply (Net.Wire.Metrics_json (M.to_json M.global))
   | Net.Wire.Members_req ->
-      send conn ~id (Net.Wire.Members_text (Membership.members_json t.members));
-      `Continue
-  | Net.Wire.Shutdown_req ->
-      (* stops the proxy only; shards are shut down by their own owners *)
-      send conn ~id Net.Wire.Shutdown_ack;
-      Atomic.set t.stop true;
-      (match t.accept_fiber with Some f -> Aio.cancel f | None -> ());
-      `Close
-  | Net.Wire.Pong | Net.Wire.Result _ | Net.Wire.Stats_text _
-  | Net.Wire.Metrics_text _ | Net.Wire.Shutdown_ack | Net.Wire.Cache_ack _
-  | Net.Wire.Stats_json _ | Net.Wire.Metrics_json _ | Net.Wire.Members_text _
-  | Net.Wire.Cluster_ack _ | Net.Wire.Members_json _ ->
-      send conn ~id
-        (Net.Wire.Result
-           (Net.Wire.R_error
-              (Printf.sprintf "unexpected %s frame from a client"
-                 (Net.Wire.message_kind_name msg))));
-      `Close
-
-let reader t conn =
-  let stream = Net.Wire.Stream.create () in
-  (* same deadline discipline as Net.Server: idle connections carry no
-     timer; the first byte of a frame arms one absolute deadline *)
-  let frame_deadline = ref None in
-  let update_deadline () =
-    if Net.Wire.Stream.midframe stream then begin
-      if !frame_deadline = None && t.cfg.read_timeout_s > 0.0 then
-        frame_deadline := Some (Aio.now () +. t.cfg.read_timeout_s)
-    end
-    else frame_deadline := None
-  in
-  let rec loop () =
-    if conn.c_dead || Atomic.get t.draining then ()
-    else
-      match Net.Wire.Stream.next stream with
-      | `Frame (id, msg) -> (
-          update_deadline ();
-          match dispatch t conn ~id msg with
-          | `Continue -> loop ()
-          | `Close -> ())
-      | `Oversized (id, got) ->
-          update_deadline ();
-          send conn ~id
-            (Net.Wire.Result
-               (Net.Wire.R_too_large
-                  { limit = Net.Wire.hard_max_payload; got }));
-          loop ()
-      | `Fail err ->
-          send conn ~id:0
-            (Net.Wire.Result
-               (Net.Wire.R_error (Net.Wire.error_to_string err)))
-      | `Need_more -> (
-          update_deadline ();
-          match
-            Aio.read ?deadline:!frame_deadline conn.c_fd t.scratch 0
-              (Bytes.length t.scratch)
-          with
-          | `Data n ->
-              Net.Wire.Stream.feed stream t.scratch 0 n;
-              loop ()
-          | `Eof -> ()
-          | `Deadline -> kill_conn conn)
-  in
-  (try loop () with _ -> ());
-  producer_finished conn
+      Net.Server.Reply
+        (Net.Wire.Members_text (Membership.members_json t.members))
+  | _ ->
+      (* Ping, Shutdown_req (which stops the proxy only) and reply kinds
+         are answered by the front end and never reach a handler *)
+      Net.Server.Reply (Net.Wire.Result (Net.Wire.R_error "not a request"))
 
 (* ------------------------------------------------------------------ *)
-(* Accept fiber / lifecycle                                            *)
+(* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let handle_accept t fd =
-  if Atomic.get t.stop then (
-    try Unix.close fd with Unix.Unix_error _ -> ())
-  else if List.length t.conns >= t.cfg.max_conns then begin
-    Atomic.incr t.shed;
-    M.incr m_shed;
-    Unix.set_nonblock fd;
-    ignore
-      (Aio.spawn (fun () ->
-           let s =
-             Net.Wire.encode ~id:0 (Net.Wire.Result Net.Wire.R_overloaded)
-           in
-           let b = Bytes.unsafe_of_string s in
-           ignore
-             (Aio.write_all
-                ~deadline:(Aio.now () +. 5.0)
-                fd b 0 (Bytes.length b));
-           try Unix.close fd with Unix.Unix_error _ -> ()))
-  end
-  else begin
-    Unix.set_nonblock fd;
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let conn =
-      {
-        c_fd = fd;
-        c_out = Aio.Mailbox.create ();
-        c_dead = false;
-        c_alive = 1;
-      }
-    in
-    t.conns <- conn :: t.conns;
-    ignore (Aio.spawn (fun () -> writer t conn));
-    ignore (Aio.spawn (fun () -> reader t conn))
-  end
-
-let accept_loop t =
-  try
-    let rec loop () =
-      if Atomic.get t.stop then ()
-      else
-        match Aio.accept t.listen_fd with
-        | `Conn (fd, _addr) ->
-            handle_accept t fd;
-            loop ()
-        | `Deadline -> loop ()
-        | `Error _ -> Atomic.set t.stop true
-    in
-    loop ()
-  with Aio.Cancelled -> ()
 
 let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
     ?(down_after = 2) ?(seed = 0x5eed) shards =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   let members =
     Membership.create ~vnodes ~probe_ms ~down_after
       ~timeout_s:(Float.min 1.0 cfg.shard_timeout_s) ~seed shards
-  in
-  let pools =
-    List.map
-      (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_pool cfg s))
-      shards
-  in
-  let route_counters =
-    List.map
-      (fun (s : Membership.shard) ->
-        (s.Membership.sh_id, shard_route_counter s))
-      shards
-  in
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string cfg.host, cfg.port) in
-  (try Unix.bind listen_fd addr
-   with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-     Membership.stop members;
-     raise e);
-  Unix.listen listen_fd 64;
-  Unix.set_nonblock listen_fd;
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> cfg.port
   in
   let t =
     {
       cfg;
       members;
-      pools;
-      listen_fd;
-      bound_port;
-      sched = Aio.create ();
+      pools =
+        List.map
+          (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_pool cfg s))
+          shards;
       exec = Exec.create 16;
-      stop = Atomic.make false;
-      draining = Atomic.make false;
-      inflight = Atomic.make 0;
+      front = Atomic.make None;
       routed = Atomic.make 0;
       failovers = Atomic.make 0;
       shed = Atomic.make 0;
-      route_counters;
+      route_counters =
+        List.map
+          (fun (s : Membership.shard) ->
+            (s.Membership.sh_id, shard_route_counter s))
+          shards;
       topo_mu = Mutex.create ();
       topo_cv = Condition.create ();
       topo_draining = false;
@@ -941,70 +683,52 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       topo_gen = Atomic.make 0;
       stale_routes = Atomic.make 0;
       read_repairs = Atomic.make 0;
-      scratch = Bytes.create 65536;
-      conns = [];
-      accept_fiber = None;
-      loop_thread = None;
     }
   in
-  t.loop_thread <-
-    Some
-      (Thread.create
-         (fun () ->
-           Aio.run t.sched (fun () ->
-               t.accept_fiber <- Some (Aio.self ());
-               accept_loop t))
-         ());
-  t
+  (* the source cap is the shards' business: 0 keeps the front end's
+     frame cap at the wire's hard maximum *)
+  let front_cfg =
+    {
+      Net.Server.host = cfg.host;
+      port = cfg.port;
+      max_conns = cfg.max_conns;
+      max_inflight = cfg.max_inflight;
+      max_source_bytes = 0;
+      read_timeout_s = cfg.read_timeout_s;
+      write_timeout_s = 30.0;
+    }
+  in
+  match Net.Server.serve front_cfg (handle t) with
+  | front ->
+      Atomic.set t.front (Some front);
+      t
+  | exception e ->
+      Membership.stop members;
+      Exec.shutdown t.exec;
+      raise e
 
-let port t = t.bound_port
+let front t = Option.get (Atomic.get t.front)
+let port t = Net.Server.port (front t)
 let membership t = t.members
-
-let request_stop t =
-  Atomic.set t.stop true;
-  Aio.post t.sched (fun () ->
-      match t.accept_fiber with
-      | Some f -> Aio.cancel_on t.sched f
-      | None -> ())
-
-let wait_stop t =
-  while not (Atomic.get t.stop) do
-    Thread.delay 0.05
-  done
+let request_stop t = Net.Server.request_stop (front t)
+let wait_stop t = Net.Server.wait_stop (front t)
 
 let drain t =
-  if not (Atomic.exchange t.draining true) then begin
-    request_stop t;
-    (* on the loop thread: stop the readers — relay fibers still in
-       flight finish their shard round trips and their replies flush
-       through the writer before the loop drains *)
-    Aio.post t.sched (fun () ->
-        List.iter
-          (fun c ->
-            try Unix.shutdown c.c_fd Unix.SHUTDOWN_RECEIVE
-            with Unix.Unix_error _ -> ())
-          t.conns);
-    (match t.loop_thread with
-    | Some th ->
-        Thread.join th;
-        t.loop_thread <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Membership.stop t.members;
-    (* all relay fibers are done, so the executor is idle *)
-    Exec.shutdown t.exec;
-    let pools =
-      Mutex.lock t.topo_mu;
-      let p = t.pools in
-      Mutex.unlock t.topo_mu;
-      p
-    in
-    List.iter (fun (_, p) -> Pool.close_all p) pools
-  end
+  (* the front end returns once every deferred reply is written, so
+     the executor is idle by the time it is shut down *)
+  Net.Server.drain (front t);
+  Membership.stop t.members;
+  Exec.shutdown t.exec;
+  let pools =
+    Mutex.lock t.topo_mu;
+    let p = t.pools in
+    Mutex.unlock t.topo_mu;
+    p
+  in
+  List.iter (fun (_, p) -> Pool.close_all p) pools
 
 let routed_total t = Atomic.get t.routed
 let failover_total t = Atomic.get t.failovers
-let shed_total t = Atomic.get t.shed
 let epoch t = Membership.epoch t.members
 let stale_routes_total t = Atomic.get t.stale_routes
 let read_repair_total t = Atomic.get t.read_repairs

@@ -6,8 +6,13 @@
     the same canonical key the shards use ({!Service.Server.cache_key})
     and routed to the key's ring owner, so the same program always
     lands on the same shard — and therefore in the same warm cache.
-    Requests pipeline: each admitted submit is relayed on its own
-    thread through a per-shard connection pool.
+
+    The proxy is a {!Net.Server.serve} front end with a relay handler,
+    so its connections, deadlines, budgets, corked writes and [net_*]
+    metrics are exactly cedard's.  Requests pipeline: each admitted
+    request is relayed on a small executor pool through a per-shard
+    connection pool, and relayed replies come back in request order —
+    the same contract as a shard.
 
     Failure handling, in order of preference: a shard that answers
     typed (even [R_overloaded]) is believed; a transport failure demotes
@@ -63,9 +68,11 @@ val create :
   Membership.shard list ->
   t
 (** Start the proxy over the given shards: builds the membership view
-    (with its jittered probe loop), the per-shard pools, and the
-    accept thread.  Ring parameters must match the shards' replicators
-    ([vnodes], default 64). *)
+    (with its jittered probe loop), the per-shard pools, the relay
+    executor and the front end.  Ring parameters must match the shards'
+    replicators ([vnodes], default 64).
+    @raise Unix.Unix_error when the address cannot be bound (the
+    prober and the executor are stopped first). *)
 
 val port : t -> int
 (** The bound TCP port. *)
@@ -79,8 +86,8 @@ val wait_stop : t -> unit
 (** Block until {!request_stop} is called. *)
 
 val drain : t -> unit
-(** Stop accepting, finish in-flight relays, stop probing, close the
-    pools.  Idempotent. *)
+(** Stop accepting, finish in-flight relays and flush their replies,
+    stop probing, stop the executor, close the pools.  Idempotent. *)
 
 val routed_total : t -> int
 (** Submits relayed to a shard (first attempt or failover). *)
@@ -89,8 +96,9 @@ val failover_total : t -> int
 (** Submits that succeeded only on a non-first candidate. *)
 
 val shed_total : t -> int
-(** Requests answered [R_overloaded] by the proxy itself (budget
-    exhausted or no live candidate). *)
+(** Requests the proxy refused itself: the front end's connection and
+    in-flight budget sheds ([net_shed_total]) plus submits no live
+    candidate could take ([cluster_proxy_shed_total]). *)
 
 val epoch : t -> int
 (** The membership view's current ring epoch. *)

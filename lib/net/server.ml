@@ -1,41 +1,42 @@
 (* cedarnet TCP front-end.  See server.mli for the contract.
 
-   Fiber structure (one Aio scheduler on one event-loop thread, replacing
-   the former thread-per-connection design):
+   The front end owns everything that happens per connection; a handler
+   decides what each request frame means.  cedard's handler ([create])
+   admits submits into a Service.Server; Cluster.Proxy's relays them to
+   shards.  Both serve the wire through this file.
+
+   Fiber structure (one Aio scheduler on one event-loop thread):
 
    - one accept fiber owning the listening socket;
-   - per connection, three fibers replacing the old reader+responder
-     thread pair: a reader (decodes frames off the non-blocking socket
-     through Wire.Stream and admits submits without waiting on earlier
-     replies — pipelining), a responder (awaits each admitted ticket in
-     order and enqueues the replies), and a writer (the single point
-     that touches the socket for output, so partial non-blocking writes
-     from different producers can never interleave).  Control replies
-     (Pong, stats, ...) and shed verdicts go straight from the reader to
-     the writer's queue, exactly as the old reader wrote them directly.
+   - per connection, three fibers: a reader (decodes frames off the
+     non-blocking socket through Wire.Stream and hands each request to
+     the handler without waiting on earlier replies — pipelining), a
+     responder (awaits each deferred request's reply in order and
+     enqueues it), and a writer (the single point that touches the
+     socket for output, so partial non-blocking writes from different
+     producers can never interleave).  Immediate replies and shed
+     verdicts go straight from the reader to the writer's queue.
 
-   CPU-bound restructure work still runs on the Service.Server domain
-   pool; the seam is the completion-queue bridge: the reader registers
-   Service.Server.on_resolve -> Aio.fulfil on the ticket, the responder
-   suspends in Aio.await, and the worker domain's resolution posts the
-   wakeup through the scheduler's completion queue.  No OS thread ever
-   parks per request.
+   Work that must not run on the loop (the Service.Server domain pool,
+   the proxy's relay executor) is started by a [Defer] action, which
+   returns a promise the worker fulfils; the fulfilment posts the
+   responder's wakeup through the scheduler's completion queue.  No OS
+   thread ever parks per request.
 
-   Read deadlines are event-loop timers now, not SO_RCVTIMEO (which is
+   Read deadlines are event-loop timers, not SO_RCVTIMEO (which is
    meaningless on a non-blocking descriptor): a connection with no
    partial frame buffered carries no deadline at all — ten thousand
    idle connections cost three suspended fibers and a poll slot each —
    while the moment the first byte of a frame arrives, the reader arms
-   one absolute deadline for the whole frame, which is what finally
-   defeats the 1-byte-per-second slow-loris sender the old per-read
-   socket timeout never caught.
+   one absolute deadline for the whole frame, which is what defeats the
+   1-byte-per-second slow-loris sender a per-read socket timeout never
+   catches.
 
-   Budget accounting is unchanged: [inflight] counts submits admitted
-   into the service and not yet replied to, across all connections,
-   CAS-reserved against the budget (excess submits shed with
-   R_overloaded, never queued); the high-water mark proves the bound
-   held.  The counters stay atomics because stats readers live on other
-   threads. *)
+   Budget accounting: [inflight] counts deferred requests started and
+   not yet replied to, across all connections, CAS-reserved against the
+   budget (excess requests shed with the handler's overload reply,
+   never queued); the high-water mark proves the bound held.  The
+   counters stay atomics because stats readers live on other threads. *)
 
 module M = Obs.Metrics
 module Fault = Service.Fault
@@ -66,9 +67,17 @@ let default_cfg =
    epoch-like generation the change produced *)
 type cluster_change = [ `Add of string * string * int | `Remove of string ]
 
+type action =
+  | Reply of Wire.message
+  | Defer of {
+      overload : Wire.message;
+      trace : int;
+      start : unit -> Wire.message Aio.promise option;
+    }
+
 type pending = {
   pd_id : int;  (* request id to echo *)
-  pd_outcome : Service.Server.outcome Aio.promise;
+  pd_reply : Wire.message Aio.promise;
   pd_trace : int;
   pd_start : float;
 }
@@ -89,10 +98,9 @@ type conn = {
 }
 
 type t = {
-  svc : Service.Server.t;
   cfg : cfg;
   fault : Fault.t;
-  on_cluster_change : (cluster_change -> bool * int * string) option;
+  handle : Wire.message -> action;
   listen_fd : Unix.file_descr;
   bound_port : int;
   sched : Aio.t;
@@ -137,7 +145,7 @@ let m_bad_frames =
   M.counter M.global ~help:"frames that failed to decode" "net_frames_bad_total"
 
 let m_inflight =
-  M.gauge M.global ~help:"submits admitted and not yet replied to"
+  M.gauge M.global ~help:"deferred requests started and not yet replied to"
     "net_requests_inflight"
 
 let m_request_seconds =
@@ -272,28 +280,6 @@ let writer t conn =
 (* Request dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let reply_of_outcome trace (outcome : Service.Server.outcome) =
-  match outcome with
-  | Service.Server.Done { payload; cached } ->
-      Wire.R_done
-        {
-          r_cached = cached;
-          r_rung = payload.Service.Server.p_rung;
-          r_text = payload.Service.Server.p_text;
-          r_cycles = payload.Service.Server.p_cycles;
-          r_global_words = payload.Service.Server.p_global_words;
-          r_notes = List.map Wire.note_of_report payload.Service.Server.p_reports;
-          r_trace = trace;
-        }
-  | Service.Server.Failed msg -> Wire.R_failed msg
-  | Service.Server.Timeout -> Wire.R_timeout
-  | Service.Server.Cancelled -> Wire.R_cancelled
-
-let shed_request t conn ~id =
-  Atomic.incr t.shed;
-  M.incr m_shed;
-  send t conn ~id (Wire.Result Wire.R_overloaded)
-
 (* CAS admission against the in-flight budget *)
 let rec try_reserve t =
   let cur = Atomic.get t.inflight in
@@ -306,134 +292,42 @@ let rec try_reserve t =
         else bump_hw ()
     in
     bump_hw ();
-    M.set_gauge m_inflight (float_of_int (Atomic.get t.inflight));
+    M.add_gauge m_inflight 1.0;
     true
   end
   else try_reserve t
 
 let release t =
   Atomic.decr t.inflight;
-  M.set_gauge m_inflight (float_of_int (Atomic.get t.inflight))
+  M.add_gauge m_inflight (-1.0)
 
-let admit_submit t conn ~id (s : Wire.submit) =
-  let got = String.length s.Wire.sub_source in
-  if t.cfg.max_source_bytes > 0 && got > t.cfg.max_source_bytes then begin
-    (* request hygiene: typed rejection before the source reaches a
-       parser — and before it reaches the service at all *)
-    M.incr m_too_large;
-    send t conn ~id
-      (Wire.Result (Wire.R_too_large { limit = t.cfg.max_source_bytes; got }))
-  end
-  else if not (try_reserve t) then shed_request t conn ~id
-  else begin
-    let trace =
-      if s.Wire.sub_trace <> 0 then s.Wire.sub_trace
-      else if Obs.Trace.enabled () then Obs.Trace.fresh_trace_id ()
-      else 0
-    in
-    let request =
-      {
-        Service.Server.req_name = s.Wire.sub_name;
-        req_source = s.Wire.sub_source;
-        req_options = s.Wire.sub_options;
-      }
-    in
-    match Service.Server.try_submit ~trace t.svc request with
+(* a deferred request holds one unit of the budget from here until the
+   responder has written its reply; with the budget spent, or when the
+   handler's backend cannot take the work, it is shed with the handler's
+   own refusal *)
+let shed t conn ~id overload =
+  Atomic.incr t.shed;
+  M.incr m_shed;
+  send t conn ~id overload
+
+let defer t conn ~id ~overload ~trace start =
+  if not (try_reserve t) then shed t conn ~id overload
+  else
+    match start () with
     | None ->
-        (* the service queue itself had no room: shed, don't block *)
         release t;
-        shed_request t conn ~id
-    | Some ticket ->
-        (* the completion-queue bridge: the worker domain that resolves
-           the ticket fulfils the promise, which posts the responder's
-           wakeup into the scheduler *)
-        let outcome = Aio.promise () in
-        Service.Server.on_resolve ticket (Aio.fulfil outcome);
+        shed t conn ~id overload
+    | Some reply ->
         ignore
           (Aio.Mailbox.put conn.c_pending
-             { pd_id = id; pd_outcome = outcome; pd_trace = trace;
+             { pd_id = id; pd_reply = reply; pd_trace = trace;
                pd_start = now () })
-  end
 
 let dispatch t conn ~id msg =
   match msg with
   | Wire.Ping ->
       send t conn ~id Wire.Pong;
       `Continue
-  | Wire.Submit s ->
-      M.incr m_requests;
-      admit_submit t conn ~id s;
-      `Continue
-  | Wire.Stats_req ->
-      send t conn ~id
-        (Wire.Stats_text (Service.Stats.to_string (Service.Server.stats t.svc)));
-      `Continue
-  | Wire.Metrics_req ->
-      send t conn ~id (Wire.Metrics_text (M.dump M.global));
-      `Continue
-  | Wire.Stats_json_req ->
-      send t conn ~id
-        (Wire.Stats_json (Service.Stats.to_json (Service.Server.stats t.svc)));
-      `Continue
-  | Wire.Metrics_json_req ->
-      send t conn ~id (Wire.Metrics_json (M.to_json M.global));
-      `Continue
-  | Wire.Cache_push p ->
-      (* warm-cache replication from a ring peer: verify + admit, then
-         ack with the verdict.  The payload is rebuilt exactly as the
-         origin's cache held it; fields that never crossed the wire come
-         back empty, same as the reply path. *)
-      let payload =
-        {
-          Service.Server.p_name = p.Wire.cp_name;
-          p_text = p.Wire.cp_text;
-          p_reports = List.map Wire.report_of_note p.Wire.cp_notes;
-          p_cycles = p.Wire.cp_cycles;
-          p_global_words = p.Wire.cp_global_words;
-          p_rung = Service.Server.Full;
-        }
-      in
-      let admitted =
-        Service.Server.admit_replica t.svc ~key:p.Wire.cp_key
-          ~digest:p.Wire.cp_digest payload
-      in
-      send t conn ~id (Wire.Cache_ack admitted);
-      `Continue
-  | Wire.Members_req | Wire.Members_json_req ->
-      (* membership lives in the proxy; a plain shard has no view *)
-      send t conn ~id
-        (Wire.Result (Wire.R_error "not a cluster proxy: no membership view"));
-      `Continue
-  | Wire.Cluster_add a -> (
-      (* topology change pushed down from the proxy: a shard that
-         replicates re-aims its successor pushes at the new ring *)
-      match t.on_cluster_change with
-      | Some f ->
-          let ok, epoch, msg =
-            f (`Add (a.Wire.ca_id, a.Wire.ca_host, a.Wire.ca_port))
-          in
-          send t conn ~id
-            (Wire.Cluster_ack { ack_ok = ok; ack_epoch = epoch; ack_msg = msg });
-          `Continue
-      | None ->
-          send t conn ~id
-            (Wire.Cluster_ack
-               { ack_ok = false; ack_epoch = 0;
-                 ack_msg = "shard runs without a cluster view" });
-          `Continue)
-  | Wire.Cluster_remove sid -> (
-      match t.on_cluster_change with
-      | Some f ->
-          let ok, epoch, msg = f (`Remove sid) in
-          send t conn ~id
-            (Wire.Cluster_ack { ack_ok = ok; ack_epoch = epoch; ack_msg = msg });
-          `Continue
-      | None ->
-          send t conn ~id
-            (Wire.Cluster_ack
-               { ack_ok = false; ack_epoch = 0;
-                 ack_msg = "shard runs without a cluster view" });
-          `Continue)
   | Wire.Shutdown_req ->
       send t conn ~id Wire.Shutdown_ack;
       Atomic.set t.stop true;
@@ -450,6 +344,15 @@ let dispatch t conn ~id msg =
               (Printf.sprintf "unexpected %s frame from a client"
                  (Wire.message_kind_name msg))));
       `Close
+  | Wire.Submit _ | Wire.Stats_req | Wire.Metrics_req | Wire.Stats_json_req
+  | Wire.Metrics_json_req | Wire.Cache_push _ | Wire.Members_req
+  | Wire.Members_json_req | Wire.Cluster_add _ | Wire.Cluster_remove _ ->
+      (match msg with Wire.Submit _ -> M.incr m_requests | _ -> ());
+      (match t.handle msg with
+      | Reply m -> send t conn ~id m
+      | Defer { overload; trace; start } ->
+          defer t conn ~id ~overload ~trace start);
+      `Continue
 
 (* ------------------------------------------------------------------ *)
 (* Connection fibers                                                   *)
@@ -525,13 +428,12 @@ let responder t conn =
     match Aio.Mailbox.take conn.c_pending with
     | None -> ()
     | Some p ->
-        let outcome =
-          match Aio.await p.pd_outcome with
-          | `Value o -> o
-          | `Deadline -> assert false (* no deadline on ticket waits *)
+        let reply =
+          match Aio.await p.pd_reply with
+          | `Value m -> m
+          | `Deadline -> assert false (* no deadline on reply waits *)
         in
-        let reply = reply_of_outcome p.pd_trace outcome in
-        send t conn ~id:p.pd_id (Wire.Result reply);
+        send t conn ~id:p.pd_id reply;
         release t;
         M.observe m_request_seconds (now () -. p.pd_start);
         if p.pd_trace <> 0 then
@@ -614,7 +516,7 @@ let accept_loop t =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
+let serve ?(fault = Fault.none) cfg handle =
   (* a peer that disappears mid-write must surface as EPIPE, not kill
      the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -634,10 +536,9 @@ let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
   in
   let t =
     {
-      svc;
       cfg;
       fault;
-      on_cluster_change;
+      handle;
       listen_fd;
       bound_port;
       sched = Aio.create ();
@@ -662,6 +563,116 @@ let create ?(fault = Fault.none) ?on_cluster_change cfg svc =
                accept_loop t))
          ());
   t
+
+(* ------------------------------------------------------------------ *)
+(* cedard's handler: requests answered by a Service.Server             *)
+(* ------------------------------------------------------------------ *)
+
+let reply_of_outcome trace (outcome : Service.Server.outcome) =
+  match outcome with
+  | Service.Server.Done { payload; cached } ->
+      Wire.R_done
+        {
+          r_cached = cached;
+          r_rung = payload.Service.Server.p_rung;
+          r_text = payload.Service.Server.p_text;
+          r_cycles = payload.Service.Server.p_cycles;
+          r_global_words = payload.Service.Server.p_global_words;
+          r_notes = List.map Wire.note_of_report payload.Service.Server.p_reports;
+          r_trace = trace;
+        }
+  | Service.Server.Failed msg -> Wire.R_failed msg
+  | Service.Server.Timeout -> Wire.R_timeout
+  | Service.Server.Cancelled -> Wire.R_cancelled
+
+let submit cfg svc (s : Wire.submit) =
+  let got = String.length s.Wire.sub_source in
+  if cfg.max_source_bytes > 0 && got > cfg.max_source_bytes then begin
+    (* request hygiene: typed rejection before the source reaches a
+       parser — and before it reaches the service at all *)
+    M.incr m_too_large;
+    Reply (Wire.Result (Wire.R_too_large { limit = cfg.max_source_bytes; got }))
+  end
+  else
+    let trace =
+      if s.Wire.sub_trace <> 0 then s.Wire.sub_trace
+      else if Obs.Trace.enabled () then Obs.Trace.fresh_trace_id ()
+      else 0
+    in
+    let request =
+      {
+        Service.Server.req_name = s.Wire.sub_name;
+        req_source = s.Wire.sub_source;
+        req_options = s.Wire.sub_options;
+      }
+    in
+    (* the service queue itself may have no room: [None] sheds, never
+       blocks.  Otherwise the worker domain that resolves the ticket
+       fulfils the reply promise (the completion-queue bridge). *)
+    let start () =
+      Service.Server.try_submit ~trace svc request
+      |> Option.map (fun ticket ->
+             let reply = Aio.promise () in
+             Service.Server.on_resolve ticket (fun o ->
+                 Aio.fulfil reply (Wire.Result (reply_of_outcome trace o)));
+             reply)
+    in
+    Defer { overload = Wire.Result Wire.R_overloaded; trace; start }
+
+(* a topology change pushed down from the proxy: a shard that
+   replicates re-aims its successor pushes at the new ring *)
+let cluster_ack on_cluster_change change =
+  let ok, epoch, msg =
+    match on_cluster_change with
+    | Some f -> f change
+    | None -> (false, 0, "shard runs without a cluster view")
+  in
+  Reply (Wire.Cluster_ack { ack_ok = ok; ack_epoch = epoch; ack_msg = msg })
+
+let handle_service ?on_cluster_change cfg svc msg =
+  match msg with
+  | Wire.Submit s -> submit cfg svc s
+  | Wire.Stats_req ->
+      Reply
+        (Wire.Stats_text (Service.Stats.to_string (Service.Server.stats svc)))
+  | Wire.Metrics_req -> Reply (Wire.Metrics_text (M.dump M.global))
+  | Wire.Stats_json_req ->
+      Reply
+        (Wire.Stats_json (Service.Stats.to_json (Service.Server.stats svc)))
+  | Wire.Metrics_json_req -> Reply (Wire.Metrics_json (M.to_json M.global))
+  | Wire.Cache_push p ->
+      (* warm-cache replication from a ring peer: verify + admit, then
+         ack with the verdict.  The payload is rebuilt exactly as the
+         origin's cache held it; fields that never crossed the wire come
+         back empty, same as the reply path. *)
+      let payload =
+        {
+          Service.Server.p_name = p.Wire.cp_name;
+          p_text = p.Wire.cp_text;
+          p_reports = List.map Wire.report_of_note p.Wire.cp_notes;
+          p_cycles = p.Wire.cp_cycles;
+          p_global_words = p.Wire.cp_global_words;
+          p_rung = Service.Server.Full;
+        }
+      in
+      Reply
+        (Wire.Cache_ack
+           (Service.Server.admit_replica svc ~key:p.Wire.cp_key
+              ~digest:p.Wire.cp_digest payload))
+  | Wire.Members_req | Wire.Members_json_req ->
+      (* membership lives in the proxy; a plain shard has no view *)
+      Reply (Wire.Result (Wire.R_error "not a cluster proxy: no membership view"))
+  | Wire.Cluster_add a ->
+      cluster_ack on_cluster_change
+        (`Add (a.Wire.ca_id, a.Wire.ca_host, a.Wire.ca_port))
+  | Wire.Cluster_remove sid -> cluster_ack on_cluster_change (`Remove sid)
+  | _ ->
+      (* Ping, Shutdown_req and reply kinds are answered by the front end
+         and never reach a handler *)
+      Reply (Wire.Result (Wire.R_error "not a request"))
+
+let create ?fault ?on_cluster_change cfg svc =
+  serve ?fault cfg (handle_service ?on_cluster_change cfg svc)
 
 let port t = t.bound_port
 

@@ -1,18 +1,26 @@
-(** The cedarnet TCP front-end: puts a {!Service.Server} on the network.
+(** The cedarnet TCP front-end: puts a request handler on the network.
 
-    One accept thread plus a reader/responder thread pair per
-    connection.  Requests on one connection may be pipelined: the reader
-    admits each {!Wire.Submit} into the service pool without waiting for
-    earlier replies, and the responder streams results back in
-    submission order, each echoing its request id.
+    The front end owns everything that happens per connection; a
+    handler decides what each request frame means.  {!create} serves
+    a {!Service.Server} (cedard); [Cluster.Proxy] serves its relay
+    handler through {!serve}, so both speak the wire through one piece
+    of code.
+
+    One accept fiber, plus a reader, a responder and a writer fiber per
+    connection, all on one {!Aio} scheduler thread.  Requests on one
+    connection may be pipelined: the reader hands each request to the
+    handler without waiting for earlier replies.  A {!Reply} goes out at
+    once; {!Defer}red replies stream back from the responder in request
+    order, each echoing its request id.  The writer corks: replies
+    queued in one scheduler pass leave in one write.
 
     {b Admission control.}  Two budgets shed load explicitly instead of
     queuing without bound: at most [max_conns] connections are served at
     once (excess connections receive one [R_overloaded] frame and are
-    closed), and at most [max_inflight] submits may be outstanding
-    inside the service across all connections (excess submits are
-    answered [R_overloaded] immediately).  A submit the service queue
-    itself cannot take (bounded queue full) is also shed.
+    closed), and at most [max_inflight] deferred requests may be
+    outstanding across all connections (excess requests are answered at
+    once with the handler's [overload] reply).  A request whose backend
+    cannot take it ([start] returns [None]) is also shed.
 
     {b Deadlines and hygiene.}  [read_timeout_s] bounds how long a
     request may take to arrive once its first byte is seen (a stalled
@@ -24,8 +32,8 @@
 
     {b Observability.}  Every submit carries (or is minted) an
     {!Obs.Trace} id that rides the job end to end and returns in the
-    reply; connection/request/shed/bytes counters land in
-    {!Obs.Metrics.global}.
+    reply; connection/request/shed/bytes/flush counters and the request
+    latency histogram land in {!Obs.Metrics.global}.
 
     {b Chaos.}  An attached {!Service.Fault} injector with network
     sites armed attacks the wire itself: accepted connections dropped,
@@ -36,7 +44,7 @@ type cfg = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 = ephemeral (read it back with {!port}) *)
   max_conns : int;  (** accepted-connection budget *)
-  max_inflight : int;  (** outstanding-submit budget, all connections *)
+  max_inflight : int;  (** deferred-request budget, all connections *)
   max_source_bytes : int;  (** submit-source cap; 0 = unlimited *)
   read_timeout_s : float;  (** per-request read deadline; 0 = none *)
   write_timeout_s : float;  (** per-reply write deadline; 0 = none *)
@@ -48,6 +56,28 @@ val default_cfg : cfg
 
 type t
 
+(** What a handler makes of one request frame. *)
+type action =
+  | Reply of Wire.message  (** answer at once, from the reader *)
+  | Defer of {
+      overload : Wire.message;  (** the refusal sent when shed *)
+      trace : int;  (** trace id for the [net_request] span; 0 = none *)
+      start : unit -> Wire.message Aio.promise option;
+          (** begin the work off the event loop; the promise carries the
+              reply.  [None] when the backend cannot take it. *)
+    }
+      (** hold one unit of [max_inflight] until the responder has
+          written the reply; with the budget spent [start] is not
+          called and [overload] is sent *)
+
+val serve : ?fault:Service.Fault.t -> cfg -> (Wire.message -> action) -> t
+(** Bind, listen, and start accepting, answering each request frame
+    with what the handler makes of it.  The handler runs on the
+    event-loop thread, so it must not block.  It never sees [Ping],
+    [Shutdown_req] or a reply-kind frame: the front end answers those
+    itself.
+    @raise Unix.Unix_error when the address cannot be bound. *)
+
 (** A topology change pushed down from the cluster proxy over the wire
     (protocol v3): [`Add (id, host, port)] or [`Remove id]. *)
 type cluster_change = [ `Add of string * string * int | `Remove of string ]
@@ -58,8 +88,11 @@ val create :
   cfg ->
   Service.Server.t ->
   t
-(** Bind, listen, and start accepting.  The service pool is {e not}
-    owned: shutting it down is the caller's job (after {!drain}).
+(** {!serve} with cedard's handler: submits enter the service pool
+    (size cap, queue admission, trace ids), stats and metrics are
+    answered at once, [Cache_push] frames are verified and admitted.
+    The service pool is {e not} owned: shutting it down is the caller's
+    job (after {!drain}).
 
     [on_cluster_change] handles {!Wire.Cluster_add} / [Cluster_remove]
     frames (a replicating shard re-aims its successor pushes at the new
@@ -83,14 +116,16 @@ val wait_stop : t -> unit
 
 val drain : t -> unit
 (** Graceful drain: stop accepting, shut the read side of every
-    connection (no new requests), let every in-flight request finish
-    and its reply flush, then join all connection threads.  Idempotent.
-    The caller then runs {!Service.Server.shutdown} to flush stats. *)
+    connection (no new requests), let every deferred request finish and
+    its reply flush, then join the event-loop thread.  Idempotent.  The
+    caller then shuts down whatever backs the handler (for {!create},
+    {!Service.Server.shutdown}, which flushes stats). *)
 
 val connections_seen : t -> int
 val inflight_high_water : t -> int
-(** Most submits ever outstanding at once — proves the in-flight budget
-    held under overload. *)
+(** Most deferred requests ever outstanding at once — proves the
+    in-flight budget held under overload. *)
 
 val shed_total : t -> int
-(** Requests/connections answered [R_overloaded]. *)
+(** Connections refused by the connection budget plus requests refused
+    by the in-flight budget or by their backend. *)

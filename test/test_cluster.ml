@@ -1293,6 +1293,74 @@ let test_proxy_read_repair () =
   Alcotest.(check int) "exactly the off-owner hit repaired" 1
     (Cluster.Proxy.read_repair_total proxy)
 
+let test_proxy_budget_refusals_counted () =
+  (* with no in-flight budget, each of the seven relayed kinds is
+     refused at the front door with its own typed reply — and every
+     refusal is counted in shed_total *)
+  with_svc @@ fun svc ->
+  let net = Net.Server.create Net.Server.default_cfg svc in
+  Fun.protect ~finally:(fun () -> Net.Server.drain net) @@ fun () ->
+  let cfg = { Cluster.Proxy.default_cfg with Cluster.Proxy.max_inflight = 0 } in
+  let proxy =
+    Cluster.Proxy.create ~cfg ~probe_ms:10_000.0
+      [ mk_shard "s0" (Net.Server.port net) ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, Cluster.Proxy.port proxy));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+  let overloaded = W.Result W.R_overloaded in
+  let membership_refused =
+    W.Cluster_ack
+      {
+        W.ack_ok = false;
+        ack_epoch = Cluster.Proxy.epoch proxy;
+        ack_msg = "proxy overloaded; retry the membership change";
+      }
+  in
+  let push =
+    {
+      W.cp_key = "k";
+      cp_digest = "d";
+      cp_name = "p";
+      cp_text = "";
+      cp_cycles = None;
+      cp_global_words = None;
+      cp_notes = [];
+    }
+  in
+  let kinds =
+    [
+      ( W.Submit
+          { W.sub_name = "s"; sub_source = synth_source 0; sub_options = opts;
+            sub_trace = 0 },
+        overloaded );
+      (W.Cache_push push, W.Cache_ack false);
+      (W.Stats_req, overloaded);
+      (W.Stats_json_req, overloaded);
+      (W.Members_json_req, overloaded);
+      ( W.Cluster_add { W.ca_id = "x"; ca_host = "127.0.0.1"; ca_port = 1 },
+        membership_refused );
+      (W.Cluster_remove "s0", membership_refused);
+    ]
+  in
+  List.iteri
+    (fun i (request, refusal) ->
+      let kind = W.message_kind_name request in
+      W.write_frame fd ~id:(i + 1) request;
+      match W.read_frame fd with
+      | W.Frame (id, reply) ->
+          Alcotest.(check int) (kind ^ " id echoed") (i + 1) id;
+          Alcotest.(check string) (kind ^ " refused typed")
+            (W.message_kind_name refusal) (W.message_kind_name reply);
+          Alcotest.(check bool) (kind ^ " exact refusal") true (reply = refusal)
+      | _ -> Alcotest.failf "%s: expected a refusal frame" kind)
+    kinds;
+  Alcotest.(check int) "every refusal counted" (List.length kinds)
+    (Cluster.Proxy.shed_total proxy)
+
 let tests =
   [
     Alcotest.test_case "ring: routing is order- and duplicate-independent"
@@ -1350,4 +1418,6 @@ let tests =
       test_proxy_churn_no_stale_routes;
     Alcotest.test_case "proxy: off-owner warm hit is read-repaired" `Slow
       test_proxy_read_repair;
+    Alcotest.test_case "proxy: every budget refusal is typed and counted"
+      `Quick test_proxy_budget_refusals_counted;
   ]

@@ -436,6 +436,35 @@ let with_net ?(cfg = Net.Server.default_cfg) ?fault ?(workers = 2) f =
       ignore (Service.Server.shutdown svc))
     (fun () -> f svc net (Net.Server.port net))
 
+(* The front-end contract holds at both front doors: a cedard
+   Net.Server, and a one-shard Cluster.Proxy in front of one.  The
+   proxy probes rarely so that prober pings stay out of flush counts. *)
+type door = Cedard | Proxy
+
+let with_door ?(cfg = Net.Server.default_cfg) door f =
+  match door with
+  | Cedard -> with_net ~cfg @@ fun _svc _net port -> f port
+  | Proxy ->
+      with_net @@ fun _svc _net shard_port ->
+      let pcfg =
+        {
+          Cluster.Proxy.default_cfg with
+          Cluster.Proxy.max_conns = cfg.Net.Server.max_conns;
+          max_inflight = cfg.Net.Server.max_inflight;
+          read_timeout_s = cfg.Net.Server.read_timeout_s;
+        }
+      in
+      let proxy =
+        Cluster.Proxy.create ~cfg:pcfg ~probe_ms:10_000.0
+          [
+            { Cluster.Membership.sh_id = "s0"; sh_host = "127.0.0.1";
+              sh_port = shard_port };
+          ]
+      in
+      Fun.protect
+        ~finally:(fun () -> Cluster.Proxy.drain proxy)
+        (fun () -> f (Cluster.Proxy.port proxy))
+
 let connect_raw port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -538,10 +567,10 @@ let test_trace_propagation () =
           Alcotest.failf "unexpected reply %s"
             (match r with W.R_failed m -> m | _ -> "(not done)"))
 
-let test_pipelining_ids () =
+let test_pipelining_ids door () =
   (* several requests in flight on one connection: every reply arrives
      and echoes its request id *)
-  with_net @@ fun _svc _net port ->
+  with_door door @@ fun port ->
   let fd = connect_raw port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -592,13 +621,13 @@ let test_split_reads_byte_identical () =
       | W.Frame (2, W.Pong) -> ()
       | _ -> Alcotest.fail "expected Pong for id 2")
 
-let test_reply_batching () =
+let test_reply_batching door () =
   (* N pipelined requests arriving in one TCP segment are answered in a
      handful of corked flushes, not N writes — and the reply bytes are
      identical to N individually encoded frames *)
   let flushes = Obs.Metrics.counter Obs.Metrics.global "net_flushes_total" in
   let n = 32 in
-  with_net @@ fun _svc _net port ->
+  with_door door @@ fun port ->
   let fd = connect_raw port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -709,9 +738,9 @@ let test_overload_burst () =
       Alcotest.(check bool) "shed counted" true
         (Net.Server.shed_total net >= !overloaded))
 
-let test_conn_budget_shed () =
+let test_conn_budget_shed door () =
   let cfg = { Net.Server.default_cfg with Net.Server.max_conns = 1 } in
-  with_net ~cfg @@ fun _svc _net port ->
+  with_door ~cfg door @@ fun port ->
   let fd1 = connect_raw port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd1 with Unix.Unix_error _ -> ())
@@ -749,8 +778,8 @@ let test_stalled_sender_dropped () =
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
           Alcotest.fail "server kept a stalled connection open")
 
-let test_garbage_frame_from_client () =
-  with_net @@ fun _svc _net port ->
+let test_garbage_frame_from_client door () =
+  with_door door @@ fun port ->
   let fd = connect_raw port in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -1085,21 +1114,21 @@ let tests =
     Alcotest.test_case "e2e: trace id propagates end-to-end" `Quick
       test_trace_propagation;
     Alcotest.test_case "e2e: pipelined requests echo their ids" `Quick
-      test_pipelining_ids;
+      (test_pipelining_ids Cedard);
     Alcotest.test_case "stream: 1-byte split reads stay byte-identical" `Quick
       test_split_reads_byte_identical;
     Alcotest.test_case "writer: pipelined replies cork into few flushes"
-      `Quick test_reply_batching;
+      `Quick (test_reply_batching Cedard);
     Alcotest.test_case "hygiene: too-large rejected, connection survives"
       `Quick test_too_large_keeps_connection;
     Alcotest.test_case "overload: 4x burst shed with bounded in-flight"
       `Slow test_overload_burst;
     Alcotest.test_case "overload: connection budget sheds explicitly" `Quick
-      test_conn_budget_shed;
+      (test_conn_budget_shed Cedard);
     Alcotest.test_case "deadline: stalled sender is dropped" `Quick
       test_stalled_sender_dropped;
     Alcotest.test_case "protocol: garbage frame answered typed" `Quick
-      test_garbage_frame_from_client;
+      (test_garbage_frame_from_client Cedard);
     Alcotest.test_case "drain: in-flight replies flush" `Quick
       test_graceful_drain_flushes_replies;
     Alcotest.test_case "stream: incremental decoder states" `Quick
@@ -1112,4 +1141,13 @@ let tests =
       test_metrics_http;
     Alcotest.test_case "client: dead port fails fast" `Quick
       test_client_connect_fast_fail;
+    (* the same front-end contract at the proxy's front door *)
+    Alcotest.test_case "proxy door: pipelined requests echo their ids" `Quick
+      (test_pipelining_ids Proxy);
+    Alcotest.test_case "proxy door: pipelined replies cork into few flushes"
+      `Quick (test_reply_batching Proxy);
+    Alcotest.test_case "proxy door: connection budget sheds explicitly"
+      `Quick (test_conn_budget_shed Proxy);
+    Alcotest.test_case "proxy door: garbage frame answered typed" `Quick
+      (test_garbage_frame_from_client Proxy);
   ]

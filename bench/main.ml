@@ -581,9 +581,20 @@ let fibers_pass () =
         incr sampled;
         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
         Net.Wire.write_frame fd ~id:i Net.Wire.Ping;
-        match Net.Wire.read_frame fd with
-        | Net.Wire.Frame (_, Net.Wire.Pong) -> incr alive
-        | _ -> ()
+        (* a Pong is a bare 20-byte header *)
+        let hdr = Bytes.create Net.Wire.header_bytes in
+        let rec fill off =
+          off = Bytes.length hdr
+          ||
+          match Unix.read fd hdr off (Bytes.length hdr - off) with
+          | 0 -> false
+          | k -> fill (off + k)
+          | exception Unix.Unix_error _ -> false
+        in
+        if fill 0 then
+          match Net.Wire.decode (Bytes.to_string hdr) with
+          | Ok (_, Net.Wire.Pong) -> incr alive
+          | _ -> ()
       end)
     idle;
   Array.iter

@@ -453,25 +453,6 @@ let cluster_members_cmd =
       const cluster_members $ host_arg $ port_arg $ timeout_arg
       $ members_json_arg)
 
-(* "id=host:port" for cluster add *)
-let parse_shard_spec spec =
-  match String.index_opt spec '=' with
-  | None -> None
-  | Some eq -> (
-      let id = String.sub spec 0 eq in
-      let addr = String.sub spec (eq + 1) (String.length spec - eq - 1) in
-      match String.rindex_opt addr ':' with
-      | None -> None
-      | Some colon -> (
-          let host = String.sub addr 0 colon in
-          let port_s =
-            String.sub addr (colon + 1) (String.length addr - colon - 1)
-          in
-          match int_of_string_opt port_s with
-          | Some port when id <> "" && host <> "" && port > 0 ->
-              Some (id, host, port)
-          | _ -> None))
-
 let report_ack (ack : Net.Wire.cluster_ack) =
   if ack.Net.Wire.ack_ok then begin
     Printf.printf "%s (epoch %d)\n" ack.Net.Wire.ack_msg ack.Net.Wire.ack_epoch;
@@ -483,18 +464,21 @@ let report_ack (ack : Net.Wire.cluster_ack) =
   end
 
 let cluster_add host port timeout_s spec =
-  match parse_shard_spec spec with
-  | None ->
-      Printf.eprintf "cedarctl: %S: expected id=host:port\n" spec;
+  match Cluster.Membership.parse_shards spec with
+  | Error msg ->
+      Printf.eprintf "cedarctl: %s\n" msg;
       2
-  | Some (id, sh_host, sh_port) -> (
+  | Ok [ { Cluster.Membership.sh_id; sh_host; sh_port } ] -> (
       with_client (client_cfg host port timeout_s) @@ fun c ->
       match
         Net.Client.cluster_add c
-          { Net.Wire.ca_id = id; ca_host = sh_host; ca_port = sh_port }
+          { Net.Wire.ca_id = sh_id; ca_host = sh_host; ca_port = sh_port }
       with
       | Ok ack -> report_ack ack
       | Error msg -> transport msg)
+  | Ok _ ->
+      Printf.eprintf "cedarctl: %S: expected one id=host:port\n" spec;
+      2
 
 let shard_spec_arg =
   Arg.(

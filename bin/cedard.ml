@@ -10,38 +10,6 @@
 
 open Cmdliner
 
-(* "--cluster id=host:port,id=host:port,...": the full static shard
-   set, this shard included — every shard and the proxy must be started
-   with the same list (and the same vnode count) so they agree on the
-   ring without coordination. *)
-let parse_cluster_spec spec =
-  let parse_one part =
-    match String.index_opt part '=' with
-    | None -> Error (Printf.sprintf "%S: expected id=host:port" part)
-    | Some eq -> (
-        let id = String.sub part 0 eq in
-        let addr = String.sub part (eq + 1) (String.length part - eq - 1) in
-        match String.rindex_opt addr ':' with
-        | None -> Error (Printf.sprintf "%S: expected id=host:port" part)
-        | Some colon -> (
-            let host = String.sub addr 0 colon in
-            let port_s =
-              String.sub addr (colon + 1) (String.length addr - colon - 1)
-            in
-            match int_of_string_opt port_s with
-            | Some port when id <> "" && host <> "" && port > 0 ->
-                Ok { Cluster.Membership.sh_id = id; sh_host = host; sh_port = port }
-            | _ -> Error (Printf.sprintf "%S: expected id=host:port" part)))
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest -> (
-        match parse_one (String.trim part) with
-        | Ok shard -> go (shard :: acc) rest
-        | Error _ as e -> e)
-  in
-  go [] (String.split_on_char ',' spec)
-
 (* --validate acceptance sweep: restructure the whole corpus under both
    technique sets with the validator on, then hold the shipped output to
    the paper's standard — the independent static checker must accept the
@@ -207,10 +175,7 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
   let cluster =
     match cluster_spec with
     | None -> Ok None
-    | Some spec -> (
-        match parse_cluster_spec spec with
-        | Ok shards -> Ok (Some shards)
-        | Error _ as e -> e)
+    | Some spec -> Result.map Option.some (Cluster.Membership.parse_shards spec)
   in
   match cluster with
   | Error msg ->

@@ -8,43 +8,11 @@
 
 open Cmdliner
 
-let parse_shards spec =
-  let parse_one part =
-    match String.index_opt part '=' with
-    | None -> Error (Printf.sprintf "%S: expected id=host:port" part)
-    | Some eq -> (
-        let id = String.sub part 0 eq in
-        let addr = String.sub part (eq + 1) (String.length part - eq - 1) in
-        match String.rindex_opt addr ':' with
-        | None -> Error (Printf.sprintf "%S: expected id=host:port" part)
-        | Some colon -> (
-            let host = String.sub addr 0 colon in
-            let port_s =
-              String.sub addr (colon + 1) (String.length addr - colon - 1)
-            in
-            match int_of_string_opt port_s with
-            | Some port when id <> "" && host <> "" && port > 0 ->
-                Ok
-                  { Cluster.Membership.sh_id = id; sh_host = host; sh_port = port }
-            | _ -> Error (Printf.sprintf "%S: expected id=host:port" part)))
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest -> (
-        match parse_one (String.trim part) with
-        | Ok shard -> go (shard :: acc) rest
-        | Error _ as e -> e)
-  in
-  go [] (String.split_on_char ',' spec)
-
 let run shards_spec host port max_conns max_inflight failover vnodes
     probe_ms down_after timeout_s seed metrics_port =
-  match parse_shards shards_spec with
+  match Cluster.Membership.parse_shards shards_spec with
   | Error msg ->
       Printf.eprintf "cedarproxy: bad --shards spec: %s\n" msg;
-      2
-  | Ok [] ->
-      Printf.eprintf "cedarproxy: --shards is empty\n";
       2
   | Ok shards ->
       let cfg =

@@ -563,7 +563,15 @@ let yield () =
 let context () = perform Self
 let self () = snd (context ())
 let scheduler () = fst (context ())
-let now () = (scheduler ()).src.src_now ()
+
+(* Outside any fiber [perform] raises [Effect.Unhandled] at the call
+   site.  The waits below catch it and block the calling thread instead:
+   the wall clock, [Unix.sleepf] and poll(2), up to the same absolute
+   deadline a fiber would be given. *)
+let now () =
+  match context () with
+  | t, _ -> t.src.src_now ()
+  | exception Effect.Unhandled _ -> Unix.gettimeofday ()
 
 let cancel fb =
   let t = scheduler () in
@@ -572,18 +580,35 @@ let cancel fb =
 let is_done fb = fb.f_done
 
 let sleep d =
-  let t = scheduler () in
-  let at = t.src.src_now () +. Float.max 0.0 d in
-  match perform (Suspend (fun t w -> add_timer t ~at w)) with
-  | Wcancelled -> raise Cancelled
-  | _ -> ()
+  match context () with
+  | exception Effect.Unhandled _ -> Unix.sleepf (Float.max 0.0 d)
+  | t, _ -> (
+      let at = t.src.src_now () +. Float.max 0.0 d in
+      match perform (Suspend (fun t w -> add_timer t ~at w)) with
+      | Wcancelled -> raise Cancelled
+      | _ -> ())
 
-let wait_dir tbl_of ?deadline fd =
+(* the thread path of [wait_dir]: poll(2) returns 0 both on timeout and
+   when a signal interrupts it, so "no event before the deadline" is
+   read off the clock; an early return is a spurious [`Ready] *)
+let block_dir dir ?deadline fd =
+  let timeout_s =
+    match deadline with
+    | None -> -1.0
+    | Some at -> Float.max 0.0 (at -. Unix.gettimeofday ())
+  in
+  if poll_fd fd dir ~timeout_s then `Ready
+  else
+    match deadline with
+    | Some at when Unix.gettimeofday () >= at -> `Deadline
+    | _ -> `Ready
+
+let wait_dir dir ?deadline fd =
   match
     perform
       (Suspend
          (fun t w ->
-           let tbl = tbl_of t in
+           let tbl = match dir with `Read -> t.reads | `Write -> t.writes in
            add_interest t tbl fd w;
            (match deadline with
            | Some at -> add_timer t ~at w
@@ -594,9 +619,10 @@ let wait_dir tbl_of ?deadline fd =
   | Wtimeout -> `Deadline
   | Wcancelled -> raise Cancelled
   | Wposted -> `Ready (* spurious; callers re-check the descriptor *)
+  | exception Effect.Unhandled _ -> block_dir dir ?deadline fd
 
-let wait_readable ?deadline fd = wait_dir (fun t -> t.reads) ?deadline fd
-let wait_writable ?deadline fd = wait_dir (fun t -> t.writes) ?deadline fd
+let wait_readable ?deadline fd = wait_dir `Read ?deadline fd
+let wait_writable ?deadline fd = wait_dir `Write ?deadline fd
 
 let rec read ?deadline fd buf off len =
   match Unix.read fd buf off len with
@@ -645,29 +671,29 @@ type 'a promise = {
   pr_t : t;
   pr_mu : Mutex.t;
   mutable pr_value : 'a option;
-  mutable pr_waiter : waker option;
+  mutable pr_waiters : waker list;  (* every fiber parked in [await] *)
 }
 
 let promise_on t =
-  { pr_t = t; pr_mu = Mutex.create (); pr_value = None; pr_waiter = None }
+  { pr_t = t; pr_mu = Mutex.create (); pr_value = None; pr_waiters = [] }
 
 let promise () = promise_on (scheduler ())
 
 let fulfil p v =
   Mutex.lock p.pr_mu;
-  let waiter =
+  let waiters =
     match p.pr_value with
-    | Some _ -> None (* first fulfil won *)
+    | Some _ -> [] (* first fulfil won *)
     | None ->
         p.pr_value <- Some v;
-        let w = p.pr_waiter in
-        p.pr_waiter <- None;
-        w
+        let ws = p.pr_waiters in
+        p.pr_waiters <- [];
+        ws
   in
   Mutex.unlock p.pr_mu;
-  match waiter with
-  | Some w -> post p.pr_t (fun () -> fire p.pr_t w Wposted)
-  | None -> ()
+  match waiters with
+  | [] -> ()
+  | ws -> post p.pr_t (fun () -> List.iter (fun w -> fire p.pr_t w Wposted) ws)
 
 let await ?deadline p =
   Mutex.lock p.pr_mu;
@@ -688,7 +714,7 @@ let await ?deadline p =
                    Mutex.unlock p.pr_mu;
                    fire t w Wposted
                | None ->
-                   p.pr_waiter <- Some w;
+                   p.pr_waiters <- w :: p.pr_waiters;
                    Mutex.unlock p.pr_mu;
                    (match deadline with
                    | Some at -> add_timer t ~at w
@@ -696,9 +722,8 @@ let await ?deadline p =
                    w.w_cleanup <-
                      (fun () ->
                        Mutex.lock p.pr_mu;
-                       (match p.pr_waiter with
-                       | Some w' when w' == w -> p.pr_waiter <- None
-                       | _ -> ());
+                       p.pr_waiters <-
+                         List.filter (fun w' -> w' != w) p.pr_waiters;
                        Mutex.unlock p.pr_mu)))
       in
       match reason with

@@ -118,8 +118,15 @@ val live_fibers : t -> int
 
 (** {1 Fiber context}
 
-    Everything below must be called from inside a fiber (they perform
-    effects); callers elsewhere get [Effect.Unhandled]. *)
+    Everything below is called from inside a fiber, where a wait
+    suspends only the calling fiber.  {!now}, {!sleep},
+    {!wait_readable}, {!wait_writable} and the calls built on them
+    ({!read}, {!write_all}, {!accept}) also work on any other thread,
+    where they block that thread: the clock is [Unix.gettimeofday], a
+    sleep is [Unix.sleepf], and a wait is poll(2) up to the same
+    absolute deadline.  A poll that a signal interrupts before the
+    deadline returns a spurious [`Ready], which callers re-check anyway.
+    Every other call raises [Effect.Unhandled] outside a fiber. *)
 
 val spawn : (unit -> unit) -> fiber
 val yield : unit -> unit
@@ -128,10 +135,12 @@ val self : unit -> fiber
 val scheduler : unit -> t
 
 val now : unit -> float
-(** Current time on the scheduler clock. *)
+(** Current time on the scheduler clock (the wall clock outside a
+    fiber). *)
 
 val sleep : float -> unit
-(** Suspend for [d] seconds of scheduler-clock time. *)
+(** Suspend for [d] seconds of scheduler-clock time (block the thread
+    outside a fiber). *)
 
 val cancel : fiber -> unit
 (** Mark [f] cancelled and, if it is suspended, wake it now; {!Cancelled}
@@ -199,7 +208,8 @@ val fulfil : 'a promise -> 'a -> unit
 (** Thread-safe; first call wins, later calls are ignored. *)
 
 val await : ?deadline:float -> 'a promise -> [ `Value of 'a | `Deadline ]
-(** Suspend until the promise is fulfilled.  @raise Cancelled *)
+(** Suspend until the promise is fulfilled.  Any number of fibers may
+    await one promise; {!fulfil} wakes them all.  @raise Cancelled *)
 
 (** {1 Mailboxes}
 

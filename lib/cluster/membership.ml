@@ -4,6 +4,65 @@ let state_name = function Up -> "up" | Suspect -> "suspect" | Down -> "down"
 
 type shard = { sh_id : string; sh_host : string; sh_port : int }
 
+(* A shard id ends up inside JSON strings and Prometheus metric names
+   ([cluster_route_<id>_total]), and Net.Client dials IPv4 literals only
+   (its socket is PF_INET), so every shard is checked where it enters:
+   the CLI specs parsed by [parse_shards] and the wire's [add_shard]. *)
+let check_shard s =
+  let id_char = function
+    | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> true
+    | _ -> false
+  in
+  let ipv4_literal h =
+    match Unix.inet_addr_of_string h with
+    | a -> Unix.domain_of_sockaddr (Unix.ADDR_INET (a, 0)) = Unix.PF_INET
+    | exception Failure _ -> false
+  in
+  if s.sh_id = "" || not (String.for_all id_char s.sh_id) then
+    Error
+      (Printf.sprintf "shard id %S: expected a name of [A-Za-z0-9_]" s.sh_id)
+  else if not (ipv4_literal s.sh_host) then
+    Error
+      (Printf.sprintf "shard %s: host %S is not an IPv4 address" s.sh_id
+         s.sh_host)
+  else if s.sh_port < 1 || s.sh_port > 65535 then
+    Error
+      (Printf.sprintf "shard %s: port %d is outside 1..65535" s.sh_id
+         s.sh_port)
+  else Ok s
+
+let parse_shards spec =
+  let parse_one part =
+    let malformed = Error (Printf.sprintf "%S: expected id=host:port" part) in
+    match String.index_opt part '=' with
+    | None -> malformed
+    | Some eq -> (
+        let addr = String.sub part (eq + 1) (String.length part - eq - 1) in
+        match String.rindex_opt addr ':' with
+        | None -> malformed
+        | Some colon -> (
+            let port =
+              String.sub addr (colon + 1) (String.length addr - colon - 1)
+            in
+            match int_of_string_opt port with
+            | None -> malformed
+            | Some sh_port ->
+                check_shard
+                  {
+                    sh_id = String.sub part 0 eq;
+                    sh_host = String.sub addr 0 colon;
+                    sh_port;
+                  }))
+  in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest -> (
+        match parse_one (String.trim part) with
+        | Ok shard -> go (shard :: acc) rest
+        | Error _ as e -> e)
+  in
+  go [] (String.split_on_char ',' spec)
+
 type tracked = {
   shard : shard;
   mutable st : state;
@@ -203,17 +262,20 @@ let vnodes t = t.vnodes
    (fallback) ring and the live ring are rebuilt; a change that alters
    routable membership bumps the epoch via [rebuild_ring]. *)
 let add_shard t shard =
-  with_lock t (fun () ->
-      if List.exists (fun tr -> tr.shard.sh_id = shard.sh_id) t.tracked then
-        Error (Printf.sprintf "shard %S is already a member" shard.sh_id)
-      else begin
-        t.tracked <- t.tracked @ [ { shard; st = Up; fails = 0 } ];
-        t.full_ring <-
-          Ring.make ~vnodes:t.vnodes
-            (List.map (fun tr -> tr.shard.sh_id) t.tracked);
-        rebuild_ring t;
-        Ok t.epoch
-      end)
+  match check_shard shard with
+  | Error _ as e -> e
+  | Ok shard ->
+      with_lock t (fun () ->
+          if List.exists (fun tr -> tr.shard.sh_id = shard.sh_id) t.tracked
+          then Error (Printf.sprintf "shard %S is already a member" shard.sh_id)
+          else begin
+            t.tracked <- t.tracked @ [ { shard; st = Up; fails = 0 } ];
+            t.full_ring <-
+              Ring.make ~vnodes:t.vnodes
+                (List.map (fun tr -> tr.shard.sh_id) t.tracked);
+            rebuild_ring t;
+            Ok t.epoch
+          end)
 
 let remove_shard t id =
   with_lock t (fun () ->

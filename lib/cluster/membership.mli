@@ -30,6 +30,13 @@ val state_name : state -> string
 
 type shard = { sh_id : string; sh_host : string; sh_port : int }
 
+val parse_shards : string -> (shard list, string) result
+(** Parse ["id=host:port,id=host:port,..."], the shard spec every CLI
+    takes.  Each shard is checked: a non-empty id of [[A-Za-z0-9_]]
+    (ids become JSON strings and metric names), an IPv4 literal host
+    (the client dials [PF_INET] sockets to IP literals only), and a port
+    in 1..65535.  The first bad entry is the [Error]. *)
+
 type t
 
 val create :
@@ -71,7 +78,8 @@ val vnodes : t -> int
 
 val add_shard : t -> shard -> (int, string) result
 (** Add a member at runtime (initially [Up]).  Returns the new epoch,
-    or an error when the id is already a member. *)
+    or an error when the id is already a member or the shard fails the
+    checks of {!parse_shards}. *)
 
 val remove_shard : t -> string -> (int, string) result
 (** Remove a member at runtime.  Returns the new epoch, or an error

@@ -4,8 +4,9 @@
     out, does one round trip, and returns it.  A connection that saw a
     transport error is closed instead of returned, so the pool never
     recycles a socket in an unknown state.  Checkout never blocks: when
-    the idle list is empty a fresh connection is dialed — the in-flight
-    budget upstream bounds how many can exist at once. *)
+    the idle list is empty a fresh connection is dialed, so the caller
+    bounds how many can exist at once (the proxy gates each shard to 16
+    concurrent round trips, the replicator has one sender thread). *)
 
 type t
 

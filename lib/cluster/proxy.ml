@@ -1,13 +1,14 @@
 (* The proxy is a Net.Server front end with a relay handler: the front
    end owns the connections (accept, reader, responder and corked writer
    fibers, deadlines, both budgets, drain) and this file decides what
-   each request means.  A relayed request is [Defer]red: the blocking
-   shard round trip (Pool / Net.Client are synchronous) runs on a small
-   fixed executor pool and fulfils a promise, which the front end's
-   responder awaits through the scheduler's completion queue.  A
-   thousand clients cost a thousand connections' fibers and one poll
-   set; the thread count is fixed at the executor width however many
-   requests are in flight. *)
+   each request means.  A relayed request is [Defer]red: its shard round
+   trip runs as a fiber on the front end's scheduler and fulfils a
+   promise the responder awaits.  Net.Client suspends only the calling
+   fiber, so relays, read-repairs and topology changes all run on the
+   one event-loop thread and share the barrier state below without a
+   lock; a relay stuck on a silent shard holds nothing but its own
+   fiber, one unit of [max_inflight] and one of that shard's
+   [shard_width] round-trip slots. *)
 
 module M = Obs.Metrics
 
@@ -32,91 +33,35 @@ let default_cfg =
     shard_timeout_s = 60.0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Relay executor: the fixed pool of threads that run the blocking
-   shard round trips on behalf of deferred requests.  The queue is
-   unbounded, but the front end's in-flight budget already caps how
-   many relays can be outstanding (read-repairs ride along).          *)
-(* ------------------------------------------------------------------ *)
+(* A shard's connection pool behind a fiber-side gate.  The pool dials
+   whenever its idle list is empty, so without the gate a burst of
+   relays to one shard would open one connection each, up to
+   [max_inflight], and the shard would shed whatever came past its own
+   connection budget (64 by default).  The gate is a mailbox of
+   [shard_width] slots: a round trip puts a token in before it checks a
+   connection out, parking in FIFO order while the gate is full, and
+   takes it back out when done. *)
+type link = { pool : Pool.t; gate : unit Aio.Mailbox.mb }
 
-module Exec = struct
-  type t = {
-    mu : Mutex.t;
-    cv : Condition.t;
-    jobs : (unit -> unit) Queue.t;
-    mutable closed : bool;
-    mutable workers : Thread.t list;
-  }
-
-  let worker e =
-    let rec loop () =
-      Mutex.lock e.mu;
-      while Queue.is_empty e.jobs && not e.closed do
-        Condition.wait e.cv e.mu
-      done;
-      if Queue.is_empty e.jobs then Mutex.unlock e.mu
-      else begin
-        let job = Queue.pop e.jobs in
-        Mutex.unlock e.mu;
-        (try job () with _ -> ());
-        loop ()
-      end
-    in
-    loop ()
-
-  let create n =
-    let e =
-      {
-        mu = Mutex.create ();
-        cv = Condition.create ();
-        jobs = Queue.create ();
-        closed = false;
-        workers = [];
-      }
-    in
-    e.workers <- List.init (max 1 n) (fun _ -> Thread.create worker e);
-    e
-
-  let submit e job =
-    Mutex.lock e.mu;
-    if e.closed then begin
-      Mutex.unlock e.mu;
-      false
-    end
-    else begin
-      Queue.push job e.jobs;
-      Condition.signal e.cv;
-      Mutex.unlock e.mu;
-      true
-    end
-
-  let shutdown e =
-    Mutex.lock e.mu;
-    e.closed <- true;
-    Condition.broadcast e.cv;
-    Mutex.unlock e.mu;
-    List.iter Thread.join e.workers;
-    e.workers <- []
-end
+let shard_width = 16
 
 type t = {
   cfg : cfg;
   members : Membership.t;
-  mutable pools : (string * Pool.t) list;  (* by shard id; topo_mu *)
-  exec : Exec.t;
+  mutable pools : (string * link) list;  (* by shard id *)
   front : Net.Server.t option Atomic.t;  (* set once the socket is bound *)
   routed : int Atomic.t;
   failovers : int Atomic.t;
   shed : int Atomic.t;  (* relays that found no live candidate *)
-  mutable route_counters : (string * M.counter) list;  (* topo_mu *)
+  mutable route_counters : (string * M.counter) list;
   (* Topology barrier: a membership change drains in-flight relays
      against the old ring before the new one routes anything.  Relays
-     enter with [relay_begin] (blocking while a change drains) and
-     leave with [relay_end]; [change_topology] flips [topo_draining],
-     waits for [active_relays] to hit zero, mutates, and releases. *)
-  topo_mu : Mutex.t;
-  topo_cv : Condition.t;
-  mutable topo_draining : bool;
+     enter with [relay_begin] (parking while a change is under way) and
+     leave with [relay_end]; [change_topology] publishes [topo_change],
+     waits for [active_relays] to hit zero, mutates, and fulfils it.
+     Only fibers on the event loop touch these three fields. *)
+  mutable topo_change : unit Aio.promise option;  (* the change under way *)
+  mutable relays_idle : unit Aio.promise option;  (* its drain, if waiting *)
   mutable active_relays : int;
   topo_gen : int Atomic.t;  (* completed topology changes *)
   stale_routes : int Atomic.t;
@@ -156,79 +101,74 @@ let shed_total t =
 (* Topology barrier                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* park until no topology change is under way *)
+let rec await_no_change t =
+  match t.topo_change with
+  | Some change ->
+      ignore (Aio.await change);
+      await_no_change t
+  | None -> ()
+
 let relay_begin t =
-  Mutex.lock t.topo_mu;
-  while t.topo_draining do
-    Condition.wait t.topo_cv t.topo_mu
-  done;
-  t.active_relays <- t.active_relays + 1;
-  Mutex.unlock t.topo_mu
+  await_no_change t;
+  t.active_relays <- t.active_relays + 1
 
 let relay_end t =
-  Mutex.lock t.topo_mu;
   t.active_relays <- t.active_relays - 1;
-  if t.active_relays = 0 then Condition.broadcast t.topo_cv;
-  Mutex.unlock t.topo_mu
+  if t.active_relays = 0 then
+    Option.iter (fun idle -> Aio.fulfil idle ()) t.relays_idle
 
-(* every executor job that touches the ring or the pools runs inside
-   the barrier, so [change_topology] swaps both with nothing in flight *)
+(* every fiber that touches the ring or the pools runs inside the
+   barrier, so [change_topology] swaps both with nothing in flight *)
 let with_relay_barrier t f =
   relay_begin t;
   Fun.protect ~finally:(fun () -> relay_end t) f
 
 (* Serialize membership changes and drain relays routed on the old
-   ring: waiters in [relay_begin] do not hold [active_relays], so the
-   drain only waits on relays already past the barrier — bounded by
-   the shard round-trip timeout.  [mutate] runs with the lock held and
-   must touch [t.pools] / [t.route_counters] directly (never through
-   [pool_of], the mutex is not reentrant). *)
+   ring: relays parked in [relay_begin] are not counted in
+   [active_relays], so the drain only waits on relays already past the
+   barrier — bounded by the shard round-trip timeout.  [mutate] never
+   suspends, so nothing else runs between the drain and the swap. *)
 let change_topology t mutate =
-  Mutex.lock t.topo_mu;
-  while t.topo_draining do
-    Condition.wait t.topo_cv t.topo_mu
-  done;
-  t.topo_draining <- true;
-  while t.active_relays > 0 do
-    Condition.wait t.topo_cv t.topo_mu
-  done;
-  let finish () =
-    t.topo_draining <- false;
-    Condition.broadcast t.topo_cv;
-    Mutex.unlock t.topo_mu
-  in
-  match mutate () with
-  | Ok _ as result ->
-      Atomic.incr t.topo_gen;
-      M.incr m_topo_changes;
-      finish ();
-      result
-  | Error _ as result ->
-      finish ();
-      result
-  | exception e ->
-      finish ();
-      raise e
+  await_no_change t;
+  let change = Aio.promise () in
+  t.topo_change <- Some change;
+  Fun.protect
+    ~finally:(fun () ->
+      t.topo_change <- None;
+      t.relays_idle <- None;
+      Aio.fulfil change ())
+    (fun () ->
+      if t.active_relays > 0 then begin
+        let idle = Aio.promise () in
+        t.relays_idle <- Some idle;
+        ignore (Aio.await idle)
+      end;
+      let result = mutate () in
+      if Result.is_ok result then begin
+        Atomic.incr t.topo_gen;
+        M.incr m_topo_changes
+      end;
+      result)
 
 (* ------------------------------------------------------------------ *)
 (* Relaying                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let pool_of t id =
-  Mutex.lock t.topo_mu;
-  let p = List.assoc_opt id t.pools in
-  Mutex.unlock t.topo_mu;
-  p
+let pool_of t id = List.assoc_opt id t.pools
+let route_counter t id = List.assoc_opt id t.route_counters
 
-let route_counter t id =
-  Mutex.lock t.topo_mu;
-  let c = List.assoc_opt id t.route_counters in
-  Mutex.unlock t.topo_mu;
-  c
+(* one round trip on a pooled connection, inside the shard's gate *)
+let with_client link f =
+  ignore (Aio.Mailbox.put link.gate ());
+  Fun.protect
+    ~finally:(fun () -> ignore (Aio.Mailbox.take_opt link.gate))
+    (fun () -> Pool.with_client link.pool f)
 
 (* Read-repair: a warm full-rung hit served by a shard that is not the
    key's current ring owner (failover landed it there, or ownership
    moved under a topology change) is pushed back to the owner —
-   fire-and-forget on the executor — so the next request for the key
+   fire-and-forget on its own fiber — so the next request for the key
    routes straight into a warm cache. *)
 let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
   match reply with
@@ -256,13 +196,13 @@ let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
             }
           in
           ignore
-            (Exec.submit t.exec (fun () ->
+            (Aio.spawn (fun () ->
                  with_relay_barrier t (fun () ->
                      match pool_of t owner with
                      | None -> ()
-                     | Some pool -> (
+                     | Some link -> (
                          match
-                           Pool.with_client pool (fun c ->
+                           with_client link (fun c ->
                                Net.Client.cache_push c p)
                          with
                          | Ok _ ->
@@ -305,9 +245,9 @@ let relay_submit t (s : Net.Wire.submit) =
         end;
         match pool_of t shard_id with
         | None -> try_next ()
-        | Some pool -> (
+        | Some link -> (
             match
-              Pool.with_client pool (fun c ->
+              with_client link (fun c ->
                   Net.Client.submit ~trace:s.Net.Wire.sub_trace c
                     ~name:s.Net.Wire.sub_name
                     ~options:s.Net.Wire.sub_options s.Net.Wire.sub_source)
@@ -344,8 +284,8 @@ let relay_cache_push t (p : Net.Wire.cache_push) =
   | Some shard_id -> (
       match pool_of t shard_id with
       | None -> false
-      | Some pool -> (
-          match Pool.with_client pool (fun c -> Net.Client.cache_push c p) with
+      | Some link -> (
+          match with_client link (fun c -> Net.Client.cache_push c p) with
           | Ok admitted -> admitted
           | Error _ ->
               Membership.note_failure t.members shard_id;
@@ -362,7 +302,7 @@ let fetch_from_shard t (shard : Membership.shard) st f =
   else
     match pool_of t shard.Membership.sh_id with
     | None -> Error "unknown shard"
-    | Some pool -> Pool.with_client pool f
+    | Some link -> with_client link f
 
 let aggregated_stats_json t =
   let shards =
@@ -433,7 +373,7 @@ let enriched_members_json t =
            in
            let idle =
              match pool_of t shard.Membership.sh_id with
-             | Some p -> Pool.idle_count p
+             | Some l -> Pool.idle_count l.pool
              | None -> 0
            in
            Printf.sprintf
@@ -479,7 +419,7 @@ let aggregated_stats_text t =
 (* Topology changes                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let shard_pool cfg (s : Membership.shard) =
+let shard_link cfg (s : Membership.shard) =
   let ccfg =
     {
       (Net.Client.default_cfg ~port:s.Membership.sh_port) with
@@ -489,7 +429,10 @@ let shard_pool cfg (s : Membership.shard) =
       max_attempts = 2;
     }
   in
-  Pool.create ccfg
+  {
+    pool = Pool.create ccfg;
+    gate = Aio.Mailbox.create ~capacity:shard_width ();
+  }
 
 let shard_route_counter (s : Membership.shard) =
   M.counter M.global ~help:"submits routed to this shard"
@@ -507,9 +450,9 @@ let broadcast_change t ?skip msg =
          if st <> Membership.Down && skip <> Some id then
            match pool_of t id with
            | None -> ()
-           | Some pool ->
+           | Some link ->
                ignore
-                 (Pool.with_client pool (fun c ->
+                 (with_client link (fun c ->
                       match msg with
                       | `Add a -> Result.map ignore (Net.Client.cluster_add c a)
                       | `Remove sid ->
@@ -530,7 +473,7 @@ let handle_cluster_add t (a : Net.Wire.cluster_add) =
         | Ok epoch ->
             if not (List.mem_assoc shard.Membership.sh_id t.pools) then
               t.pools <-
-                (shard.Membership.sh_id, shard_pool t.cfg shard) :: t.pools;
+                (shard.Membership.sh_id, shard_link t.cfg shard) :: t.pools;
             if not (List.mem_assoc shard.Membership.sh_id t.route_counters)
             then
               t.route_counters <-
@@ -567,7 +510,7 @@ let handle_cluster_remove t sid =
   in
   match outcome with
   | Ok (epoch, closing) ->
-      (match closing with Some p -> Pool.close_all p | None -> ());
+      (match closing with Some l -> Pool.close_all l.pool | None -> ());
       broadcast_change t (`Remove sid);
       {
         Net.Wire.ack_ok = true;
@@ -585,28 +528,25 @@ let handle_cluster_remove t sid =
 (* The relay handler                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A relayed request is deferred: [work] runs on the executor and its
-   promise carries the reply back through the scheduler's completion
-   queue.  [start] yields [None] only once the executor is closed, and
-   the front end then sheds. *)
-let defer t ?(trace = 0) ?(overload = Net.Wire.Result Net.Wire.R_overloaded)
+(* A relayed request is deferred: [start] runs on the reader fiber, so
+   it can spawn [work] as a fiber of its own, whose promise carries the
+   reply back to the responder. *)
+let defer ?(trace = 0) ?(overload = Net.Wire.Result Net.Wire.R_overloaded)
     work =
   let start () =
     let reply = Aio.promise () in
-    if
-      Exec.submit t.exec (fun () ->
-          Aio.fulfil reply
-            (try work ()
-             with _ -> Net.Wire.Result (Net.Wire.R_error "proxy relay failed")))
-    then Some reply
-    else None
+    let failed = Net.Wire.Result (Net.Wire.R_error "proxy relay failed") in
+    ignore
+      (Aio.spawn (fun () ->
+           Aio.fulfil reply (try work () with _ -> failed)));
+    Some reply
   in
   Net.Server.Defer { overload; trace; start }
 
 (* every relay that touches the ring or the pools runs inside the
    barrier; topology changes take its drain side instead *)
 let relay t ?trace ?overload work =
-  defer t ?trace ?overload (fun () -> with_relay_barrier t work)
+  defer ?trace ?overload (fun () -> with_relay_barrier t work)
 
 let membership_refused t =
   Net.Wire.Cluster_ack
@@ -631,10 +571,10 @@ let handle t msg =
   | Net.Wire.Members_json_req ->
       relay t (fun () -> Net.Wire.Members_json (enriched_members_json t))
   | Net.Wire.Cluster_add a ->
-      defer t ~overload:(membership_refused t) (fun () ->
+      defer ~overload:(membership_refused t) (fun () ->
           Net.Wire.Cluster_ack (handle_cluster_add t a))
   | Net.Wire.Cluster_remove sid ->
-      defer t ~overload:(membership_refused t) (fun () ->
+      defer ~overload:(membership_refused t) (fun () ->
           Net.Wire.Cluster_ack (handle_cluster_remove t sid))
   | Net.Wire.Metrics_req ->
       Net.Server.Reply (Net.Wire.Metrics_text (M.dump M.global))
@@ -664,9 +604,8 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       members;
       pools =
         List.map
-          (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_pool cfg s))
+          (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_link cfg s))
           shards;
-      exec = Exec.create 16;
       front = Atomic.make None;
       routed = Atomic.make 0;
       failovers = Atomic.make 0;
@@ -676,9 +615,8 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
           (fun (s : Membership.shard) ->
             (s.Membership.sh_id, shard_route_counter s))
           shards;
-      topo_mu = Mutex.create ();
-      topo_cv = Condition.create ();
-      topo_draining = false;
+      topo_change = None;
+      relays_idle = None;
       active_relays = 0;
       topo_gen = Atomic.make 0;
       stale_routes = Atomic.make 0;
@@ -704,7 +642,6 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       t
   | exception e ->
       Membership.stop members;
-      Exec.shutdown t.exec;
       raise e
 
 let front t = Option.get (Atomic.get t.front)
@@ -714,18 +651,12 @@ let request_stop t = Net.Server.request_stop (front t)
 let wait_stop t = Net.Server.wait_stop (front t)
 
 let drain t =
-  (* the front end returns once every deferred reply is written, so
-     the executor is idle by the time it is shut down *)
+  (* the front end returns once its scheduler has no live fiber left:
+     every deferred reply is written and every read-repair is done, so
+     nothing touches the pools any more *)
   Net.Server.drain (front t);
   Membership.stop t.members;
-  Exec.shutdown t.exec;
-  let pools =
-    Mutex.lock t.topo_mu;
-    let p = t.pools in
-    Mutex.unlock t.topo_mu;
-    p
-  in
-  List.iter (fun (_, p) -> Pool.close_all p) pools
+  List.iter (fun (_, l) -> Pool.close_all l.pool) t.pools
 
 let routed_total t = Atomic.get t.routed
 let failover_total t = Atomic.get t.failovers

@@ -10,9 +10,14 @@
     The proxy is a {!Net.Server.serve} front end with a relay handler,
     so its connections, deadlines, budgets, corked writes and [net_*]
     metrics are exactly cedard's.  Requests pipeline: each admitted
-    request is relayed on a small executor pool through a per-shard
-    connection pool, and relayed replies come back in request order —
-    the same contract as a shard.
+    request is relayed by its own fiber on the front end's scheduler
+    through a per-shard connection pool, and relayed replies come back
+    in request order — the same contract as a shard.  [max_inflight]
+    bounds how many relays are in flight; at most 16 round trips run
+    against one shard at once and the rest park in FIFO order, which
+    keeps the proxy's connections to a shard inside a shard's default
+    connection budget.  A relay waiting on a silent shard delays no
+    relay to another shard.
 
     Failure handling, in order of preference: a shard that answers
     typed (even [R_overloaded]) is believed; a transport failure demotes
@@ -50,7 +55,9 @@ type cfg = {
   max_inflight : int;  (** across all client connections *)
   failover : int;  (** ring candidates tried per submit (owner included) *)
   read_timeout_s : float;  (** client-side quiet timeout *)
-  shard_timeout_s : float;  (** per-shard connect and round-trip bound *)
+  shard_timeout_s : float;
+      (** per-shard connect bound, and the deadline on each relay
+          attempt's whole round trip *)
 }
 
 val default_cfg : cfg
@@ -68,11 +75,11 @@ val create :
   Membership.shard list ->
   t
 (** Start the proxy over the given shards: builds the membership view
-    (with its jittered probe loop), the per-shard pools, the relay
-    executor and the front end.  Ring parameters must match the shards'
-    replicators ([vnodes], default 64).
+    (with its jittered probe loop), the per-shard pools and the front
+    end.  Ring parameters must match the shards' replicators ([vnodes],
+    default 64).
     @raise Unix.Unix_error when the address cannot be bound (the
-    prober and the executor are stopped first). *)
+    prober is stopped first). *)
 
 val port : t -> int
 (** The bound TCP port. *)
@@ -86,8 +93,8 @@ val wait_stop : t -> unit
 (** Block until {!request_stop} is called. *)
 
 val drain : t -> unit
-(** Stop accepting, finish in-flight relays and flush their replies,
-    stop probing, stop the executor, close the pools.  Idempotent. *)
+(** Stop accepting, finish in-flight relays and read-repairs and flush
+    their replies, stop probing, close the pools.  Idempotent. *)
 
 val routed_total : t -> int
 (** Submits relayed to a shard (first attempt or failover). *)

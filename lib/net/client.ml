@@ -21,12 +21,22 @@ let default_cfg ~port =
     backoff_seed = 0x5eed;
   }
 
+module M = Obs.Metrics
+
+(* one live connection: the non-blocking socket and the decoder holding
+   whatever part of the reply stream has arrived *)
+type conn = { fd : Unix.file_descr; stream : Wire.Stream.t }
+
 type t = {
   cfg : cfg;
   instance : int;  (* decorrelates jitter streams across clients *)
-  mutable fd : Unix.file_descr option;
+  buf : Bytes.t;  (* read buffer, fed into the connection's stream *)
+  mutable conn : conn option;
   mutable next_id : int;
 }
+
+let m_bytes_read = M.counter M.global "net_bytes_read_total"
+let m_bytes_written = M.counter M.global "net_bytes_written_total"
 
 (* ------------------------------------------------------------------ *)
 (* Jittered backoff                                                    *)
@@ -73,8 +83,9 @@ let instance_counter = Atomic.make 0
 (* Connection establishment                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Non-blocking connect + select: a down host fails within
-   [connect_timeout_s] instead of the kernel's minutes-long default. *)
+(* Non-blocking connect: a down host fails within [connect_timeout_s]
+   instead of the kernel's minutes-long default.  The socket stays
+   non-blocking, so every later wait goes through Aio. *)
 let connect_once cfg =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   let fail msg =
@@ -84,88 +95,60 @@ let connect_once cfg =
   match Unix.inet_addr_of_string cfg.host with
   | exception Failure _ -> fail (Printf.sprintf "bad host %S" cfg.host)
   | addr -> (
-      let sockaddr = Unix.ADDR_INET (addr, cfg.port) in
       Unix.set_nonblock fd;
-      let pending =
-        match Unix.connect fd sockaddr with
-        | () -> Ok false
-        | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> Ok true
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Unix.error_message e)
+      let deadline = Aio.now () +. cfg.connect_timeout_s in
+      let established =
+        match Unix.connect fd (Unix.ADDR_INET (addr, cfg.port)) with
+        | () -> Ok ()
+        | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
+            match Aio.wait_writable ~deadline fd with
+            | `Deadline ->
+                Error
+                  (Printf.sprintf "timed out after %.1fs" cfg.connect_timeout_s)
+            | `Ready -> (
+                match Unix.getsockopt_error fd with
+                | Some e -> Error (Unix.error_message e)
+                | None -> Ok ()))
+        | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
       in
-      match pending with
+      match established with
       | Error msg ->
-          fail
-            (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port msg)
-      | Ok wait -> (
-          let ready =
-            if not wait then true
-            else
-              (* poll, not select: a client in a process already holding
-                 hundreds of connections has descriptors past FD_SETSIZE *)
-              match Aio.poll_fd fd `Write ~timeout_s:cfg.connect_timeout_s with
-              | ready -> ready
-              | exception Unix.Unix_error _ -> false
-          in
-          if not ready then
-            fail
-              (Printf.sprintf "connect %s:%d: timed out after %.1fs"
-                 cfg.host cfg.port cfg.connect_timeout_s)
-          else
-            match Unix.getsockopt_error fd with
-            | Some e ->
-                fail
-                  (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port
-                     (Unix.error_message e))
-            | None ->
-                Unix.clear_nonblock fd;
-                (try Unix.setsockopt fd Unix.TCP_NODELAY true
-                 with Unix.Unix_error _ -> ());
-                if cfg.request_timeout_s > 0.0 then begin
-                  (try
-                     Unix.setsockopt_float fd Unix.SO_RCVTIMEO
-                       cfg.request_timeout_s
-                   with Unix.Unix_error _ -> ());
-                  try
-                    Unix.setsockopt_float fd Unix.SO_SNDTIMEO
-                      cfg.request_timeout_s
-                  with Unix.Unix_error _ -> ()
-                end;
-                Ok fd))
+          fail (Printf.sprintf "connect %s:%d: %s" cfg.host cfg.port msg)
+      | Ok () ->
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true
+           with Unix.Unix_error _ -> ());
+          Ok { fd; stream = Wire.Stream.create () })
 
-let connect_with_backoff ?(instance = 0) cfg =
-  let rec go attempt last_err =
-    if attempt > cfg.max_attempts then
-      Error
-        (Printf.sprintf "giving up after %d attempts: %s" cfg.max_attempts
-           last_err)
-    else
-      match connect_once cfg with
-      | Ok fd -> Ok fd
-      | Error msg ->
-          if attempt = cfg.max_attempts then
-            Error
-              (Printf.sprintf "giving up after %d attempts: %s"
-                 cfg.max_attempts msg)
-          else begin
-            Thread.delay (backoff_delay cfg ~instance ~attempt);
-            go (attempt + 1) msg
-          end
+let connect_with_backoff ~instance cfg =
+  let rec go attempt =
+    match connect_once cfg with
+    | Ok c -> Ok c
+    | Error msg ->
+        if attempt >= cfg.max_attempts then
+          Error
+            (Printf.sprintf "giving up after %d attempts: %s" cfg.max_attempts
+               msg)
+        else begin
+          Aio.sleep (backoff_delay cfg ~instance ~attempt);
+          go (attempt + 1)
+        end
   in
-  go 1 "no attempt made"
+  go 1
 
 let connect cfg =
   let instance = Atomic.fetch_and_add instance_counter 1 in
   match connect_with_backoff ~instance cfg with
-  | Ok fd -> Ok { cfg; instance; fd = Some fd; next_id = 1 }
+  | Ok c ->
+      Ok
+        { cfg; instance; buf = Bytes.create 16384; conn = Some c; next_id = 1 }
   | Error _ as e -> e
 
 let close t =
-  match t.fd with
+  match t.conn with
   | None -> ()
-  | Some fd ->
-      t.fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+  | Some c ->
+      t.conn <- None;
+      (try Unix.close c.fd with Unix.Unix_error _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Request/reply                                                       *)
@@ -176,70 +159,87 @@ let fresh_id t =
   t.next_id <- id + 1;
   id
 
-let current_fd t =
-  match t.fd with
-  | Some fd -> Ok fd
+let current_conn t =
+  match t.conn with
+  | Some c -> Ok c
   | None -> (
       match connect_with_backoff ~instance:t.instance t.cfg with
-      | Ok fd ->
-          t.fd <- Some fd;
-          Ok fd
+      | Ok c ->
+          t.conn <- Some c;
+          Ok c
       | Error _ as e -> e)
 
-let drop_connection t =
-  match t.fd with
-  | None -> ()
-  | Some fd ->
-      t.fd <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
-
-(* One attempt: send the frame, wait for the frame echoing [id] (or an
-   unsolicited id-0 reply such as the accept-time Overloaded shed).
-   [`Retry] means the connection is dead and the request may be resent
-   on a fresh one; [`Fatal] means retrying cannot help. *)
-let attempt t fd ~id msg =
-  match Wire.write_frame fd ~id msg with
-  | exception Unix.Unix_error (e, _, _) ->
-      `Retry (Printf.sprintf "send: %s" (Unix.error_message e))
-  | () ->
+(* One attempt: send the frame, then read until the frame echoing [id]
+   (or an unsolicited id-0 reply such as the accept-time Overloaded
+   shed) comes off the stream.  One absolute deadline bounds the whole
+   round trip, however the reply's bytes trickle in.  [`Retry] means the
+   connection is dead and the request may be resent on a fresh one;
+   [`Fatal] means retrying cannot help. *)
+let attempt t c ~id msg =
+  let deadline =
+    if t.cfg.request_timeout_s > 0.0 then
+      Some (Aio.now () +. t.cfg.request_timeout_s)
+    else None
+  in
+  let timed_out () =
+    `Fatal
+      (Printf.sprintf "request timed out after %.1fs" t.cfg.request_timeout_s)
+  in
+  let frame = Bytes.unsafe_of_string (Wire.encode ~id msg) in
+  match Aio.write_all ?deadline c.fd frame 0 (Bytes.length frame) with
+  | `Closed -> `Retry "send: connection closed"
+  | `Deadline -> timed_out ()
+  | `Ok ->
+      M.incr ~by:(Bytes.length frame) m_bytes_written;
       let rec await () =
-        match Wire.read_frame fd with
-        | Wire.Frame (rid, reply) when rid = id || rid = 0 -> `Ok reply
-        | Wire.Frame (_, _) -> await () (* stale reply from a past id *)
-        | Wire.Idle | Wire.Stalled ->
-            `Fatal
-              (Printf.sprintf "request timed out after %.1fs"
-                 t.cfg.request_timeout_s)
-        | Wire.Eof -> `Retry "connection closed by server"
-        | Wire.Oversized (_, got) ->
+        match Wire.Stream.next c.stream with
+        | `Frame (rid, reply) when rid = id || rid = 0 -> `Ok reply
+        | `Frame _ -> await () (* stale reply from a past id *)
+        | `Oversized (_, got) ->
             `Fatal (Printf.sprintf "reply too large: %d bytes" got)
-        | Wire.Fail err -> `Retry (Wire.error_to_string err)
+        | `Fail err -> `Retry (Wire.error_to_string err)
+        | `Need_more -> (
+            match Aio.read ?deadline c.fd t.buf 0 (Bytes.length t.buf) with
+            | `Data n ->
+                M.incr ~by:n m_bytes_read;
+                Wire.Stream.feed c.stream t.buf 0 n;
+                await ()
+            | `Eof ->
+                `Retry
+                  (if Wire.Stream.midframe c.stream then
+                     Wire.error_to_string Wire.Truncated
+                   else "connection closed by server")
+            | `Deadline -> timed_out ())
       in
       await ()
 
 let request t msg =
-  match current_fd t with
+  let id = fresh_id t in
+  (* a failed attempt closes the connection: it is dead ([`Retry]) or
+     mid-conversation ([`Fatal]: half a frame sent, or a reply due) *)
+  let run c =
+    let r = attempt t c ~id msg in
+    (match r with `Ok _ -> () | `Fatal _ | `Retry _ -> close t);
+    r
+  in
+  match current_conn t with
   | Error _ as e -> e
-  | Ok fd -> (
-      let id = fresh_id t in
-      match attempt t fd ~id msg with
+  | Ok c -> (
+      match run c with
       | `Ok reply -> Ok reply
       | `Fatal msg -> Error msg
       | `Retry why -> (
           (* reconnect with backoff and resend exactly once: the server
              side is idempotent (content-addressed cache) *)
-          drop_connection t;
-          match current_fd t with
+          match current_conn t with
           | Error msg ->
               Error (Printf.sprintf "%s; reconnect failed: %s" why msg)
-          | Ok fd -> (
-              match attempt t fd ~id msg with
+          | Ok c -> (
+              match run c with
               | `Ok reply -> Ok reply
               | `Fatal msg -> Error msg
               | `Retry msg ->
-                  drop_connection t;
-                  Error
-                    (Printf.sprintf "%s; after reconnect: %s" why msg))))
+                  Error (Printf.sprintf "%s; after reconnect: %s" why msg))))
 
 let unexpected what got =
   Error
@@ -383,6 +383,9 @@ type acc = {
   mutable a_latencies : float list;
 }
 
+(* every connection is a fiber on one private scheduler: a client call
+   suspends only its own fiber, so the accumulator and the shared
+   request counter need no lock *)
 let drive cfg dcfg =
   let acc =
     {
@@ -397,70 +400,67 @@ let drive cfg dcfg =
       a_latencies = [];
     }
   in
-  let acc_mutex = Mutex.create () in
-  let record f =
-    Mutex.lock acc_mutex;
-    f acc;
-    Mutex.unlock acc_mutex
+  let next = ref 0 in
+  let take () =
+    let i = !next in
+    incr next;
+    if i < dcfg.requests then Some i else None
   in
-  let next = Atomic.make 0 in
+  let record reply dt =
+    acc.a_latencies <- dt :: acc.a_latencies;
+    match reply with
+    | Wire.R_done { r_cached; _ } ->
+        acc.a_done <- acc.a_done + 1;
+        if r_cached then acc.a_cached <- acc.a_cached + 1
+    | Wire.R_failed _ -> acc.a_failed <- acc.a_failed + 1
+    | Wire.R_timeout -> acc.a_timeout <- acc.a_timeout + 1
+    | Wire.R_cancelled -> acc.a_cancelled <- acc.a_cancelled + 1
+    | Wire.R_overloaded -> acc.a_overloaded <- acc.a_overloaded + 1
+    | Wire.R_too_large _ -> acc.a_too_large <- acc.a_too_large + 1
+    | Wire.R_error _ -> acc.a_errors <- acc.a_errors + 1
+  in
   let worker () =
     match connect cfg with
     | Error _ ->
         (* count every request this connection would have taken as a
            transport error, so the totals still add up *)
         let rec burn () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < dcfg.requests then begin
-            record (fun a -> a.a_errors <- a.a_errors + 1);
-            burn ()
-          end
+          match take () with
+          | Some _ ->
+              acc.a_errors <- acc.a_errors + 1;
+              burn ()
+          | None -> ()
         in
         burn ()
     | Ok client ->
         let rec loop () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < dcfg.requests then begin
-            let req =
-              Service.Traffic.nth_request ~validate:dcfg.validate
-                ~target:dcfg.target
-                ~seed:dcfg.seed ~size_jitter:dcfg.size_jitter
-                ~batch:dcfg.batch i
-            in
-            let t0 = Unix.gettimeofday () in
-            (match
-               submit client ~name:req.Service.Server.req_name
-                 ~options:req.Service.Server.req_options
-                 req.Service.Server.req_source
-             with
-            | Ok reply ->
-                let dt = Unix.gettimeofday () -. t0 in
-                record (fun a ->
-                    a.a_latencies <- dt :: a.a_latencies;
-                    match reply with
-                    | Wire.R_done { r_cached; _ } ->
-                        a.a_done <- a.a_done + 1;
-                        if r_cached then a.a_cached <- a.a_cached + 1
-                    | Wire.R_failed _ -> a.a_failed <- a.a_failed + 1
-                    | Wire.R_timeout -> a.a_timeout <- a.a_timeout + 1
-                    | Wire.R_cancelled -> a.a_cancelled <- a.a_cancelled + 1
-                    | Wire.R_overloaded ->
-                        a.a_overloaded <- a.a_overloaded + 1
-                    | Wire.R_too_large _ ->
-                        a.a_too_large <- a.a_too_large + 1
-                    | Wire.R_error _ -> a.a_errors <- a.a_errors + 1)
-            | Error _ -> record (fun a -> a.a_errors <- a.a_errors + 1));
-            loop ()
-          end
+          match take () with
+          | None -> ()
+          | Some i ->
+              let req =
+                Service.Traffic.nth_request ~validate:dcfg.validate
+                  ~target:dcfg.target
+                  ~seed:dcfg.seed ~size_jitter:dcfg.size_jitter
+                  ~batch:dcfg.batch i
+              in
+              let t0 = Unix.gettimeofday () in
+              (match
+                 submit client ~name:req.Service.Server.req_name
+                   ~options:req.Service.Server.req_options
+                   req.Service.Server.req_source
+               with
+              | Ok reply -> record reply (Unix.gettimeofday () -. t0)
+              | Error _ -> acc.a_errors <- acc.a_errors + 1);
+              loop ()
         in
         loop ();
         close client
   in
   let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init (max 1 dcfg.conns) (fun _ -> Thread.create worker ())
-  in
-  List.iter Thread.join threads;
+  Aio.run (Aio.create ()) (fun () ->
+      for _ = 1 to max 1 dcfg.conns do
+        ignore (Aio.spawn worker)
+      done);
   let wall = Unix.gettimeofday () -. t0 in
   let lat = Array.of_list acc.a_latencies in
   Array.sort compare lat;

@@ -1,13 +1,19 @@
-(** Blocking cedarnet client: one TCP connection, synchronous
-    request/reply, reconnect with exponential backoff.
+(** cedarnet client: one TCP connection, request/reply, reconnect with
+    exponential backoff.
+
+    The socket is non-blocking and every wait goes through {!Aio}: in a
+    fiber a call suspends only that fiber, so one scheduler can hold
+    many clients mid-request; on any other thread the same call blocks
+    that thread in poll(2) until the same deadline.
 
     Every call times out rather than hangs: connection establishment is
-    bounded by [connect_timeout_s] (non-blocking connect + select) and
-    each request by [request_timeout_s] ([SO_RCVTIMEO]/[SO_SNDTIMEO] on
-    the socket).  When the connection is found dead — send failure, EOF,
-    a frame that does not decode — the client reconnects with jittered
-    exponential backoff up to [max_attempts] and resends the request
-    once on the fresh connection.  Requests are idempotent at the server (the result
+    bounded by [connect_timeout_s], and each request attempt by one
+    absolute deadline, [request_timeout_s] after it starts, which covers
+    the whole round trip however the reply's bytes trickle in.  When
+    the connection is found dead — send failure, EOF, a frame that does
+    not decode — the client reconnects with jittered exponential backoff
+    up to [max_attempts] and resends the request once on the fresh
+    connection.  Requests are idempotent at the server (the result
     cache is content-addressed), so a resend after an ambiguous failure
     is safe.
 
@@ -20,7 +26,9 @@ type cfg = {
   host : string;
   port : int;
   connect_timeout_s : float;  (** bound on TCP connection establishment *)
-  request_timeout_s : float;  (** bound on each request round trip; 0 = none *)
+  request_timeout_s : float;
+      (** one deadline for each request attempt's whole round trip
+          (send and reply); 0 = none *)
   max_attempts : int;  (** connection attempts, first one included *)
   backoff_s : float;  (** base retry delay; doubles per attempt *)
   backoff_jitter : float;
@@ -52,7 +60,9 @@ val close : t -> unit
 
 val request : t -> Wire.message -> (Wire.message, string) result
 (** Send one message and wait for its reply (matched by request id).
-    Reconnects and resends once if the connection proves dead. *)
+    Reconnects and resends once if the connection proves dead.  A
+    request that times out drops the connection; the next request
+    dials a fresh one. *)
 
 val ping : t -> (float, string) result
 (** Round-trip a {!Wire.Ping}; returns the RTT in seconds. *)
@@ -137,7 +147,8 @@ type drive_summary = {
 }
 
 val drive : cfg -> drive_cfg -> drive_summary
-(** Run the closed-loop generator: [conns] threads, each with its own
+(** Run the closed-loop generator: [conns] fibers on one private
+    {!Aio} scheduler on the calling thread, each with its own
     connection, racing through the shared request sequence.  Returns
     when every request has a final disposition. *)
 

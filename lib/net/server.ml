@@ -17,9 +17,9 @@
      producers can never interleave).  Immediate replies and shed
      verdicts go straight from the reader to the writer's queue.
 
-   Work that must not run on the loop (the Service.Server domain pool,
-   the proxy's relay executor) is started by a [Defer] action, which
-   returns a promise the worker fulfils; the fulfilment posts the
+   Work that does not answer at once (a job on the Service.Server
+   domain pool, a proxy relay fiber) is started by a [Defer] action,
+   which returns a promise the work fulfils; the fulfilment posts the
    responder's wakeup through the scheduler's completion queue.  No OS
    thread ever parks per request.
 
@@ -412,8 +412,8 @@ let reader t conn =
               loop ()
           | `Eof -> ()
           | `Deadline ->
-              (* the frame deadline expired mid-request: the old
-                 [Wire.Stalled] verdict, now an event-loop timer *)
+              (* the frame deadline expired mid-request: the sender
+                 stalled, so the connection is dropped *)
               kill_conn conn)
   in
   (try loop () with _ -> ());

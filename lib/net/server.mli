@@ -63,8 +63,10 @@ type action =
       overload : Wire.message;  (** the refusal sent when shed *)
       trace : int;  (** trace id for the [net_request] span; 0 = none *)
       start : unit -> Wire.message Aio.promise option;
-          (** begin the work off the event loop; the promise carries the
-              reply.  [None] when the backend cannot take it. *)
+          (** begin the work: hand it to another thread or domain, or
+              {!Aio.spawn} it (this runs on the connection's reader
+              fiber); the promise carries the reply.  [None] when the
+              backend cannot take it. *)
     }
       (** hold one unit of [max_inflight] until the responder has
           written the reply; with the budget spent [start] is not

@@ -3,7 +3,7 @@
    The decoder is written against adversarial input: every read goes
    through a bounds-checked cursor, every enum byte is validated, and
    the only way out of a bad payload is the typed [error] — a garbage
-   frame must never raise out of [decode] or [read_frame]. *)
+   frame must never raise out of [decode] or [Stream.next]. *)
 
 let magic = "CDRN"
 let version = 4
@@ -635,9 +635,9 @@ let get_cache_push c =
 
 (* decode a payload in place from the window [pos, pos + len) of [src]:
    the zero-copy entry point shared by the incremental stream decoder
-   (which hands its connection buffer straight in), [read_frame] and
-   [decode].  The window is only read, never aliased past the call —
-   every string that survives is a fresh extraction. *)
+   (which hands its connection buffer straight in) and [decode].  The
+   window is only read, never aliased past the call — every string that
+   survives is a fresh extraction. *)
 let decode_payload_at kind src ~pos ~len =
   let c = { src; pos; limit = pos + len } in
   let empty msg =
@@ -741,95 +741,20 @@ let decode s =
         | exception Err e -> Error e
       end
 
-(* ------------------------------------------------------------------ *)
-(* Stream IO                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let m_bytes_read =
-  Obs.Metrics.counter Obs.Metrics.global ~help:"cedarnet bytes read"
-    "net_bytes_read_total"
-
 let m_bytes_written =
   Obs.Metrics.counter Obs.Metrics.global ~help:"cedarnet bytes written"
     "net_bytes_written_total"
-
-type read_result =
-  | Frame of int * message
-  | Oversized of int * int
-  | Idle
-  | Stalled
-  | Eof
-  | Fail of error
-
-(* [`Ok] when [len] bytes landed in [buf], [`Eof] on a clean close,
-   [`Stalled consumed] when SO_RCVTIMEO expired *)
-let really_read fd buf off len =
-  let rec go off len consumed =
-    if len = 0 then `Ok
-    else
-      match Unix.read fd buf off len with
-      | 0 -> if consumed = 0 then `Eof else `Short
-      | n ->
-          Obs.Metrics.incr ~by:n m_bytes_read;
-          go (off + n) (len - n) (consumed + n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len consumed
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          `Stalled consumed
-      | exception Unix.Unix_error (_, _, _) -> if consumed = 0 then `Eof else `Short
-  in
-  go off len 0
-
-let drain_payload fd len =
-  let chunk = Bytes.create 65536 in
-  let rec go remaining =
-    if remaining <= 0 then true
-    else
-      match Unix.read fd chunk 0 (min remaining (Bytes.length chunk)) with
-      | 0 -> false
-      | n ->
-          Obs.Metrics.incr ~by:n m_bytes_read;
-          go (remaining - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go remaining
-      | exception Unix.Unix_error (_, _, _) -> false
-  in
-  go len
-
-let read_frame ?(max_payload = hard_max_payload) fd =
-  let hdr = Bytes.create header_bytes in
-  match really_read fd hdr 0 header_bytes with
-  | `Eof -> Eof
-  | `Short -> Fail Truncated
-  | `Stalled consumed -> if consumed = 0 then Idle else Stalled
-  | `Ok -> (
-      match decode_header_at hdr ~pos:0 ~len:header_bytes with
-      | Error e -> Fail e
-      | Ok h ->
-          if h.h_len > max_payload then
-            if drain_payload fd h.h_len then Oversized (h.h_id, h.h_len)
-            else Fail Truncated
-          else
-            let payload = Bytes.create h.h_len in
-            (match really_read fd payload 0 h.h_len with
-            | `Eof | `Short -> Fail Truncated
-            | `Stalled _ -> Stalled
-            | `Ok -> (
-                match decode_payload_at h.h_kind payload ~pos:0 ~len:h.h_len with
-                | msg -> Frame (h.h_id, msg)
-                | exception Err e -> Fail e)))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental stream decoder                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* A resumable frame decoder for non-blocking readers: bytes go in via
-   [feed] as they arrive, frames come out via [next].  Unlike
-   [read_frame] it never touches a descriptor, so "the sender stalled"
-   is not its concern — the caller observes [midframe] and arms an
-   event-loop deadline, which is the only stall detection that means
-   anything on a non-blocking descriptor (SO_RCVTIMEO does nothing
-   there).  Oversized payloads are consumed into the void in constant
-   memory, exactly like [read_frame]'s drain, so the stream stays
-   synchronized across a typed rejection. *)
+   [feed] as they arrive, frames come out via [next].  It never touches
+   a descriptor, so "the sender stalled" is not its concern — the
+   caller observes [midframe] and arms a deadline on its own reads.
+   Oversized payloads are consumed into the void in constant memory, so
+   the stream stays synchronized across a typed rejection. *)
 module Stream = struct
   type state =
     | S_header
@@ -935,9 +860,7 @@ module Stream = struct
 
   (* at least one byte of an incomplete frame is pending: the peer
      started a request and has not finished it.  This is the predicate
-     the event loop turns into a per-frame deadline — the successor to
-     read_frame's [Stalled], which depended on SO_RCVTIMEO and so was
-     meaningless on a non-blocking descriptor. *)
+     the event loop turns into a per-frame deadline. *)
   let midframe st =
     match st.st_state with
     | S_payload _ | S_drain _ -> true

@@ -180,40 +180,15 @@ val decode : string -> (int * message, error) result
 (* Stream IO                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type read_result =
-  | Frame of int * message
-  | Oversized of int * int
-      (** (request id, announced payload length): the payload exceeded
-          the reader's cap and was drained from the stream in constant
-          memory — the connection stays synchronized and the caller can
-          send a typed rejection *)
-  | Idle
-      (** the read deadline expired with {e zero} bytes consumed: no
-          request is in flight, the connection is merely quiet *)
-  | Stalled
-      (** the read deadline expired {e mid-frame}: the request is
-          abandoned and the connection should be dropped *)
-  | Eof
-  | Fail of error
+(** Incremental frame decoder for non-blocking readers: the one way
+    frames come off a socket, on both sides of a connection.
 
-val read_frame : ?max_payload:int -> Unix.file_descr -> read_result
-(** Read one frame.  [max_payload] (default {!hard_max_payload}) is the
-    reader's soft cap; a larger announced payload is drained and
-    reported {!Oversized}.  Read deadlines are the descriptor's
-    [SO_RCVTIMEO].  Never raises: IO errors map to {!Eof}. *)
-
-(** Incremental frame decoder for non-blocking readers.
-
-    [read_frame] above owns its descriptor and expresses read deadlines
-    through [SO_RCVTIMEO] — which does nothing on a non-blocking
-    descriptor, so its mid-frame [Stalled] verdict cannot exist in an
-    event-loop server.  [Stream] splits the concern: the event loop
-    reads whatever bytes are ready and [feed]s them in, [next] yields
-    complete frames, and {!Stream.midframe} tells the loop whether the
-    peer is mid-request — the condition under which the loop arms a
-    per-frame deadline (the replacement for [Stalled]).  A quiet
-    connection with no partial frame needs no deadline at all, which is
-    what lets thousands of idle connections cost nothing.
+    It never touches a descriptor: the reader reads whatever bytes are
+    ready and [feed]s them in, [next] yields complete frames, and
+    {!Stream.midframe} tells the reader whether the peer is mid-frame —
+    the condition under which a server arms a per-frame read deadline.
+    A quiet connection with no partial frame needs no deadline at all,
+    which is what lets thousands of idle connections cost nothing.
 
     Decode failures are sticky: once a frame fails to parse the stream
     position is unknowable and every subsequent [next] returns the same
@@ -236,7 +211,9 @@ module Stream : sig
     | `Need_more
     | `Fail of error ]
   (** The next complete frame, if the fed bytes contain one.
-      [`Oversized (id, announced)] mirrors {!read_result.Oversized}. *)
+      [`Oversized (id, announced)]: the payload exceeded the cap and was
+      drained in constant memory, so the stream stays synchronized and
+      the caller can send a typed rejection. *)
 
   val midframe : t -> bool
   (** At least one byte of an incomplete frame is buffered. *)

@@ -290,6 +290,29 @@ let test_promise_deadline () =
          A.fulfil p 1));
   Alcotest.(check bool) "await times out" true !timed_out
 
+let test_promise_every_waiter_woken () =
+  (* many fibers may park on one promise (the proxy's topology barrier
+     parks every relay on one change): one fulfil wakes them all *)
+  let woken = ref [] in
+  ignore
+    (run_mock (mock ()) (fun () ->
+         let p = A.promise () in
+         let waiter name () =
+           match A.await ~deadline:(A.now () +. 1.0) p with
+           | `Value v -> woken := (name, v) :: !woken
+           | `Deadline -> ()
+         in
+         ignore (A.spawn (waiter "a"));
+         ignore (A.spawn (waiter "b"));
+         ignore
+           (A.spawn (fun () ->
+                A.sleep 0.1;
+                A.fulfil p 5))));
+  Alcotest.(check (list (pair string int)))
+    "fulfil wakes both waiters before their deadlines"
+    [ ("a", 5); ("b", 5) ]
+    (List.sort compare !woken)
+
 (* ------------------------------------------------------------------ *)
 (* Mailboxes                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -439,6 +462,29 @@ let test_poll_source_wall_deadline () =
   Alcotest.(check bool) "deadline respected wall time" true
     (Unix.gettimeofday () -. t0 >= 0.045)
 
+(* ------------------------------------------------------------------ *)
+(* Outside any fiber: the same calls block the thread                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_outside_fiber_blocks () =
+  let t0 = Unix.gettimeofday () in
+  A.sleep 0.02;
+  Alcotest.(check bool) "sleep blocks the thread for 20 ms" true
+    (Unix.gettimeofday () -. t0 >= 0.0199);
+  let r, w = Unix.pipe () in
+  Unix.set_nonblock r;
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      Alcotest.(check bool) "an empty pipe waits out the deadline" true
+        (A.wait_readable ~deadline:(A.now () +. 0.02) r = `Deadline);
+      ignore (Unix.write_substring w "x" 0 1);
+      let buf = Bytes.create 8 in
+      Alcotest.(check bool) "read returns the written byte" true
+        (A.read ~deadline:(A.now () +. 1.0) r buf 0 8 = `Data 1))
+
 let tests =
   [
     Alcotest.test_case "spawn: parent first, children in order" `Quick
@@ -467,6 +513,8 @@ let tests =
     Alcotest.test_case "promise: fulfilled by another fiber" `Quick
       test_promise_fulfilled_by_other_fiber;
     Alcotest.test_case "promise: await deadline" `Quick test_promise_deadline;
+    Alcotest.test_case "promise: every waiter woken" `Quick
+      test_promise_every_waiter_woken;
     Alcotest.test_case "mailbox: FIFO then end-of-stream" `Quick
       test_mailbox_fifo_and_close;
     Alcotest.test_case "mailbox: capacity-1 backpressure" `Quick
@@ -480,4 +528,6 @@ let tests =
       test_poll_source_cross_thread_fulfil;
     Alcotest.test_case "poll source: wall-clock deadline" `Quick
       test_poll_source_wall_deadline;
+    Alcotest.test_case "outside a fiber: waits block the thread" `Quick
+      test_outside_fiber_blocks;
   ]

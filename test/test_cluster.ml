@@ -1097,8 +1097,18 @@ let test_proxy_cluster_add_remove () =
   | Error e -> Alcotest.failf "duplicate cluster_add: %s" e);
   Alcotest.(check int) "refused change does not bump" 2
     (Cluster.Proxy.epoch proxy);
+  (* an id that would break the JSON views and the metric names *)
+  (match
+     Net.Client.cluster_add client
+       { W.ca_id = "x\"y"; ca_host = "127.0.0.1"; ca_port = spec.W.ca_port }
+   with
+  | Ok ack -> Alcotest.(check bool) "bad shard id refused" false ack.W.ack_ok
+  | Error e -> Alcotest.failf "cluster_add x\"y: %s" e);
+  Alcotest.(check int) "refused id does not bump" 2 (Cluster.Proxy.epoch proxy);
   (match Net.Client.members_json client with
   | Ok json ->
+      Alcotest.(check bool) "refused id left out of the view" false
+        (contains json "x\"y");
       Alcotest.(check bool) "enriched view carries the epoch" true
         (contains json "\"epoch\":2");
       Alcotest.(check bool) "enriched view carries the joiner" true
@@ -1293,6 +1303,124 @@ let test_proxy_read_repair () =
   Alcotest.(check int) "exactly the off-owner hit repaired" 1
     (Cluster.Proxy.read_repair_total proxy)
 
+let test_proxy_silent_shard_delays_no_other () =
+  (* relays are fibers: 17 of them parked on a shard that never answers
+     (one more than a thread pool of 16 could hold) must not delay a
+     relay to a live shard *)
+  with_extra_shard "live" @@ fun live ->
+  Test_net.with_silent_listener @@ fun silent_port ->
+  let cfg =
+    { Cluster.Proxy.default_cfg with
+      Cluster.Proxy.failover = 1; shard_timeout_s = 2.0 }
+  in
+  let proxy =
+    Cluster.Proxy.create ~cfg ~probe_ms:10_000.0
+      [ mk_shard "silent" silent_port;
+        mk_shard "live" (Net.Server.port live.h_net) ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  let ring = Cluster.Membership.ring (Cluster.Proxy.membership proxy) in
+  let owned_by shard =
+    List.init 64 synth_source
+    |> List.find (fun source ->
+           let key =
+             Service.Server.cache_key
+               { Service.Server.req_name = "stuck"; req_source = source;
+                 req_options = opts }
+           in
+           Ring.lookup ring key = Some shard)
+  in
+  let stuck = owned_by "silent" and free = owned_by "live" in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd
+    (Unix.ADDR_INET (Unix.inet_addr_loopback, Cluster.Proxy.port proxy));
+  for id = 1 to 17 do
+    W.write_frame fd ~id
+      (W.Submit
+         { W.sub_name = "stuck"; sub_source = stuck; sub_options = opts;
+           sub_trace = 0 })
+  done;
+  with_proxy_client proxy @@ fun client ->
+  let t0 = Unix.gettimeofday () in
+  (match Net.Client.submit client ~name:"stuck" ~options:opts free with
+  | Ok (W.R_done { r_text; _ }) ->
+      Alcotest.(check bool) "live relay byte-identical" true
+        (r_text = restructured free)
+  | Ok r ->
+      Alcotest.failf "unexpected reply %s" (W.message_kind_name (W.Result r))
+  | Error e -> Alcotest.failf "live relay: %s" e);
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "live relay answered in %.2fs, under 1 s" dt)
+    true (dt < 1.0)
+
+let test_proxy_burst_within_shard_budget () =
+  (* 80 submits pipelined at one shard: a proxy that dialed a connection
+     per relay would pass the shard's 64-connection budget and get the
+     excess shed; the per-shard gate keeps every one of them served *)
+  with_extra_shard "only" @@ fun only ->
+  let proxy =
+    Cluster.Proxy.create ~probe_ms:10_000.0
+      [ mk_shard "only" (Net.Server.port only.h_net) ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  let n = 80 in
+  let fd = Test_net.connect_raw (Cluster.Proxy.port proxy) in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  for id = 1 to n do
+    W.write_frame fd ~id
+      (W.Submit
+         { W.sub_name = "burst"; sub_source = synth_source id;
+           sub_options = opts; sub_trace = 0 })
+  done;
+  let overloaded = ref 0 in
+  for id = 1 to n do
+    match Test_net.read_frame fd with
+    | `Frame (got, W.Result (W.R_done _)) ->
+        Alcotest.(check int) "replies in request order" id got
+    | `Frame (_, W.Result W.R_overloaded) -> incr overloaded
+    | `Frame (_, m) ->
+        Alcotest.failf "submit %d: unexpected %s" id (W.message_kind_name m)
+    | `Eof | `Timeout | `Fail _ -> Alcotest.failf "submit %d: no reply" id
+  done;
+  Alcotest.(check int) "no submit shed" 0 !overloaded
+
+let test_parse_shards () =
+  let parse = Cluster.Membership.parse_shards in
+  let ids spec =
+    match parse spec with
+    | Ok shards ->
+        Some
+          (List.map
+             (fun s ->
+               Printf.sprintf "%s=%s:%d" s.Cluster.Membership.sh_id
+                 s.Cluster.Membership.sh_host s.Cluster.Membership.sh_port)
+             shards)
+    | Error _ -> None
+  in
+  List.iter
+    (fun (spec, want) ->
+      Alcotest.(check (option (list string))) spec want (ids spec))
+    [
+      ("a=127.0.0.1:7511", Some [ "a=127.0.0.1:7511" ]);
+      ( " s_0=127.0.0.1:1 , S1=10.0.0.2:65535",
+        Some [ "s_0=127.0.0.1:1"; "S1=10.0.0.2:65535" ] );
+      ("v6=::1:7551", None);
+      ("", None);
+      ("a=127.0.0.1:7511,", None);
+      ("=127.0.0.1:7511", None);
+      ("x\"y=127.0.0.1:7551", None);
+      ("sp ace=127.0.0.1:7551", None);
+      ("a-b=127.0.0.1:7551", None);
+      ("a=localhost:7551", None);
+      ("a=127.0.0.1", None);
+      ("a=127.0.0.1:0", None);
+      ("a=127.0.0.1:65536", None);
+      ("a=127.0.0.1:http", None);
+      ("a127.0.0.1:7551", None);
+    ]
+
 let test_proxy_budget_refusals_counted () =
   (* with no in-flight budget, each of the seven relayed kinds is
      refused at the front door with its own typed reply — and every
@@ -1350,8 +1478,8 @@ let test_proxy_budget_refusals_counted () =
     (fun i (request, refusal) ->
       let kind = W.message_kind_name request in
       W.write_frame fd ~id:(i + 1) request;
-      match W.read_frame fd with
-      | W.Frame (id, reply) ->
+      match Test_net.read_frame fd with
+      | `Frame (id, reply) ->
           Alcotest.(check int) (kind ^ " id echoed") (i + 1) id;
           Alcotest.(check string) (kind ^ " refused typed")
             (W.message_kind_name refusal) (W.message_kind_name reply);
@@ -1420,4 +1548,10 @@ let tests =
       test_proxy_read_repair;
     Alcotest.test_case "proxy: every budget refusal is typed and counted"
       `Quick test_proxy_budget_refusals_counted;
+    Alcotest.test_case "proxy: a relay stuck on a silent shard delays no other"
+      `Slow test_proxy_silent_shard_delays_no_other;
+    Alcotest.test_case "proxy: a burst to one shard stays within its budget"
+      `Slow test_proxy_burst_within_shard_budget;
+    Alcotest.test_case "membership: shard specs parsed and checked" `Quick
+      test_parse_shards;
   ]

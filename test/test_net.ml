@@ -472,6 +472,44 @@ let connect_raw port =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
   fd
 
+(* Read exactly one frame off a blocking socket: the header, then the
+   payload it announces, decoded whole.  [`Eof] only when the peer closed
+   before the frame's first byte, [`Fail Truncated] when it closed inside
+   the frame, [`Timeout] when the socket's SO_RCVTIMEO expired. *)
+let read_frame fd =
+  let really ~started n =
+    let b = Bytes.create n in
+    let closed off = if started || off > 0 then `Fail W.Truncated else `Eof in
+    let rec go off =
+      if off = n then `Ok (Bytes.unsafe_to_string b)
+      else
+        match Unix.read fd b off (n - off) with
+        | 0 -> closed off
+        | k -> go (off + k)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+            `Timeout
+        | exception Unix.Unix_error _ -> closed off
+    in
+    go 0
+  in
+  match really ~started:false W.header_bytes with
+  | (`Eof | `Fail _ | `Timeout) as r -> r
+  | `Ok hdr -> (
+      match W.decode hdr with
+      | Ok frame -> `Frame frame
+      | Error W.Truncated -> (
+          (* a valid header announcing a payload: fetch it *)
+          let len = Int32.to_int (String.get_int32_be hdr 16) in
+          match really ~started:true len with
+          | (`Eof | `Fail _ | `Timeout) as r -> r
+          | `Ok payload -> (
+              match W.decode (hdr ^ payload) with
+              | Ok frame -> `Frame frame
+              | Error e -> `Fail e))
+      | Error e -> `Fail e)
+
 let saxpy_source =
   "      SUBROUTINE SAXPY(N, A, X, Y)\n\
   \      REAL X(N), Y(N), A\n\
@@ -491,19 +529,13 @@ let submit_msg ?(trace = 0) ?(name = "saxpy") ?(source = saxpy_source) () =
     }
 
 let read_result fd =
-  match W.read_frame fd with
-  | W.Frame (id, W.Result r) -> (id, r)
-  | W.Frame (_, m) ->
+  match read_frame fd with
+  | `Frame (id, W.Result r) -> (id, r)
+  | `Frame (_, m) ->
       Alcotest.failf "expected Result, got %s" (W.message_kind_name m)
-  | other ->
-      Alcotest.failf "expected a frame, got %s"
-        (match other with
-        | W.Idle -> "Idle"
-        | W.Stalled -> "Stalled"
-        | W.Eof -> "Eof"
-        | W.Oversized _ -> "Oversized"
-        | W.Fail e -> W.error_to_string e
-        | W.Frame _ -> assert false)
+  | `Eof -> Alcotest.fail "expected a frame, got Eof"
+  | `Timeout -> Alcotest.fail "expected a frame, got a read timeout"
+  | `Fail e -> Alcotest.failf "expected a frame, got %s" (W.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end over real sockets                                        *)
@@ -617,8 +649,8 @@ let test_split_reads_byte_identical () =
       | 1, W.R_done { r_text; _ } ->
           Alcotest.(check bool) "first of split pair" true (r_text = expected)
       | _, _ -> Alcotest.fail "expected R_done for id 1");
-      match W.read_frame fd with
-      | W.Frame (2, W.Pong) -> ()
+      match read_frame fd with
+      | `Frame (2, W.Pong) -> ()
       | _ -> Alcotest.fail "expected Pong for id 2")
 
 let test_reply_batching door () =
@@ -634,8 +666,8 @@ let test_reply_batching door () =
     (fun () ->
       (* warm the connection so accept-path writes don't skew the count *)
       W.write_frame fd ~id:0 W.Ping;
-      (match W.read_frame fd with
-      | W.Frame (0, W.Pong) -> ()
+      (match read_frame fd with
+      | `Frame (0, W.Pong) -> ()
       | _ -> Alcotest.fail "warmup ping");
       let before = Obs.Metrics.counter_value flushes in
       let burst =
@@ -692,8 +724,8 @@ let test_too_large_keeps_connection () =
       | _, _ -> Alcotest.fail "expected R_too_large for the medium source");
       (* the stream is still synchronized *)
       W.write_frame fd ~id:3 W.Ping;
-      match W.read_frame fd with
-      | W.Frame (3, W.Pong) -> ()
+      match read_frame fd with
+      | `Frame (3, W.Pong) -> ()
       | _ -> Alcotest.fail "connection did not survive the rejections")
 
 let test_overload_burst () =
@@ -746,16 +778,16 @@ let test_conn_budget_shed door () =
     ~finally:(fun () -> try Unix.close fd1 with Unix.Unix_error _ -> ())
     (fun () ->
       W.write_frame fd1 ~id:1 W.Ping;
-      (match W.read_frame fd1 with
-      | W.Frame (1, W.Pong) -> ()
+      (match read_frame fd1 with
+      | `Frame (1, W.Pong) -> ()
       | _ -> Alcotest.fail "first connection should be served");
       let fd2 = connect_raw port in
       Fun.protect
         ~finally:(fun () -> try Unix.close fd2 with Unix.Unix_error _ -> ())
         (fun () ->
-          match W.read_frame fd2 with
-          | W.Frame (0, W.Result W.R_overloaded) -> ()
-          | W.Eof -> Alcotest.fail "shed without the explicit frame"
+          match read_frame fd2 with
+          | `Frame (0, W.Result W.R_overloaded) -> ()
+          | `Eof -> Alcotest.fail "shed without the explicit frame"
           | _ -> Alcotest.fail "second connection should be shed"))
 
 let test_stalled_sender_dropped () =
@@ -785,9 +817,9 @@ let test_garbage_frame_from_client door () =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       W.write_raw fd (String.make 64 'Z');
-      match W.read_frame fd with
-      | W.Frame (0, W.Result (W.R_error _)) -> ()
-      | W.Eof -> Alcotest.fail "dropped without the typed error reply"
+      match read_frame fd with
+      | `Frame (0, W.Result (W.R_error _)) -> ()
+      | `Eof -> Alcotest.fail "dropped without the typed error reply"
       | _ -> Alcotest.fail "expected a typed protocol error")
 
 let test_graceful_drain_flushes_replies () =
@@ -819,8 +851,8 @@ let test_graceful_drain_flushes_replies () =
           ids
       in
       Alcotest.(check (list int)) "all replies flushed" ids got;
-      (match W.read_frame fd with
-      | W.Eof -> ()
+      (match read_frame fd with
+      | `Eof -> ()
       | _ -> Alcotest.fail "expected EOF after the drain");
       (* the service pool survives the net drain; its own shutdown is
          deterministic and idempotent *)
@@ -922,8 +954,8 @@ let test_slow_loris_deadlined () =
                (* the fast connection stays live the whole time *)
                if i land 1 = 0 then begin
                  W.write_frame fast ~id:(100 + i) W.Ping;
-                 match W.read_frame fast with
-                 | W.Frame (_, W.Pong) -> ()
+                 match read_frame fast with
+                 | `Frame (_, W.Pong) -> ()
                  | _ -> Alcotest.fail "fast connection starved by the loris"
                end;
                Thread.delay 0.1
@@ -947,8 +979,8 @@ let test_slow_loris_deadlined () =
         (cut_at -. t0 >= 0.35);
       (* and the polite connection is still fine *)
       W.write_frame fast ~id:999 W.Ping;
-      match W.read_frame fast with
-      | W.Frame (999, W.Pong) -> ()
+      match read_frame fast with
+      | `Frame (999, W.Pong) -> ()
       | _ -> Alcotest.fail "fast connection lost after the loris was cut")
 
 let test_idle_flood_byte_identical () =
@@ -1031,8 +1063,8 @@ let test_idle_flood_byte_identical () =
         (fun i fd ->
           if i mod 64 = 0 then begin
             W.write_frame fd ~id:i W.Ping;
-            match W.read_frame fd with
-            | W.Frame (id, W.Pong) when id = i -> ()
+            match read_frame fd with
+            | `Frame (id, W.Pong) when id = i -> ()
             | _ -> Alcotest.failf "idle connection %d died" i
           end)
         idle)
@@ -1094,6 +1126,109 @@ let test_client_connect_fast_fail () =
       Alcotest.(check bool) "failed quickly" true
         (Unix.gettimeofday () -. t0 < 10.0)
 
+(* a listener that completes TCP handshakes in the kernel backlog but
+   never accepts: every request sent to it goes unanswered *)
+let with_silent_listener f =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen fd 64;
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, port) -> f port
+  | Unix.ADDR_UNIX _ -> assert false
+
+let test_client_fiber_blocks_no_other () =
+  (* two client fibers on one scheduler: the one waiting on a silent
+     server must not hold up the one talking to a live cedard *)
+  with_net @@ fun _svc _net live_port ->
+  with_silent_listener @@ fun silent_port ->
+  let finished = ref [] in
+  let ping name port =
+    let cfg =
+      {
+        (Net.Client.default_cfg ~port) with
+        Net.Client.request_timeout_s = 0.5;
+        max_attempts = 1;
+      }
+    in
+    match Net.Client.connect cfg with
+    | Error msg -> Alcotest.failf "%s: connect: %s" name msg
+    | Ok c ->
+        ignore (Net.Client.ping c);
+        Net.Client.close c;
+        finished := name :: !finished
+  in
+  let t0 = Unix.gettimeofday () in
+  Aio.run (Aio.create ()) (fun () ->
+      ignore (Aio.spawn (fun () -> ping "silent" silent_port));
+      ignore (Aio.spawn (fun () -> ping "live" live_port)));
+  Alcotest.(check (list string)) "the live ping finished first"
+    [ "silent"; "live" ] !finished;
+  Alcotest.(check bool) "the silent ping was cut at its deadline" true
+    (Unix.gettimeofday () -. t0 < 2.0)
+
+let test_client_deadline_bounds_trickle () =
+  (* a server that answers one byte per 100 ms: every single read comes
+     back well inside the timeout, so only a deadline on the whole round
+     trip can cut the 2 s reply off *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lfd) @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 1;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let trickler =
+    Thread.create
+      (fun () ->
+        (* bounded, so a client that never connects cannot hang the join *)
+        if Aio.poll_fd lfd `Read ~timeout_s:5.0 then
+          let fd, _ = Unix.accept lfd in
+          Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+          match read_frame fd with
+          | `Frame (id, W.Ping) -> (
+              let pong = W.encode ~id W.Pong in
+              try
+                String.iter
+                  (fun c ->
+                    Thread.delay 0.1;
+                    ignore (Unix.write fd (Bytes.make 1 c) 0 1))
+                  pong
+              with Unix.Unix_error _ -> ())
+          | _ -> ())
+      ()
+  in
+  let cfg =
+    {
+      (Net.Client.default_cfg ~port) with
+      Net.Client.request_timeout_s = 0.5;
+      max_attempts = 1;
+    }
+  in
+  let outcome =
+    match Net.Client.connect cfg with
+    | Error msg -> Error ("connect: " ^ msg)
+    | Ok c ->
+        let t0 = Unix.gettimeofday () in
+        let r = Net.Client.ping c in
+        let dt = Unix.gettimeofday () -. t0 in
+        Net.Client.close c;
+        Ok (r, dt)
+  in
+  Thread.join trickler;
+  match outcome with
+  | Error msg -> Alcotest.fail msg
+  | Ok (Ok _, dt) ->
+      Alcotest.failf "a reply trickled over %.2fs beat a 0.5 s timeout" dt
+  | Ok (Error _, dt) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "failed after %.2fs, within 1.5 s" dt)
+        true (dt < 1.5)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -1141,6 +1276,10 @@ let tests =
       test_metrics_http;
     Alcotest.test_case "client: dead port fails fast" `Quick
       test_client_connect_fast_fail;
+    Alcotest.test_case "client: a fiber waiting on a socket blocks no other"
+      `Quick test_client_fiber_blocks_no_other;
+    Alcotest.test_case "client: the deadline bounds a trickled reply" `Quick
+      test_client_deadline_bounds_trickle;
     (* the same front-end contract at the proxy's front door *)
     Alcotest.test_case "proxy door: pipelined requests echo their ids" `Quick
       (test_pipelining_ids Proxy);

@@ -201,20 +201,63 @@ let report_of_note (n : note) : Restructurer.Driver.loop_report =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let put_u8 b v = Buffer.add_uint8 b (v land 0xff)
+(* A frame is written twice by the same encoder: a dry run over
+   [Bytes.empty] only advances [pos], which sizes the frame exactly, then
+   the real run fills one [Bytes.t] of that size, header first.  The
+   payload is never built apart from its frame, and nothing grows. *)
+type writer = { buf : Bytes.t; mutable pos : int }
+
+let sizing b = Bytes.length b.buf = 0
+
+let put_u8 b v =
+  if not (sizing b) then Bytes.set_uint8 b.buf b.pos (v land 0xff);
+  b.pos <- b.pos + 1
+
 let put_bool b v = put_u8 b (if v then 1 else 0)
-let put_int b v = Buffer.add_int64_be b (Int64.of_int v)
-let put_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
+
+let put_u16 b v =
+  if not (sizing b) then Bytes.set_uint16_be b.buf b.pos v;
+  b.pos <- b.pos + 2
+
+let put_i32 b v =
+  if not (sizing b) then Bytes.set_int32_be b.buf b.pos (Int32.of_int v);
+  b.pos <- b.pos + 4
+
+let put_int b v =
+  if not (sizing b) then Bytes.set_int64_be b.buf b.pos (Int64.of_int v);
+  b.pos <- b.pos + 8
+
+let put_f64 b v =
+  if not (sizing b) then
+    Bytes.set_int64_be b.buf b.pos (Int64.bits_of_float v);
+  b.pos <- b.pos + 8
+
+let put_raw b s =
+  let n = String.length s in
+  if not (sizing b) then Bytes.blit_string s 0 b.buf b.pos n;
+  b.pos <- b.pos + n
 
 let put_string b s =
-  Buffer.add_int32_be b (Int32.of_int (String.length s));
-  Buffer.add_string b s
+  put_i32 b (String.length s);
+  put_raw b s
 
 let put_opt_f64 b = function
   | None -> put_u8 b 0
   | Some v ->
       put_u8 b 1;
       put_f64 b v
+
+(* [List.iter (put b)] would allocate a closure per list, on both runs *)
+let rec put_each put b = function
+  | [] -> ()
+  | x :: rest ->
+      put b x;
+      put_each put b rest
+
+(* a count, then each element *)
+let put_list put b l =
+  put_int b (List.length l);
+  put_each put b l
 
 (* the 18 technique flags, in declaration order of Options.techniques —
    the wire bit position is the list position *)
@@ -241,10 +284,12 @@ let technique_getters =
   ]
 
 let techniques_mask (t : Restructurer.Options.techniques) =
-  List.fold_left
-    (fun (acc, bit) get -> ((acc lor if get t then 1 lsl bit else 0), bit + 1))
-    (0, 0) technique_getters
-  |> fst
+  let rec go acc bit = function
+    | [] -> acc
+    | get :: rest ->
+        go (if get t then acc lor (1 lsl bit) else acc) (bit + 1) rest
+  in
+  go 0 0 technique_getters
 
 let techniques_of_mask m : Restructurer.Options.techniques =
   let bit i = m land (1 lsl i) <> 0 in
@@ -325,8 +370,7 @@ let put_note b n =
   put_string b n.n_index;
   put_int b n.n_depth;
   put_string b n.n_decision;
-  put_int b (List.length n.n_techniques);
-  List.iter (put_string b) n.n_techniques
+  put_list put_string b n.n_techniques
 
 let put_reply b = function
   | R_done d ->
@@ -336,8 +380,7 @@ let put_reply b = function
       put_string b d.r_text;
       put_opt_f64 b d.r_cycles;
       put_opt_f64 b d.r_global_words;
-      put_int b (List.length d.r_notes);
-      List.iter (put_note b) d.r_notes;
+      put_list put_note b d.r_notes;
       put_int b d.r_trace
   | R_failed msg ->
       put_u8 b 1;
@@ -353,72 +396,61 @@ let put_reply b = function
       put_u8 b 6;
       put_string b msg
 
-let payload_of = function
+let put_payload b = function
   | Ping | Pong | Stats_req | Metrics_req | Shutdown_req | Shutdown_ack
   | Stats_json_req | Metrics_json_req | Members_req | Members_json_req ->
-      ""
+      ()
   | Stats_text s | Metrics_text s | Stats_json s | Metrics_json s
   | Members_text s | Members_json s ->
-      s
-  | Submit s ->
-      let b = Buffer.create (String.length s.sub_source + 256) in
+      put_raw b s
+  | Submit s -> (
       put_string b s.sub_name;
       put_string b s.sub_source;
       put_options b s.sub_options;
       put_int b s.sub_trace;
       (* the v4 Submit (kind 24) appends the target byte; a Cedar-target
          Submit travels as the byte-identical v1 kind 3 frame *)
-      (match s.sub_options.Restructurer.Options.target with
+      match s.sub_options.Restructurer.Options.target with
       | Codegen.Target.Cedar -> ()
-      | t -> put_u8 b (Codegen.Target.code t));
-      Buffer.contents b
-  | Result r ->
-      let b = Buffer.create 256 in
-      put_reply b r;
-      Buffer.contents b
+      | t -> put_u8 b (Codegen.Target.code t))
+  | Result r -> put_reply b r
   | Cache_push p ->
-      let b = Buffer.create (String.length p.cp_text + 256) in
       put_string b p.cp_key;
       put_string b p.cp_digest;
       put_string b p.cp_name;
       put_string b p.cp_text;
       put_opt_f64 b p.cp_cycles;
       put_opt_f64 b p.cp_global_words;
-      put_int b (List.length p.cp_notes);
-      List.iter (put_note b) p.cp_notes;
-      Buffer.contents b
-  | Cache_ack admitted ->
-      let b = Buffer.create 1 in
-      put_bool b admitted;
-      Buffer.contents b
+      put_list put_note b p.cp_notes
+  | Cache_ack admitted -> put_bool b admitted
   | Cluster_add a ->
-      let b = Buffer.create 64 in
       put_string b a.ca_id;
       put_string b a.ca_host;
-      put_int b a.ca_port;
-      Buffer.contents b
-  | Cluster_remove id ->
-      let b = Buffer.create 32 in
-      put_string b id;
-      Buffer.contents b
+      put_int b a.ca_port
+  | Cluster_remove id -> put_string b id
   | Cluster_ack a ->
-      let b = Buffer.create 32 in
       put_bool b a.ack_ok;
       put_int b a.ack_epoch;
-      put_string b a.ack_msg;
-      Buffer.contents b
+      put_string b a.ack_msg
+
+(* the length field is meaningless on the dry run, which only counts
+   it; on the real run the buffer is exactly the frame *)
+let put_frame b ~id msg =
+  let kind = kind_code msg in
+  put_raw b magic;
+  put_u8 b (version_for_kind kind);
+  put_u8 b kind;
+  put_u16 b 0;
+  put_int b id;
+  put_i32 b (Bytes.length b.buf - header_bytes);
+  put_payload b msg
 
 let encode ~id msg =
-  let payload = payload_of msg in
-  let b = Buffer.create (header_bytes + String.length payload) in
-  Buffer.add_string b magic;
-  put_u8 b (version_for_kind (kind_code msg));
-  put_u8 b (kind_code msg);
-  Buffer.add_uint16_be b 0;
-  Buffer.add_int64_be b (Int64.of_int id);
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let dry = { buf = Bytes.empty; pos = 0 } in
+  put_frame dry ~id msg;
+  let b = { buf = Bytes.create dry.pos; pos = 0 } in
+  put_frame b ~id msg;
+  Bytes.unsafe_to_string b.buf
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)

@@ -40,15 +40,26 @@ let push q x =
         true
       end)
 
-let try_push q x =
+(* non-blocking enqueue: [add] places the item, unless the queue is
+   closed or full *)
+let try_add q add =
   with_lock q (fun () ->
       if q.closed || Queue.length q.items >= q.capacity then false
       else begin
-        Queue.push x q.items;
+        add ();
         q.high_water <- max q.high_water (Queue.length q.items);
         Condition.signal q.not_empty;
         true
       end)
+
+let try_push q x = try_add q (fun () -> Queue.push x q.items)
+
+let try_push_front q x =
+  try_add q (fun () ->
+      let rest = Queue.create () in
+      Queue.transfer q.items rest;
+      Queue.push x q.items;
+      Queue.transfer rest q.items)
 
 let pop q =
   with_lock q (fun () ->

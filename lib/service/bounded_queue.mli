@@ -16,9 +16,14 @@ val push : 'a t -> 'a -> bool
     (without enqueuing) if the queue was closed. *)
 
 val try_push : 'a t -> 'a -> bool
-(** Non-blocking enqueue: [false] when full or closed.  Used by the
-    supervisor to requeue a dead worker's job — the supervisor must never
-    block on backpressure while it is the only thing healing the pool. *)
+(** Non-blocking enqueue: [false] when full or closed. *)
+
+val try_push_front : 'a t -> 'a -> bool
+(** Non-blocking enqueue at the head, ahead of every queued item:
+    [false] when full or closed.  Used by the supervisor to requeue a
+    dead worker's job — it must never block on backpressure while it is
+    the only thing healing the pool, and the job keeps its place ahead
+    of the jobs submitted after it. *)
 
 val pop : 'a t -> 'a option
 (** Dequeue, blocking while the queue is empty.  Returns [None] once the

@@ -146,19 +146,23 @@ type t = {
   latencies : Reservoir.t;
 }
 
-(* Options.t is closure-free (records, variants, scalars), so Marshal
-   gives a canonical byte string for the digest.  No_sharing matters:
-   default marshalling emits back-references for physically shared
-   blocks (e.g. equal float constants folded together by the compiler
-   in the machine presets), so a structurally equal record rebuilt
-   elsewhere — decoded off the wire, say — would marshal to different
-   bytes and silently miss the cache.  Without sharing the bytes depend
-   only on the structure, so two equal requests always produce the same
-   key; distinct machine configs or technique sets never collide with
-   each other's results. *)
+(* MD5 over (MD5 of the source || the options marshalled).  The source
+   is digested in place, never copied into a marshal buffer.  Options.t
+   is closure-free (records, variants, scalars), so Marshal gives a
+   canonical byte string for it.  No_sharing matters: default
+   marshalling emits back-references for physically shared blocks (e.g.
+   equal float constants folded together by the compiler in the machine
+   presets), so a structurally equal record rebuilt elsewhere — decoded
+   off the wire, say — would marshal to different bytes and silently
+   miss the cache.  Without sharing the bytes depend only on the
+   structure, so two equal requests always produce the same key;
+   distinct machine configs, technique sets or targets never collide
+   with each other's results.  The fixed 16-byte source digest keeps the
+   concatenation unambiguous. *)
 let cache_key (r : request) =
   Cache.digest
-    (Marshal.to_string (r.req_source, r.req_options) [ Marshal.No_sharing ])
+    (Digest.string r.req_source
+    ^ Marshal.to_string r.req_options [ Marshal.No_sharing ])
 
 let now () = Unix.gettimeofday ()
 
@@ -433,8 +437,9 @@ let backtrace_hint () =
 
 (* One attempt at one rung, under the exception barrier.  The only
    exception allowed to escape is the injected domain death — that is its
-   entire point. *)
-let execute_attempt t (ws : wstate) ticket rung : attempt =
+   entire point.  [key] is the job's cache key, which a full-fidelity
+   result is stored under. *)
+let execute_attempt t (ws : wstate) ticket ~key rung : attempt =
   Obs.Trace.with_span "attempt" ~attrs:[ ("rung", rung_name rung) ]
   @@ fun asp ->
   let r = ticket.tk_request in
@@ -567,7 +572,7 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
               in
               (* only full-fidelity results are cached: a degraded result
                  must not outlive the incident that forced it *)
-              if rung = Full then cache_put t (cache_key r) payload;
+              if rung = Full then cache_put t key payload;
               A_done payload)
   with
   | Fault.Injected Fault.Worker_kill as e -> raise e
@@ -590,10 +595,10 @@ let execute_attempt t (ws : wstate) ticket rung : attempt =
 (* Walk the ladder.  Returns the final outcome plus whether the
    restructure stage (non-passthrough rungs) genuinely succeeded — the
    circuit breaker's health signal. *)
-let run_ladder t ws ticket : outcome * bool =
+let run_ladder t ws ticket ~key : outcome * bool =
   let rungs = [| Full; Conservative; Passthrough |] in
   let rec go idx =
-    match execute_attempt t ws ticket rungs.(idx) with
+    match execute_attempt t ws ticket ~key rungs.(idx) with
     | A_done payload ->
         (Done { payload; cached = false }, payload.p_rung <> Passthrough)
     | A_permanent msg -> (Failed msg, false)
@@ -696,9 +701,11 @@ let process t (ws : wstate) ticket =
   if ticket.tk_outcome <> None then ()  (* already resolved; defensive *)
   else if now () > ticket.tk_deadline then finish Cancelled
   else
+    (* keyed once: the lookup and the fill share it *)
+    let key = cache_key ticket.tk_request in
     match
       Obs.Trace.with_span "cache_lookup" (fun csp ->
-          let r = cache_find t (cache_key ticket.tk_request) in
+          let r = cache_find t key in
           Obs.Trace.attr csp "hit" (if r = None then "false" else "true");
           r)
     with
@@ -708,7 +715,7 @@ let process t (ws : wstate) ticket =
         | `Degraded -> (
             (* restructure stage is sick: serve the serial floor directly,
                degraded but alive *)
-            match execute_attempt t ws ticket Passthrough with
+            match execute_attempt t ws ticket ~key Passthrough with
             | A_done payload ->
                 M.incr m_degraded;
                 with_lock t.stat_mutex (fun () ->
@@ -718,7 +725,7 @@ let process t (ws : wstate) ticket =
             | A_permanent msg | A_failed msg -> finish (Failed msg)
             | A_timeout -> finish Timeout)
         | (`Normal | `Probe) as route ->
-            let outcome, restructure_ok = run_ladder t ws ticket in
+            let outcome, restructure_ok = run_ladder t ws ticket ~key in
             breaker_note t ~probe:(route = `Probe) ~restructure_ok
               ~tainted:ticket.tk_tainted;
             finish outcome)
@@ -777,8 +784,11 @@ let salvage_ticket t ?(outcome = Failed "worker domain died while running \
         ticket.tk_deadline <- now () +. t.timeout_s;
         M.incr m_retries;
         with_lock t.stat_mutex (fun () -> t.retries <- t.retries + 1);
-        (* never block the one thread healing the pool on backpressure *)
-        if not (Bounded_queue.try_push t.queue ticket) then
+        (* never block the one thread healing the pool on backpressure;
+           requeued at the head, the job still runs before every job
+           submitted after it, however late the sweep noticed the death,
+           which keeps a single-worker pool's order deterministic *)
+        if not (Bounded_queue.try_push_front t.queue ticket) then
           resolve t ticket outcome
       end
       else resolve t ticket outcome
@@ -1005,8 +1015,9 @@ let await ticket =
 
 (* Non-blocking completion hook: the fiber front-end registers one of
    these and suspends, instead of parking an OS thread in [await].  If
-   the ticket is already resolved (a cache hit resolves synchronously
-   inside submit) the callback fires immediately on the caller. *)
+   the ticket is already resolved (an oversized source, or a submit to a
+   closed server, resolves inside submit) the callback fires immediately
+   on the caller. *)
 let on_resolve ticket f =
   let immediate =
     with_lock ticket.tk_mutex (fun () ->

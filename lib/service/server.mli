@@ -27,9 +27,10 @@
     - {b Supervision}: a supervisor domain watches per-worker
       heartbeats.  A worker killed by an escaping exception (chaos
       injection is the only source) is joined and respawned; its
-      in-flight job is requeued once, or resolved [Failed] — never
-      leaked.  Optionally, a worker silent long past its job's deadline
-      is declared wedged: its job resolves [Timeout], the slot is
+      in-flight job is requeued once, at the head of the queue so no
+      later job overtakes it, or resolved [Failed] — never leaked.
+      Optionally, a worker silent long past its job's deadline is
+      declared wedged: its job resolves [Timeout], the slot is
       respawned, and the stuck domain is orphaned until it exits on its
       own (the fuel counter in the analysis hot loops guarantees it
       does).
@@ -83,7 +84,13 @@ type ticket
 type t
 
 val cache_key : request -> string
-(** The content address: digest of source + options + machine config. *)
+(** The content address, as hex: MD5 over (the MD5 of the source ‖ the
+    options, machine config and target included, marshalled without
+    sharing).  The source is digested in place.  Equal requests key the
+    same wherever they were built (in process or decoded off the wire);
+    a one-byte source edit or one changed options field keys apart.  The
+    worker that takes a job computes its key once, for both the lookup
+    and the fill. *)
 
 val create :
   ?queue_capacity:int ->
@@ -177,7 +184,12 @@ val submit : ?trace:int -> t -> request -> ticket
     backpressure).  On a closed server the ticket resolves [Cancelled].
     [trace] carries a caller-minted {!Obs.Trace} id (e.g. one received
     over the wire) onto the ticket; when omitted (or [0]) a fresh id is
-    minted iff tracing is enabled. *)
+    minted iff tracing is enabled.
+
+    The job, a cache hit included, is looked up in the cache by the
+    worker that takes it off the queue, never on the caller: a hit
+    leaves the queue behind every job submitted before it, and the
+    caller pays no hashing. *)
 
 val try_submit : ?trace:int -> t -> request -> ticket option
 (** Non-blocking {!submit} for front-ends that shed load instead of
@@ -191,11 +203,12 @@ val await : ticket -> outcome
 val on_resolve : ticket -> (outcome -> unit) -> unit
 (** Register a completion callback instead of blocking: fires exactly
     once, on whatever thread resolves the ticket — or immediately on the
-    caller if the ticket already resolved (cache hits resolve inside
-    submit).  This is the non-blocking half of the fiber front-end's
-    completion-queue bridge: the callback typically posts a wakeup into
-    an [Aio] scheduler.  Callbacks run outside the ticket lock and must
-    not call {!await} on the same ticket. *)
+    caller if the ticket already resolved (an oversized source, or a
+    submit to a closed server, resolves inside {!submit}).  This is the
+    non-blocking half of the fiber front-end's completion-queue bridge:
+    the callback typically posts a wakeup into an [Aio] scheduler.
+    Callbacks run outside the ticket lock and must not call {!await} on
+    the same ticket. *)
 
 val run : t -> request -> outcome
 (** [submit] then [await]: the synchronous client. *)

@@ -420,6 +420,125 @@ let test_roundtrip_empty_options () =
   | Ok _ -> Alcotest.fail "wrong id"
   | Error e -> Alcotest.failf "decode: %s" (W.error_to_string e)
 
+(* One message of every kind (both Submit layouts, every reply), with
+   the MD5 of its frame as the encoder wrote it before frames were built
+   in one buffer: any change to a byte on the wire shows up here. *)
+let pinned_frames =
+  let note depth techniques =
+    {
+      W.n_unit = "cg";
+      n_index = "i";
+      n_depth = depth;
+      n_decision = "parallelized";
+      n_techniques = techniques;
+    }
+  in
+  let notes = [ note 0 []; note 1 [ "scalar privatization"; "stripmining" ] ] in
+  let submit target =
+    W.Submit
+      {
+        W.sub_name = "saxpy";
+        sub_source = "      X = 1.0\n      END\n";
+        sub_options =
+          {
+            (Restructurer.Options.advanced cedar) with
+            Restructurer.Options.target;
+          };
+        sub_trace = 0xC0FFEE;
+      }
+  in
+  [
+    ("ping", W.Ping, "796adfa74363815fc0e6c98d00cc903a");
+    ("pong", W.Pong, "074db0392713f9739c84ff6638fa9632");
+    ( "submit cedar",
+      submit Codegen.Target.Cedar,
+      "a4f85794ddc4142f07f06470716c1ac1" );
+    ( "submit openmp",
+      submit Codegen.Target.Openmp,
+      "69ec70caab1c19143e436b2fece8d5a5" );
+    ( "done with notes",
+      W.Result
+        (W.R_done
+           {
+             r_cached = true;
+             r_rung = Service.Server.Conservative;
+             r_text = "      CDOALL 10 I = 1, N\n";
+             r_cycles = Some 1234.5;
+             r_global_words = None;
+             r_notes = notes;
+             r_trace = 99;
+           }),
+      "9d24b7e238ea5d66ea3d6b139f73c37e" );
+    ( "failed",
+      W.Result (W.R_failed "parse error, line 3"),
+      "64abe887bcf4c22c4781ba0eb8b61706" );
+    ("timeout", W.Result W.R_timeout, "daa1c81be215f3aecb50a1f883b781b9");
+    ("cancelled", W.Result W.R_cancelled, "6ae8fffb1ef0df105fc63ad073ad608f");
+    ("overloaded", W.Result W.R_overloaded, "b6277dc1f3419907d1f3806fb69ebdc3");
+    ( "too large",
+      W.Result (W.R_too_large { limit = 4096; got = 5000 }),
+      "bb54536b2c4d7f383e3bf4b0d6fdbc0a" );
+    ( "error",
+      W.Result (W.R_error "unexpected pong frame"),
+      "28209c0ba933e8d7676ec1fa2b10d01e" );
+    ("stats req", W.Stats_req, "cf4526fa1068627b3374931f550ae6ff");
+    ( "stats text",
+      W.Stats_text "jobs: 3 submitted",
+      "bb458257ceee7d560305ba9c9781eb3b" );
+    ("metrics req", W.Metrics_req, "1ede74558662f116a975d358d610abcd");
+    ( "metrics text",
+      W.Metrics_text "net_requests_total 3\n",
+      "4be9bb0f8ea76e53341a0fcccea1ca38" );
+    ("shutdown req", W.Shutdown_req, "84be19d65b7aa23e43da0b9dc4afc288");
+    ("shutdown ack", W.Shutdown_ack, "b7ed400cb7e52cfa612dd42b1e83efa4");
+    ( "cache push",
+      W.Cache_push
+        {
+          W.cp_key = "k";
+          cp_digest = "d";
+          cp_name = "saxpy";
+          cp_text = "      END\n";
+          cp_cycles = None;
+          cp_global_words = Some 8.0;
+          cp_notes = notes;
+        },
+      "62be3495390a2c0f2d49606a6af300f5" );
+    ("cache ack", W.Cache_ack true, "c6d85a7dafa7260f848a16c3619d1e1a");
+    ("stats json req", W.Stats_json_req, "91423a0a05c959c9ca4b93e61e357190");
+    ( "stats json",
+      W.Stats_json "{\"submitted\":3}",
+      "c2052872eacf0661b70b3807c26d33c4" );
+    ( "metrics json req",
+      W.Metrics_json_req,
+      "9979dca8fce1bac609835a0281724f81" );
+    ("metrics json", W.Metrics_json "{}", "c3d4961406951c21256686fd413423ac");
+    ("members req", W.Members_req, "0dc65d0207c9c6f5f7823484ad12d429");
+    ("members text", W.Members_text "[]", "dcf1954abf23563d4cfbcc6221c24af8");
+    ( "cluster add",
+      W.Cluster_add { W.ca_id = "s2"; ca_host = "127.0.0.1"; ca_port = 7551 },
+      "b51de015ee72e0c42c3b8ff0349f27aa" );
+    ( "cluster remove",
+      W.Cluster_remove "s2",
+      "4125ac18c8c018444053dc94f9fbd97a" );
+    ( "cluster ack",
+      W.Cluster_ack
+        { W.ack_ok = false; ack_epoch = 4; ack_msg = "unknown shard" },
+      "1910d7e9176481cae3066e13daaf148f" );
+    ( "members json req",
+      W.Members_json_req,
+      "cad277e7b173a4ed1360be3beb8c904f" );
+    ( "members json",
+      W.Members_json "{\"epoch\":4}",
+      "58388c2829cc399f6a976b9faaf639fc" );
+  ]
+
+let test_frames_pinned () =
+  List.iter
+    (fun (label, msg, want) ->
+      Alcotest.(check string) label want
+        (Digest.to_hex (Digest.string (W.encode ~id:7 msg))))
+    pinned_frames
+
 (* ------------------------------------------------------------------ *)
 (* Socket helpers                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1289,4 +1408,6 @@ let tests =
       `Quick (test_conn_budget_shed Proxy);
     Alcotest.test_case "proxy door: garbage frame answered typed" `Quick
       (test_garbage_frame_from_client Proxy);
+    Alcotest.test_case "codec: every frame kind byte-identical" `Quick
+      test_frames_pinned;
   ]

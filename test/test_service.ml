@@ -16,10 +16,14 @@ let test_queue_fifo () =
   List.iter (fun i -> assert (Bounded_queue.push q i)) [ 1; 2; 3; 4; 5 ];
   Alcotest.(check int) "length" 5 (Bounded_queue.length q);
   Alcotest.(check int) "high water" 5 (Bounded_queue.high_water q);
-  let popped = List.init 5 (fun _ -> Option.get (Bounded_queue.pop q)) in
-  Alcotest.(check (list int)) "fifo order" [ 1; 2; 3; 4; 5 ] popped;
+  Alcotest.(check bool) "requeue at the head" true
+    (Bounded_queue.try_push_front q 0);
+  let popped = List.init 6 (fun _ -> Option.get (Bounded_queue.pop q)) in
+  Alcotest.(check (list int)) "fifo order" [ 0; 1; 2; 3; 4; 5 ] popped;
   Bounded_queue.close q;
   Alcotest.(check bool) "push after close" false (Bounded_queue.push q 6);
+  Alcotest.(check bool) "requeue after close" false
+    (Bounded_queue.try_push_front q 6);
   Alcotest.(check (option int)) "pop after close+drain" None (Bounded_queue.pop q)
 
 let test_queue_close_drains () =
@@ -272,6 +276,10 @@ let test_fuel_polls_inside_interpreter () =
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* an injector whose only effect is slowing jobs down — the lever that
+   makes "stuck in the queue" scenarios deterministic *)
+let slow_fault ms = Fault.create ~delay_ms:ms [ (Fault.Exec_delay, 1.0) ]
+
 let direct_text req =
   let prog = Fortran.Parser.parse_program req.Server.req_source in
   let r = Restructurer.Driver.restructure req.Server.req_options prog in
@@ -314,7 +322,44 @@ let test_server_cache_short_circuit () =
   Alcotest.(check string) "identical text" p1.Server.p_text p2.Server.p_text;
   let stats = Server.shutdown server in
   Alcotest.(check int) "one cache hit counted" 1 stats.Stats.cache.Cache.hits;
+  (* one lookup per job: the miss is probed once, by its worker *)
+  Alcotest.(check int) "one cache miss counted" 1
+    stats.Stats.cache.Cache.misses;
   Alcotest.(check bool) "hit rate positive" true (stats.Stats.cache_hit_rate > 0.0)
+
+(* the outcome a ticket holds right now, without waiting for one *)
+let resolved_now ticket =
+  let seen = ref None in
+  Server.on_resolve ticket (fun o -> seen := Some o);
+  !seen
+
+let test_busy_hit_keeps_fifo () =
+  (* a hit must not overtake an earlier job: behind a slow miss on the
+     one worker, a resident key queues and resolves after the miss *)
+  let server =
+    Server.create ~workers:1 ~cache_capacity:16 ~fault:(slow_fault 30.0) ()
+  in
+  let resident = Traffic.nth_request ~seed:4 ~size_jitter:0 ~batch:1 0 in
+  let miss = Traffic.nth_request ~seed:4 ~size_jitter:0 ~batch:1 1 in
+  ignore (payload_exn "fill" (Server.run server resident));
+  let order = ref [] and order_mu = Mutex.create () in
+  let note name _ = Mutex.protect order_mu (fun () -> order := name :: !order) in
+  let t_miss = Server.submit server miss in
+  Server.on_resolve t_miss (note "miss");
+  let t_hit =
+    match Server.try_submit server resident with
+    | Some t -> t
+    | None -> Alcotest.fail "try_submit shed with room in the queue"
+  in
+  Alcotest.(check bool) "hit unresolved while the miss runs" true
+    (resolved_now t_hit = None);
+  Server.on_resolve t_hit (note "hit");
+  ignore (payload_exn "miss" (Server.await t_miss));
+  let _, cached = payload_exn "hit" (Server.await t_hit) in
+  Alcotest.(check bool) "hit served from the cache" true cached;
+  Alcotest.(check (list string)) "resolution order" [ "miss"; "hit" ]
+    (List.rev !order);
+  ignore (Server.shutdown server)
 
 let test_server_parse_error_fails () =
   let server = Server.create ~workers:1 ~cache_capacity:4 () in
@@ -476,7 +521,42 @@ let test_traffic_deterministic () =
     (Server.cache_key b);
   let c = Traffic.nth_request ~seed:12 ~size_jitter:4 ~batch:3 5 in
   Alcotest.(check bool) "different seed, different key" true
-    (Server.cache_key a <> Server.cache_key c)
+    (Server.cache_key a <> Server.cache_key c);
+  (* a request rebuilt from its own Submit frame keys the same *)
+  let frame =
+    Net.Wire.encode ~id:1
+      (Net.Wire.Submit
+         {
+           Net.Wire.sub_name = a.Server.req_name;
+           sub_source = a.Server.req_source;
+           sub_options = a.Server.req_options;
+           sub_trace = 0;
+         })
+  in
+  (match Net.Wire.decode frame with
+  | Ok (_, Net.Wire.Submit s) ->
+      Alcotest.(check string) "key survives the wire" (Server.cache_key a)
+        (Server.cache_key
+           {
+             Server.req_name = s.Net.Wire.sub_name;
+             req_source = s.Net.Wire.sub_source;
+             req_options = s.Net.Wire.sub_options;
+           })
+  | _ -> Alcotest.fail "submit frame did not decode");
+  let edited = Bytes.of_string a.Server.req_source in
+  Bytes.set edited 0 (if Bytes.get edited 0 = 'C' then 'c' else 'C');
+  Alcotest.(check bool) "one-byte source edit, different key" true
+    (Server.cache_key a
+    <> Server.cache_key { a with Server.req_source = Bytes.to_string edited });
+  let opts = a.Server.req_options in
+  Alcotest.(check bool) "one options field, different key" true
+    (Server.cache_key a
+    <> Server.cache_key
+         {
+           a with
+           Server.req_options =
+             { opts with Restructurer.Options.strip = opts.strip + 1 };
+         })
 
 let contains ~sub s =
   let n = String.length s and m = String.length sub in
@@ -545,10 +625,6 @@ let test_traffic_closed_loop () =
 (* ------------------------------------------------------------------ *)
 (* Cold paths: closing, expiring, racing, shutting down                *)
 (* ------------------------------------------------------------------ *)
-
-(* an injector whose only effect is slowing jobs down — the lever that
-   makes "stuck in the queue" scenarios deterministic *)
-let slow_fault ms = Fault.create ~delay_ms:ms [ (Fault.Exec_delay, 1.0) ]
 
 let test_submit_after_shutdown_cancelled () =
   let server = Server.create ~workers:1 ~cache_capacity:4 () in
@@ -677,6 +753,8 @@ let tests =
       test_server_matches_direct;
     Alcotest.test_case "server: cache short-circuits identical request" `Quick
       test_server_cache_short_circuit;
+    Alcotest.test_case "server: a hit behind a queued job keeps FIFO order"
+      `Quick test_busy_hit_keeps_fifo;
     Alcotest.test_case "server: parse error -> Failed" `Quick
       test_server_parse_error_fails;
     Alcotest.test_case "server: expired job -> Cancelled" `Quick

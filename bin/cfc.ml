@@ -90,7 +90,7 @@ let tech_arg =
     value & opt string "auto"
     & info [ "T"; "techniques" ] ~docv:"SET"
         ~doc:"technique set: auto (the 1991 parallelizer) or advanced (all \
-              \\u{00A7}4.1 techniques)")
+              §4.1 techniques)")
 
 let machine_arg =
   Arg.(

@@ -27,12 +27,16 @@ type summary = {
   s_pure : bool;  (** no common defs, no I/O, at most formal defs *)
 }
 
-type t = { summaries : summary SMap.t; order : string list }
+type t = {
+  summaries : summary SMap.t;
+  tables : (Ast.punit * Symbols.t) list;
+      (** each analysed unit with the symbol table built for it *)
+}
 
 let find t name = SMap.find_opt (String.lowercase_ascii name) t.summaries
 
 (* collect direct per-unit facts *)
-let direct_summary (u : Ast.punit) : summary =
+let direct_summary (u : Ast.punit) (syms : Symbols.t) : summary =
   let formals =
     match u.u_kind with
     | Ast.Program -> []
@@ -41,7 +45,6 @@ let direct_summary (u : Ast.punit) : summary =
   let nf = List.length formals in
   let fpos = Hashtbl.create 8 in
   List.iteri (fun i f -> Hashtbl.replace fpos f i) formals;
-  let syms = Symbols.of_unit u in
   let commons =
     SMap.fold
       (fun name s acc ->
@@ -92,12 +95,13 @@ let direct_summary (u : Ast.punit) : summary =
     is considered defined (the caller-side refinement happens in the
     restructurer using positions). *)
 let analyze (prog : Ast.program) : t =
+  let tables = List.map (fun u -> (u, Symbols.of_unit u)) prog in
   let direct =
     List.fold_left
-      (fun acc u ->
-        let s = direct_summary u in
+      (fun acc (u, syms) ->
+        let s = direct_summary u syms in
         SMap.add s.s_unit s acc)
-      SMap.empty prog
+      SMap.empty tables
   in
   (* fixpoint on common use/def and io through calls *)
   let tbl = ref direct in
@@ -137,7 +141,15 @@ let analyze (prog : Ast.program) : t =
         { s with s_pure = pure })
       !tbl
   in
-  { summaries = tbl; order = List.map (fun u -> String.lowercase_ascii u.Ast.u_name) prog }
+  { summaries = tbl; tables }
+
+(** The symbol table of [u]: the one {!analyze} built, when [u] is
+    (physically) one of the analysed units, so each unit's table is built
+    once per program; otherwise a fresh [Symbols.of_unit u]. *)
+let symbols t (u : Ast.punit) : Symbols.t =
+  match List.assq_opt u t.tables with
+  | Some syms -> syms
+  | None -> Symbols.of_unit u
 
 (** Conservative effect of CALL [name](args) as seen from a loop body:
     returns [(uses, defs)] over caller variable names, or [None] if the

@@ -22,6 +22,11 @@ val analyze : Fortran.Ast.program -> t
 
 val find : t -> string -> summary option
 
+val symbols : t -> Fortran.Ast.punit -> Fortran.Symbols.t
+(** The table {!analyze} built for [u] when [u] is physically one of the
+    analysed units (each unit's table is built once per program);
+    otherwise a fresh [Symbols.of_unit u]. *)
+
 val call_effect :
   t -> string -> Fortran.Ast.expr list -> (SSet.t * SSet.t) option
 (** Conservative [(uses, defs)] of [CALL name(args)] over caller names;

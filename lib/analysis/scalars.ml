@@ -185,68 +185,83 @@ let census (body : Ast.stmt list) : (string, occ) Hashtbl.t =
 (* Definite definition-before-use walk (for privatization)             *)
 (* ------------------------------------------------------------------ *)
 
+(* The definite-definition walk behind [upward_exposed]: [stmt exposed
+   defined s] adds to [!exposed] the names [s] reads that are not in
+   [defined], and returns [defined] plus the definite definitions of [s].
+   The defined set only ever grows by union, so walking from [defined]
+   exposes exactly what walking from the empty set exposes, minus
+   [defined]: that is what lets liveness run as one backward pass. *)
+let rec stmt exposed defined (s : Ast.stmt) : SSet.t =
+  let read e =
+    exposed :=
+      Ast_utils.fold_expr
+        (fun acc e ->
+          match e with
+          | (Ast.Var v | Ast.Idx (v, _) | Ast.Section (v, _))
+            when not (SSet.mem v defined) ->
+              SSet.add v acc
+          | _ -> acc)
+        !exposed e
+  in
+  match s with
+  | Ast.Assign (l, rhs) -> (
+      read rhs;
+      (match l with
+      | Ast.LIdx (_, subs) -> List.iter read subs
+      | Ast.LSection (_, dims) ->
+          List.iter
+            (function
+              | Ast.Elem e -> read e
+              | Ast.Range (a, b, c) -> List.iter (Option.iter read) [ a; b; c ])
+            dims
+      | Ast.LVar _ -> ());
+      match l with
+      | Ast.LVar v -> SSet.add v defined
+      | Ast.LIdx _ | Ast.LSection _ -> defined)
+  | Ast.If (c, t, e) ->
+      read c;
+      let dt = List.fold_left (stmt exposed) defined t in
+      let de = List.fold_left (stmt exposed) defined e in
+      (* only definitions on both branches are definite *)
+      SSet.union defined (SSet.inter dt de)
+  | Ast.Do (h, blk) ->
+      read h.lo;
+      read h.hi;
+      Option.iter read h.step;
+      let defined_in = SSet.add h.index defined in
+      let _ = List.fold_left (stmt exposed) defined_in blk.body in
+      (* the inner loop may run zero times: its definitions are not
+         definite, but reads inside it that we recorded stand; the index
+         is written *)
+      SSet.add h.index defined
+  | Ast.Where (m, b) ->
+      read m;
+      let _ = List.fold_left (stmt exposed) defined b in
+      defined
+  | Ast.CallSt (_, args) | Ast.Print args ->
+      List.iter read args;
+      defined
+  | Ast.Read ls ->
+      List.fold_left
+        (fun d l -> match l with Ast.LVar v -> SSet.add v d | _ -> d)
+        defined ls
+  | Ast.Labeled (_, s) -> stmt exposed defined s
+  | Ast.Return | Ast.Stop | Ast.Continue | Ast.Goto _ -> defined
+
 (** Returns the set of scalars read before any definite write within one
     iteration of [body] (the upward-exposed scalars). *)
 let upward_exposed (body : Ast.stmt list) : SSet.t =
   let exposed = ref SSet.empty in
-  let read defined e =
-    SSet.iter
-      (fun v -> if not (SSet.mem v defined) then exposed := SSet.add v !exposed)
-      (Ast_utils.expr_vars e)
-  in
-  (* returns the definite definitions added by the statement *)
-  let rec stmt defined (s : Ast.stmt) : SSet.t =
-    match s with
-    | Ast.Assign (l, rhs) -> (
-        read defined rhs;
-        (match l with
-        | Ast.LIdx (_, subs) -> List.iter (read defined) subs
-        | Ast.LSection (_, dims) ->
-            List.iter
-              (function
-                | Ast.Elem e -> read defined e
-                | Ast.Range (a, b, c) ->
-                    List.iter (Option.iter (read defined)) [ a; b; c ])
-              dims
-        | Ast.LVar _ -> ());
-        match l with
-        | Ast.LVar v -> SSet.add v defined
-        | Ast.LIdx _ | Ast.LSection _ -> defined)
-    | Ast.If (c, t, e) ->
-        read defined c;
-        let dt = List.fold_left stmt defined t in
-        let de = List.fold_left stmt defined e in
-        (* only definitions on both branches are definite *)
-        SSet.union defined (SSet.inter dt de)
-    | Ast.Do (h, blk) ->
-        read defined h.lo;
-        read defined h.hi;
-        Option.iter (read defined) h.step;
-        let defined_in = SSet.add h.index defined in
-        let _ = List.fold_left stmt defined_in blk.body in
-        (* the inner loop may run zero times: its definitions are not
-           definite, but reads inside it that we recorded stand; the index
-           is written *)
-        SSet.add h.index defined
-    | Ast.Where (m, b) ->
-        read defined m;
-        let _ = List.fold_left stmt defined b in
-        defined
-    | Ast.CallSt (_, args) ->
-        List.iter (read defined) args;
-        defined
-    | Ast.Print args ->
-        List.iter (read defined) args;
-        defined
-    | Ast.Read ls ->
-        List.fold_left
-          (fun d l -> match l with Ast.LVar v -> SSet.add v d | _ -> d)
-          defined ls
-    | Ast.Labeled (_, s) -> stmt defined s
-    | Ast.Return | Ast.Stop | Ast.Continue | Ast.Goto _ -> defined
-  in
-  let _ = List.fold_left stmt SSet.empty body in
+  let _ = List.fold_left (stmt exposed) SSet.empty body in
   !exposed
+
+(** One backward liveness step: [exposed_before s (upward_exposed rest)] is
+    [upward_exposed (s :: rest)], i.e. what [s] exposes plus what [rest]
+    exposes that [s] does not definitely define. *)
+let exposed_before (s : Ast.stmt) (exposed_after : SSet.t) : SSet.t =
+  let exposed = ref SSet.empty in
+  let defs = stmt exposed SSet.empty s in
+  SSet.union !exposed (SSet.diff exposed_after defs)
 
 (* Is the LAST write to v in the body unconditional and at the top level?
    (needed for a last-value assignment) *)

@@ -32,6 +32,12 @@ val upward_exposed : Fortran.Ast.stmt list -> SSet.t
     (definitions under IF/WHERE or inside inner DO loops are treated as
     conditional). *)
 
+val exposed_before : Fortran.Ast.stmt -> SSet.t -> SSet.t
+(** One backward liveness step: [exposed_before s (upward_exposed rest)]
+    equals [upward_exposed (s :: rest)].  Folding it from the back of a
+    statement list yields the upward-exposed set of every suffix in one
+    pass. *)
+
 val last_write_unconditional : string -> Fortran.Ast.stmt list -> bool
 (** Is the last write to the scalar unconditional and at the top level
     (required for a last-value assignment)? *)

@@ -248,8 +248,22 @@ let emit_unit buf (u : punit) =
     List.filter (fun d -> not (List.mem d.d_name declared)) !(ctx.hoist)
     |> dedup
   in
-  (* every declaration prints with its type; visibility lines drop *)
-  List.iter (fun d -> emit_line buf 1 (decl_line d)) u.u_decls;
+  (* every declaration prints with its type, once per name: visibility
+     lines drop, and a visibility-only record prints only for a name no
+     other record declares (Globalize marks a REAL I-N scalar on a
+     record of its own) *)
+  let printed = Hashtbl.create 16 in
+  List.iter
+    (fun d -> if not (visibility_only d) then Hashtbl.replace printed d.d_name ())
+    u.u_decls;
+  List.iter
+    (fun d ->
+      if not (visibility_only d) then emit_line buf 1 (decl_line d)
+      else if not (Hashtbl.mem printed d.d_name) then begin
+        Hashtbl.add printed d.d_name ();
+        emit_line buf 1 (decl_line d)
+      end)
+    u.u_decls;
   List.iter (fun d -> emit_line buf 1 (decl_line d)) hoisted;
   List.iter
     (fun cb ->

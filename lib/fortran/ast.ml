@@ -85,6 +85,11 @@ type decl = {
 }
 [@@deriving show { with_path = false }, eq, ord]
 
+(** A bare GLOBAL/CLUSTER line: a REAL scalar record that carries a
+    visibility.  It says nothing about the name's type, which another
+    record or the implicit rule gives. *)
+let visibility_only d = d.d_dims = [] && d.d_vis <> Default && d.d_type = Real
+
 type do_header = {
   index : string;
   lo : expr;
@@ -161,18 +166,18 @@ let loop_keyword = function
   | Xdoacross -> "XDOACROSS"
 
 (** Textbook intrinsics understood by the front end, the interpreter and
-    the cost model. *)
-let intrinsics =
-  [
-    "sqrt"; "abs"; "exp"; "log"; "sin"; "cos"; "tan"; "atan"; "sign";
-    "min"; "max"; "mod"; "int"; "float"; "real"; "dble"; "nint";
-    "sum"; "dotproduct"; "maxval"; "minval";
-  ]
-
-(** The Cedar runtime library's functions ([cedar_dotp], [cedar_iota], …)
-    count as intrinsics: they are compiler-introduced and never block
-    parallelization the way an opaque user call does. *)
-let is_intrinsic name =
-  let n = String.lowercase_ascii name in
-  List.mem n intrinsics
-  || String.length n > 6 && String.sub n 0 6 = "cedar_"
+    the cost model.  The Cedar runtime library's functions ([cedar_dotp],
+    [cedar_iota], …) count as intrinsics too: they are compiler-introduced
+    and never block parallelization the way an opaque user call does.
+    Case-insensitive; a lowercase name (the lexer's spelling) allocates
+    nothing. *)
+let rec is_intrinsic name =
+  if String.exists (fun c -> 'A' <= c && c <= 'Z') name then
+    is_intrinsic (String.lowercase_ascii name)
+  else
+    match name with
+    | "sqrt" | "abs" | "exp" | "log" | "sin" | "cos" | "tan" | "atan" | "sign"
+    | "min" | "max" | "mod" | "int" | "float" | "real" | "dble" | "nint"
+    | "sum" | "dotproduct" | "maxval" | "minval" ->
+        true
+    | _ -> String.length name > 6 && String.starts_with ~prefix:"cedar_" name

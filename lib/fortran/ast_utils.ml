@@ -48,38 +48,36 @@ let rec fold_expr f acc e =
   | Bin (_, a, b) -> fold_expr f (fold_expr f acc a) b
   | Un (_, a) -> fold_expr f acc a
 
-(** All variable and array names read by an expression (array names include
-    the base of element references and sections; function call names are not
-    included, but their arguments are traversed). *)
-let expr_vars e =
-  fold_expr
-    (fun acc e ->
-      match e with
-      | Var v -> SSet.add v acc
-      | Idx (a, _) | Section (a, _) -> SSet.add a acc
-      | _ -> acc)
-    SSet.empty e
+(** [add_expr_vars acc e] adds to [acc] every variable and array name
+    read by [e] (array names include the base of element references and
+    sections; function call names are not included, but their arguments
+    are traversed). *)
+let rec add_expr_vars acc e =
+  match e with
+  | Var v -> SSet.add v acc
+  | Idx (a, args) -> List.fold_left add_expr_vars (SSet.add a acc) args
+  | Section (a, dims) -> List.fold_left add_dim_vars (SSet.add a acc) dims
+  | Call (_, args) -> List.fold_left add_expr_vars acc args
+  | Bin (_, a, b) -> add_expr_vars (add_expr_vars acc a) b
+  | Un (_, a) -> add_expr_vars acc a
+  | Int _ | Num _ | Str _ | Bool _ -> acc
+
+and add_dim_vars acc = function
+  | Elem e -> add_expr_vars acc e
+  | Range (lo, hi, step) -> add_opt_vars (add_opt_vars (add_opt_vars acc lo) hi) step
+
+and add_opt_vars acc = function None -> acc | Some e -> add_expr_vars acc e
+
+let expr_vars e = add_expr_vars SSet.empty e
 
 let lhs_name = function LVar v | LIdx (v, _) | LSection (v, _) -> v
 
-(** Variables read on a left-hand side (the subscripts). *)
-let lhs_read_vars = function
-  | LVar _ -> SSet.empty
-  | LIdx (_, args) ->
-      List.fold_left (fun acc e -> SSet.union acc (expr_vars e)) SSet.empty args
-  | LSection (_, dims) ->
-      List.fold_left
-        (fun acc d ->
-          match d with
-          | Elem e -> SSet.union acc (expr_vars e)
-          | Range (lo, hi, step) ->
-              List.fold_left
-                (fun acc o ->
-                  match o with
-                  | None -> acc
-                  | Some e -> SSet.union acc (expr_vars e))
-                acc [ lo; hi; step ])
-        SSet.empty dims
+(** [add_lhs_reads acc l] adds the variables read on a left-hand side (the
+    subscripts). *)
+let add_lhs_reads acc = function
+  | LVar _ -> acc
+  | LIdx (_, args) -> List.fold_left add_expr_vars acc args
+  | LSection (_, dims) -> List.fold_left add_dim_vars acc dims
 
 (** Substitute variable [v] by expression [r] everywhere in [e]. *)
 let subst_var v r e =
@@ -249,28 +247,19 @@ let rec stmt_writes acc s =
 
 let rec stmt_reads acc s =
   match s with
-  | Assign (l, e) -> SSet.union acc (SSet.union (lhs_read_vars l) (expr_vars e))
+  | Assign (l, e) -> add_expr_vars (add_lhs_reads acc l) e
   | If (c, t, e) ->
-      let acc = SSet.union acc (expr_vars c) in
-      List.fold_left stmt_reads (List.fold_left stmt_reads acc t) e
+      List.fold_left stmt_reads (List.fold_left stmt_reads (add_expr_vars acc c) t) e
   | Do (hdr, blk) ->
-      let acc = SSet.union acc (expr_vars hdr.lo) in
-      let acc = SSet.union acc (expr_vars hdr.hi) in
-      let acc =
-        match hdr.step with None -> acc | Some s -> SSet.union acc (expr_vars s)
-      in
+      let acc = add_opt_vars (add_expr_vars (add_expr_vars acc hdr.lo) hdr.hi) hdr.step in
       List.fold_left stmt_reads
         (List.fold_left stmt_reads
            (List.fold_left stmt_reads acc blk.preamble)
            blk.body)
         blk.postamble
-  | Where (m, body) ->
-      List.fold_left stmt_reads (SSet.union acc (expr_vars m)) body
-  | CallSt (_, args) ->
-      List.fold_left (fun acc e -> SSet.union acc (expr_vars e)) acc args
-  | Print args ->
-      List.fold_left (fun acc e -> SSet.union acc (expr_vars e)) acc args
-  | Read ls -> List.fold_left (fun acc l -> SSet.union acc (lhs_read_vars l)) acc ls
+  | Where (m, body) -> List.fold_left stmt_reads (add_expr_vars acc m) body
+  | CallSt (_, args) | Print args -> List.fold_left add_expr_vars acc args
+  | Read ls -> List.fold_left add_lhs_reads acc ls
   | Labeled (_, s) -> stmt_reads acc s
   | Return | Stop | Continue | Goto _ -> acc
 

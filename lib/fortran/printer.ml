@@ -108,11 +108,9 @@ let emit_unit buf (u : punit) =
     (fun (n, e) ->
       emit_line buf 1 (Printf.sprintf "parameter (%s = %s)" n (expr_str e)))
     u.u_params;
-  (* visibility-only decls print as GLOBAL/CLUSTER statements *)
-  let vis_decls, type_decls =
-    List.partition (fun d -> d.d_dims = [] && d.d_vis <> Default
-                             && d.d_type = Real) u.u_decls
-  in
+  (* type declarations first, then every visibility as a GLOBAL/CLUSTER
+     statement, visibility-only decls' before the typed ones' *)
+  let vis_decls, type_decls = List.partition visibility_only u.u_decls in
   List.iter (fun d -> emit_line buf 1 (decl_line d)) type_decls;
   List.iter
     (fun d ->
@@ -120,16 +118,7 @@ let emit_unit buf (u : punit) =
       | Global -> emit_line buf 1 ("global " ^ d.d_name)
       | Cluster -> emit_line buf 1 ("cluster " ^ d.d_name)
       | Default -> ())
-    vis_decls;
-  List.iter
-    (fun d ->
-      match d.d_vis with
-      | Global when d.d_dims <> [] || d.d_type <> Real ->
-          emit_line buf 1 ("global " ^ d.d_name)
-      | Cluster when d.d_dims <> [] || d.d_type <> Real ->
-          emit_line buf 1 ("cluster " ^ d.d_name)
-      | _ -> ())
-    type_decls;
+    (vis_decls @ type_decls);
   List.iter
     (fun cb ->
       let kw = if cb.c_process then "process common" else "common" in

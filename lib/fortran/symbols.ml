@@ -135,10 +135,8 @@ let of_unit (u : punit) : t =
         match SMap.find_opt d.d_name acc with
         | None ->
             let ty =
-              if d.d_dims = [] && d.d_vis <> Default && d.d_type = Real then
-                (* bare visibility decl: type unknown yet, use implicit *)
-                implicit_type d.d_name
-              else d.d_type
+              (* bare visibility decl: type unknown yet, use implicit *)
+              if visibility_only d then implicit_type d.d_name else d.d_type
             in
             SMap.add d.d_name (make d.d_name ty d.d_dims d.d_vis) acc
         | Some s ->

@@ -53,7 +53,8 @@ type counters = {
 
 type env = {
   cfg : Cfg.t;
-  prog : Ast.program;
+  units : (Ast.punit * Symbols.t) list;
+      (** the program's units, each with its table (built once per run) *)
   syms : Symbols.t;
   mutable ints : float SMap.t;  (** known scalar values *)
   locals : Ast_utils.SSet.t;  (** names with processor-private storage *)
@@ -302,10 +303,10 @@ and call_cost env f args : float =
       (* user function: evaluate its unit *)
       match
         List.find_opt
-          (fun u -> String.lowercase_ascii u.Ast.u_name = fl)
-          env.prog
+          (fun (u, _) -> String.lowercase_ascii u.Ast.u_name = fl)
+          env.units
       with
-      | Some u when env.depth < 12 -> unit_cost env u args
+      | Some unit when env.depth < 12 -> unit_cost env unit args
       | _ -> 20.0 +. args_cost ())
 
 (* ------------------------------------------------------------------ *)
@@ -376,11 +377,11 @@ and stmt_cost env (s : Ast.stmt) : float =
       | _ -> (
           match
             List.find_opt
-              (fun u ->
+              (fun (u, _) ->
                 String.lowercase_ascii u.Ast.u_name = String.lowercase_ascii f)
-              env.prog
+              env.units
           with
-          | Some u when env.depth < 12 -> unit_cost env u args
+          | Some unit when env.depth < 12 -> unit_cost env unit args
           | _ ->
               20.0
               +. List.fold_left (fun acc a -> acc +. expr_cost env a) 0.0 args))
@@ -576,8 +577,8 @@ and loop_cost env (h : Ast.do_header) (blk : Ast.block) : float =
 (* Units and programs                                                  *)
 (* ------------------------------------------------------------------ *)
 
-and unit_cost (env : env) (u : Ast.punit) (args : Ast.expr list) : float =
-  let syms = Symbols.of_unit u in
+and unit_cost (env : env) ((u, syms) : Ast.punit * Symbols.t)
+    (args : Ast.expr list) : float =
   let formals =
     match u.Ast.u_kind with
     | Ast.Subroutine ps | Ast.Function (_, ps) -> ps
@@ -606,12 +607,11 @@ and unit_cost (env : env) (u : Ast.punit) (args : Ast.expr list) : float =
   10.0 +. c
 
 (* working set per placement level, bytes *)
-let working_set (prog : Ast.program) : float * float =
+let working_set (units : (Ast.punit * Symbols.t) list) : float * float =
   (* (cluster_bytes, global_bytes) across all units; commons counted once *)
   let seen = Hashtbl.create 64 in
   List.fold_left
-    (fun (cb, gb) u ->
-      let syms = Symbols.of_unit u in
+    (fun (cb, gb) (u, syms) ->
       SMap.fold
         (fun name s (cb, gb) ->
           let key =
@@ -630,22 +630,23 @@ let working_set (prog : Ast.program) : float * float =
             | _ -> (cb, gb)
           end)
         syms.Symbols.syms (cb, gb))
-    (0.0, 0.0) prog
+    (0.0, 0.0) units
 
 (** Evaluate a program's run time on [cfg].  [serial_memory] limits the
     memory available to cluster-placed data (the serial baseline runs in
     one cluster of Configuration 1: 16 MB). *)
 let evaluate ?(serial_memory = None) ~(cfg : Cfg.t) (prog : Ast.program) : run =
-  let main =
-    match List.find_opt (fun u -> u.Ast.u_kind = Ast.Program) prog with
-    | Some u -> u
+  let units = List.map (fun u -> (u, Symbols.of_unit u)) prog in
+  let main, syms =
+    match List.find_opt (fun (u, _) -> u.Ast.u_kind = Ast.Program) units with
+    | Some unit -> unit
     | None -> invalid_arg "no PROGRAM unit"
   in
   let env =
     {
       cfg;
-      prog;
-      syms = Symbols.of_unit main;
+      units;
+      syms;
       ints = SMap.empty;
       locals = Ast_utils.SSet.empty;
       cnt = { gw = 0.0; cw = 0.0; pw = 0.0; sw = 0.0; run_idx = "" };
@@ -653,7 +654,7 @@ let evaluate ?(serial_memory = None) ~(cfg : Cfg.t) (prog : Ast.program) : run =
     }
   in
   let cycles = stmts_cost env main.Ast.u_body in
-  let cluster_ws, global_ws = working_set prog in
+  let cluster_ws, global_ws = working_set units in
   (* paging: traffic to an over-committed level pays fault overhead on the
      overflow fraction *)
   let word_bytes = 4.0 in

@@ -1170,15 +1170,14 @@ and transform_stmts ctx ~avail ~after_reads ?(facts = []) ~depth
     else stmts
   in
   (* liveness after each statement: a variable is live if some later
-     statement reads it before (definitely) redefining it *)
-  let rec go stmts =
-    match stmts with
-    | [] -> ([], after_reads)
-    | s :: rest ->
-        let rest', _ = go rest in
-        let here_after =
-          SSet.union after_reads (Scalars.upward_exposed rest)
-        in
+     statement reads it before (definitely) redefining it.  The walk runs
+     back to front (fresh names are drawn in that order); [exposed] is
+     what the statements after [s] expose, one backward step per
+     statement, and [done_] the already transformed suffix. *)
+  let rec go done_ exposed = function
+    | [] -> done_
+    | s :: before ->
+        let here_after = SSet.union after_reads exposed in
         let s' =
           match s with
           | Ast.Do (h, blk) when h.Ast.cls = Ast.Seq ->
@@ -1234,9 +1233,11 @@ and transform_stmts ctx ~avail ~after_reads ?(facts = []) ~depth
                       serialize_parallel_loop h blk)
           | s -> [ s ]
         in
-        (s' @ rest', here_after)
+        let done_ = s' @ done_ in
+        if before = [] then done_
+        else go done_ (Scalars.exposed_before s exposed) before
   in
-  fst (go stmts)
+  go [] SSet.empty (List.rev stmts)
 
 and fuse_pass stmts =
   let rec go = function
@@ -1274,13 +1275,13 @@ let restructure_unit ~(interrupt : unit -> bool) ?memo (opts : Options.t)
         if opts.Options.techniques.Options.inline_expansion then
           Obs.Trace.with_span "inline" (fun _ ->
               Transform.Inline.inline_unit ~limits:opts.Options.inline_limits
-                prog u)
+                ~syms:(Interproc.symbols interproc) prog u)
         else (u, [])
       in
       let ctx =
         {
           opts;
-          syms = Symbols.of_unit u;
+          syms = Interproc.symbols interproc u;
           interproc;
           unit_name = u.Ast.u_name;
           interrupt;
@@ -1296,7 +1297,8 @@ let restructure_unit ~(interrupt : unit -> bool) ?memo (opts : Options.t)
       let u = { u with Ast.u_body = body } in
       let u =
         Obs.Trace.with_span "globalize" (fun _ ->
-            Transform.Globalize.apply ~default:opts.Options.placement_default u)
+            Transform.Globalize.apply ~default:opts.Options.placement_default
+              ~syms:ctx.syms u)
       in
       (u, List.rev ctx.reports, inline_failures))
 

@@ -10,7 +10,6 @@
 
 open Fortran
 module SSet = Ast_utils.SSet
-module SMap = Ast_utils.SMap
 
 type placement_default = Default_global | Default_cluster
 
@@ -67,10 +66,14 @@ let cross_cluster_uses (body : Ast.stmt list) : SSet.t =
   List.iter (stmt false SSet.empty) body;
   !acc
 
-(** Rewrite a unit's declarations with visibility markings.
-    [default] applies to interface data not otherwise forced. *)
-let apply ?(default = Default_cluster) (u : Ast.punit) : Ast.punit =
-  let syms = Symbols.of_unit u in
+(** Rewrite a unit's declarations with visibility markings.  [syms] is
+    the unit's table from before its body was transformed: the passes
+    between inlining and globalization change only the body, so a name
+    they introduced gets the entry [Symbols.of_unit] would give it (its
+    implicit type; PARAMETERs and intrinsics have none).  [default]
+    applies to interface data not otherwise forced. *)
+let apply ?(default = Default_cluster) ~(syms : Symbols.t) (u : Ast.punit) :
+    Ast.punit =
   let must_global = cross_cluster_uses u.Ast.u_body in
   let vis_of name (sym : Symbols.sym) =
     if sym.Symbols.s_vis <> Ast.Default then sym.Symbols.s_vis
@@ -86,26 +89,37 @@ let apply ?(default = Default_cluster) (u : Ast.punit) : Ast.punit =
      none but need global placement *)
   let declared = SSet.of_list (List.map (fun d -> d.Ast.d_name) u.Ast.u_decls) in
   let decls =
-    List.map
+    List.concat_map
       (fun d ->
-        match SMap.find_opt d.Ast.d_name syms.Symbols.syms with
-        | Some sym -> { d with Ast.d_vis = vis_of d.Ast.d_name sym }
-        | None -> d)
+        match Symbols.lookup syms d.Ast.d_name with
+        | Some sym ->
+            let marked = { d with Ast.d_vis = vis_of d.Ast.d_name sym } in
+            (* a marked REAL scalar record reads as a bare GLOBAL/CLUSTER
+               line, which types the name by the implicit rule: where that
+               rule does not say REAL, keep the record and mark the
+               visibility on a record of its own *)
+            if
+              d.Ast.d_vis = Ast.Default && Ast.visibility_only marked
+              && Symbols.implicit_type d.Ast.d_name <> Ast.Real
+            then [ d; marked ]
+            else [ marked ]
+        | None -> [ d ])
       u.Ast.u_decls
   in
+  let global name d_type d_dims =
+    { Ast.d_name = name; d_type; d_dims; d_vis = Ast.Global }
+  in
   let extra =
-    SMap.fold
-      (fun name sym acc ->
+    SSet.fold
+      (fun name acc ->
         if SSet.mem name declared then acc
-        else if SSet.mem name must_global then
-          {
-            Ast.d_name = name;
-            d_type = sym.Symbols.s_type;
-            d_dims = sym.Symbols.s_dims;
-            d_vis = Ast.Global;
-          }
-          :: acc
-        else acc)
-      syms.Symbols.syms []
+        else
+          match Symbols.lookup syms name with
+          | Some sym -> global name sym.Symbols.s_type sym.Symbols.s_dims :: acc
+          | None
+            when List.mem_assoc name u.Ast.u_params || Ast.is_intrinsic name ->
+              acc
+          | None -> global name (Symbols.implicit_type name) [] :: acc)
+      must_global []
   in
   { u with Ast.u_decls = decls @ List.rev extra }

@@ -8,4 +8,12 @@ val cross_cluster_uses : Fortran.Ast.stmt list -> Fortran.Ast_utils.SSet.t
 (** Names used under any SDO/XDO loop, excluding loop indices and
     loop-local data at every level. *)
 
-val apply : ?default:placement_default -> Fortran.Ast.punit -> Fortran.Ast.punit
+val apply :
+  ?default:placement_default ->
+  syms:Fortran.Symbols.t ->
+  Fortran.Ast.punit ->
+  Fortran.Ast.punit
+(** Mark every declaration GLOBAL or CLUSTER and declare the undeclared
+    names that must be GLOBAL.  [syms] may be the unit's table from
+    before its body was transformed (the driver's): a name missing from
+    it gets the entry [Symbols.of_unit] would give it. *)

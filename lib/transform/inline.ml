@@ -128,11 +128,11 @@ let substitute ~(formal_map : Ast.expr SMap.t) ~(renames : string SMap.t) body =
   in
   List.map stmt body
 
-(** Inline one call site: [call name(actuals)] with callee [callee].
-    Returns the replacement statements and the local declarations that
-    must be added to the caller. *)
-let inline_call ~(limits : limits) ~(depth : int) (callee : Ast.punit)
-    (actuals : Ast.expr list) :
+(** Inline one call site: [call name(actuals)] with callee [callee], whose
+    symbol table is [csyms].  Returns the replacement statements and the
+    local declarations that must be added to the caller. *)
+let inline_call ~(limits : limits) ~(depth : int) ~(csyms : Symbols.t)
+    (callee : Ast.punit) (actuals : Ast.expr list) :
     (Ast.stmt list * Ast.decl list, failure) result =
   let name = callee.Ast.u_name in
   if depth > limits.max_depth then Error Too_deep
@@ -146,7 +146,6 @@ let inline_call ~(limits : limits) ~(depth : int) (callee : Ast.punit)
     in
     if List.length formals <> List.length actuals then Error (Reshaped name)
     else
-      let csyms = Symbols.of_unit callee in
       (* reshaping check: formal arrays must match actual array rank *)
       let reshaped =
         List.exists2
@@ -204,15 +203,18 @@ let inline_call ~(limits : limits) ~(depth : int) (callee : Ast.punit)
             Ok (substitute ~formal_map ~renames body, decls)
 
 (** Inline every call in a unit body (one level), given the program's
-    units.  Returns the new unit and the list of failures encountered. *)
-let inline_unit ?(limits = default_limits) (prog : Ast.program)
-    (u : Ast.punit) : Ast.punit * failure list =
+    units and [syms], which gives a callee's symbol table.  Returns the new
+    unit — [u] itself when nothing was inlined — and the list of failures
+    encountered. *)
+let inline_unit ?(limits = default_limits) ~(syms : Ast.punit -> Symbols.t)
+    (prog : Ast.program) (u : Ast.punit) : Ast.punit * failure list =
   let find name =
     List.find_opt
       (fun c -> String.lowercase_ascii c.Ast.u_name = String.lowercase_ascii name)
       prog
   in
   let failures = ref [] in
+  let inlined = ref false in
   let new_decls = ref [] in
   let rec go depth stmts =
     List.concat_map
@@ -229,8 +231,11 @@ let inline_unit ?(limits = default_limits) (prog : Ast.program)
                 failures := Unknown_routine name :: !failures;
                 [ s ]
             | Some callee -> (
-                match inline_call ~limits ~depth callee args with
+                match
+                  inline_call ~limits ~depth ~csyms:(syms callee) callee args
+                with
                 | Ok (body, decls) ->
+                    inlined := true;
                     new_decls := !new_decls @ decls;
                     go (depth + 1) body
                 | Error e ->
@@ -248,5 +253,9 @@ let inline_unit ?(limits = default_limits) (prog : Ast.program)
       stmts
   in
   let body = go 0 u.Ast.u_body in
-  ({ u with Ast.u_body = body; u_decls = u.Ast.u_decls @ !new_decls },
-   List.rev !failures)
+  let u =
+    if !inlined then
+      { u with Ast.u_body = body; u_decls = u.Ast.u_decls @ !new_decls }
+    else u
+  in
+  (u, List.rev !failures)

@@ -475,7 +475,7 @@ let check_stmts_in ~(syms : Symbols.t) ~(interproc : Interproc.t)
 let check_unit interproc (u : Ast.punit) : issue list =
   let vctx =
     {
-      syms = Symbols.of_unit u;
+      syms = Interproc.symbols interproc u;
       interproc;
       unit_name = u.Ast.u_name;
       issues = [];

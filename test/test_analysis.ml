@@ -697,6 +697,75 @@ let test_depend_proof_counters () =
   Alcotest.(check bool) "gcd proof counted" true
     (counter_value "depend_indep_gcd_total" > gcd0)
 
+(* ---------------- one-pass liveness ---------------- *)
+
+(* The driver derives liveness with one backward step per statement
+   ([Scalars.exposed_before]).  Over every statement list at every
+   nesting level — corpus units before and after restructuring under
+   both technique sets, and the synthetic kernels — each suffix's set
+   must equal a direct [Scalars.upward_exposed] walk of that suffix. *)
+let test_liveness_one_pass () =
+  let checked = ref 0 in
+  let rec check_list label stmts =
+    ignore
+      (List.fold_right
+         (fun s (suffix, exposed) ->
+           let suffix = s :: suffix in
+           let exposed = Scalars.exposed_before s exposed in
+           let direct = Scalars.upward_exposed suffix in
+           if not (Ast_utils.SSet.equal exposed direct) then
+             Alcotest.failf "%s: one-pass {%s} <> per-suffix {%s}\n%s" label
+               (String.concat " " (Ast_utils.SSet.elements exposed))
+               (String.concat " " (Ast_utils.SSet.elements direct))
+               (String.concat "" (List.map Printer.stmt_to_string suffix));
+           incr checked;
+           (suffix, exposed))
+         stmts ([], Ast_utils.SSet.empty));
+    List.iter (check_stmt label) stmts
+  and check_stmt label = function
+    | Ast.If (_, t, e) ->
+        check_list label t;
+        check_list label e
+    | Ast.Do (_, blk) ->
+        check_list label blk.Ast.preamble;
+        check_list label blk.Ast.body;
+        check_list label blk.Ast.postamble
+    | Ast.Where (_, b) -> check_list label b
+    | Ast.Labeled (_, s) -> check_stmt label s
+    | _ -> ()
+  in
+  let check_program label prog =
+    List.iter
+      (fun u -> check_list (label ^ "/" ^ u.Ast.u_name) u.Ast.u_body)
+      prog
+  in
+  let cedar = Machine.Config.cedar_config1 in
+  let sources =
+    List.map
+      (fun w ->
+        ( w.Workloads.Workload.name,
+          w.Workloads.Workload.source w.Workloads.Workload.small_size ))
+      (Workloads.Linalg.all @ Workloads.Perfect.all)
+    @ List.map
+        (fun k -> (k.Workloads.Synthetic.k_name, Workloads.Synthetic.program_of k))
+        Workloads.Synthetic.kernels
+  in
+  List.iter
+    (fun (name, src) ->
+      let prog = Parser.parse_program src in
+      check_program name prog;
+      List.iter
+        (fun (set, opts) ->
+          check_program (name ^ " [" ^ set ^ "]")
+            (Restructurer.Driver.restructure opts prog).Restructurer.Driver.program)
+        [
+          ("auto", Restructurer.Options.auto_1991 cedar);
+          ("advanced", Restructurer.Options.advanced cedar);
+        ])
+    sources;
+  Printf.printf "%d suffixes checked\n" !checked;
+  Alcotest.(check bool) "thousands of suffixes checked" true (!checked > 2000)
+
 let tests =
   [
     Alcotest.test_case "affine basic" `Quick test_affine_basic;
@@ -734,4 +803,6 @@ let tests =
     Alcotest.test_case "dotproduct" `Quick test_dotproduct;
     Alcotest.test_case "interproc" `Quick test_interproc;
     Alcotest.test_case "runtime condition" `Quick test_runtime_condition;
+    Alcotest.test_case "one-pass liveness equals per-suffix walks" `Quick
+      test_liveness_one_pass;
   ]

@@ -254,7 +254,7 @@ let test_interchange_rejects_triangular () =
 let inline_program src =
   let prog = Parser.parse_program src in
   let main = List.hd prog in
-  T.Inline.inline_unit prog main
+  T.Inline.inline_unit ~syms:Symbols.of_unit prog main
 
 let test_inline_basic () =
   let u, fails =

@@ -50,9 +50,13 @@ type t = {
   members : Membership.t;
   mutable pools : (string * link) list;  (* by shard id *)
   front : Net.Server.t option Atomic.t;  (* set once the socket is bound *)
-  routed : int Atomic.t;
-  failovers : int Atomic.t;
-  shed : int Atomic.t;  (* relays that found no live candidate *)
+  (* counts, each a child of its registry total below *)
+  routed : M.counter;
+  failovers : M.counter;
+  shed : M.counter;  (* relays that found no live candidate *)
+  topo_gen : M.counter;  (* completed topology changes *)
+  stale_routes : M.counter;
+  read_repairs : M.counter;
   mutable route_counters : (string * M.counter) list;
   (* Topology barrier: a membership change drains in-flight relays
      against the old ring before the new one routes anything.  Relays
@@ -63,10 +67,11 @@ type t = {
   mutable topo_change : unit Aio.promise option;  (* the change under way *)
   mutable relays_idle : unit Aio.promise option;  (* its drain, if waiting *)
   mutable active_relays : int;
-  topo_gen : int Atomic.t;  (* completed topology changes *)
-  stale_routes : int Atomic.t;
-  read_repairs : int Atomic.t;
 }
+
+let m_routed =
+  M.counter M.global ~help:"submits relayed to a shard and answered"
+    "cluster_proxy_routed_total"
 
 let m_failover =
   M.counter M.global ~help:"submits served by a ring successor after the owner failed"
@@ -94,7 +99,7 @@ let m_topo_changes =
 (* budget and connection sheds are the front end's, counted once in
    net_shed_total; the proxy adds the relays no candidate could take *)
 let shed_total t =
-  Atomic.get t.shed
+  M.counter_value t.shed
   + match Atomic.get t.front with Some f -> Net.Server.shed_total f | None -> 0
 
 (* ------------------------------------------------------------------ *)
@@ -145,10 +150,7 @@ let change_topology t mutate =
         ignore (Aio.await idle)
       end;
       let result = mutate () in
-      if Result.is_ok result then begin
-        Atomic.incr t.topo_gen;
-        M.incr m_topo_changes
-      end;
+      if Result.is_ok result then M.incr t.topo_gen;
       result)
 
 (* ------------------------------------------------------------------ *)
@@ -205,9 +207,7 @@ let schedule_read_repair t ~name ~key ~served_by (reply : Net.Wire.reply) =
                            with_client link (fun c ->
                                Net.Client.cache_push c p)
                          with
-                         | Ok _ ->
-                             Atomic.incr t.read_repairs;
-                             M.incr m_read_repair
+                         | Ok _ -> M.incr t.read_repairs
                          | Error _ ->
                              Membership.note_failure t.members owner))))
       | _ -> ())
@@ -228,21 +228,17 @@ let relay_submit t (s : Net.Wire.submit) =
       }
   in
   let ring, _epoch = Membership.ring_epoch t.members in
-  let gen0 = Atomic.get t.topo_gen in
+  let gen0 = M.counter_value t.topo_gen in
   let candidates = Ring.route ring key ~n:(max 1 t.cfg.failover) in
   let rec go i = function
     | [] ->
-        Atomic.incr t.shed;
-        M.incr m_shed;
+        M.incr t.shed;
         Net.Wire.R_overloaded
     | shard_id :: rest -> (
         let try_next () = go (i + 1) rest in
         (* the barrier guarantees no membership change lands while this
            relay is in flight; the counter proves it stays that way *)
-        if Atomic.get t.topo_gen <> gen0 then begin
-          Atomic.incr t.stale_routes;
-          M.incr m_stale
-        end;
+        if M.counter_value t.topo_gen <> gen0 then M.incr t.stale_routes;
         match pool_of t shard_id with
         | None -> try_next ()
         | Some link -> (
@@ -259,14 +255,11 @@ let relay_submit t (s : Net.Wire.submit) =
                     (* saturated, not dead: spill to the successor *)
                     try_next ()
                 | reply ->
-                    Atomic.incr t.routed;
+                    M.incr t.routed;
                     (match route_counter t shard_id with
                     | Some c -> M.incr c
                     | None -> ());
-                    if i > 0 then begin
-                      Atomic.incr t.failovers;
-                      M.incr m_failover
-                    end;
+                    if i > 0 then M.incr t.failovers;
                     schedule_read_repair t ~name:s.Net.Wire.sub_name ~key
                       ~served_by:shard_id reply;
                     reply)
@@ -317,7 +310,7 @@ let aggregated_stats_json t =
   in
   Printf.sprintf
     "{\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"members\":%s},\"shards\":{%s}}"
-    (Atomic.get t.routed) (Atomic.get t.failovers) (shed_total t)
+    (M.counter_value t.routed) (M.counter_value t.failovers) (shed_total t)
     (Membership.members_json t.members)
     (String.concat "," shards)
 
@@ -387,16 +380,16 @@ let enriched_members_json t =
     "{\"epoch\":%d,\"vnodes\":%d,\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"stale_routes\":%d,\"read_repairs\":%d,\"topology_changes\":%d},\"shards\":[%s]}"
     (Membership.epoch t.members)
     (Membership.vnodes t.members)
-    (Atomic.get t.routed) (Atomic.get t.failovers) (shed_total t)
-    (Atomic.get t.stale_routes)
-    (Atomic.get t.read_repairs)
-    (Atomic.get t.topo_gen)
+    (M.counter_value t.routed) (M.counter_value t.failovers) (shed_total t)
+    (M.counter_value t.stale_routes)
+    (M.counter_value t.read_repairs)
+    (M.counter_value t.topo_gen)
     (String.concat "," shards)
 
 let aggregated_stats_text t =
   let header =
     Printf.sprintf "cluster     routed %d  failovers %d  shed %d"
-      (Atomic.get t.routed) (Atomic.get t.failovers) (shed_total t)
+      (M.counter_value t.routed) (M.counter_value t.failovers) (shed_total t)
   in
   let sections =
     Membership.snapshot t.members
@@ -607,9 +600,12 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
           (fun (s : Membership.shard) -> (s.Membership.sh_id, shard_link cfg s))
           shards;
       front = Atomic.make None;
-      routed = Atomic.make 0;
-      failovers = Atomic.make 0;
-      shed = Atomic.make 0;
+      routed = M.child m_routed;
+      failovers = M.child m_failover;
+      shed = M.child m_shed;
+      topo_gen = M.child m_topo_changes;
+      stale_routes = M.child m_stale;
+      read_repairs = M.child m_read_repair;
       route_counters =
         List.map
           (fun (s : Membership.shard) ->
@@ -618,9 +614,6 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       topo_change = None;
       relays_idle = None;
       active_relays = 0;
-      topo_gen = Atomic.make 0;
-      stale_routes = Atomic.make 0;
-      read_repairs = Atomic.make 0;
     }
   in
   (* the source cap is the shards' business: 0 keeps the front end's
@@ -658,9 +651,9 @@ let drain t =
   Membership.stop t.members;
   List.iter (fun (_, l) -> Pool.close_all l.pool) t.pools
 
-let routed_total t = Atomic.get t.routed
-let failover_total t = Atomic.get t.failovers
+let routed_total t = M.counter_value t.routed
+let failover_total t = M.counter_value t.failovers
 let epoch t = Membership.epoch t.members
-let stale_routes_total t = Atomic.get t.stale_routes
-let read_repair_total t = Atomic.get t.read_repairs
-let topology_changes_total t = Atomic.get t.topo_gen
+let stale_routes_total t = M.counter_value t.stale_routes
+let read_repair_total t = M.counter_value t.read_repairs
+let topology_changes_total t = M.counter_value t.topo_gen

@@ -97,10 +97,14 @@ val drain : t -> unit
     their replies, stop probing, close the pools.  Idempotent. *)
 
 val routed_total : t -> int
-(** Submits relayed to a shard (first attempt or failover). *)
+(** Submits relayed to a shard (first attempt or failover).  Like every
+    [*_total] below, this proxy's own count, held in a child of a
+    registry total (here [cluster_proxy_routed_total]) that sums every
+    proxy in the process. *)
 
 val failover_total : t -> int
-(** Submits that succeeded only on a non-first candidate. *)
+(** Submits that succeeded only on a non-first candidate
+    ([cluster_failover_total]). *)
 
 val shed_total : t -> int
 (** Requests the proxy refused itself: the front end's connection and
@@ -112,10 +116,13 @@ val epoch : t -> int
 
 val stale_routes_total : t -> int
 (** Relays whose routing decision predated a topology change — the
-    epoch barrier exists to keep this at 0. *)
+    epoch barrier exists to keep this at 0
+    ([cluster_proxy_stale_routes_total]). *)
 
 val read_repair_total : t -> int
-(** Misplaced warm hits pushed back to their current ring owner. *)
+(** Misplaced warm hits pushed back to their current ring owner
+    ([cluster_read_repair_total]). *)
 
 val topology_changes_total : t -> int
-(** Membership changes applied (successful add/remove frames). *)
+(** Membership changes applied (successful add/remove frames)
+    ([cluster_topology_changes_total]). *)

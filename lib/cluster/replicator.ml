@@ -20,6 +20,8 @@ type peer_health = { mutable ph_fails : int; mutable ph_retry_at : float }
 let down_after = 2
 let cooldown_s = 2.0
 
+module M = Obs.Metrics
+
 type t = {
   self : string;
   replicas : int;  (* total copies of a key, primary included *)
@@ -35,16 +37,15 @@ type t = {
       (* drops replica-flagged cache entries failing [keep]; wired to
          [Service.Server.gc_replicas] *)
   queue : item Service.Bounded_queue.t;
-  c_pushed : int Atomic.t;
-  c_admitted : int Atomic.t;
-  c_rejected : int Atomic.t;
-  c_dropped : int Atomic.t;
-  c_errors : int Atomic.t;
-  c_skipped : int Atomic.t;
+  (* counts, each a child of its registry total below *)
+  c_pushed : M.counter;
+  c_admitted : M.counter;
+  c_rejected : M.counter;
+  c_dropped : M.counter;
+  c_errors : M.counter;
+  c_skipped : M.counter;
   mutable sender : Thread.t option;
 }
-
-module M = Obs.Metrics
 
 let m_pushed =
   M.counter M.global ~help:"warm-cache entries pushed to a ring successor"
@@ -53,6 +54,10 @@ let m_pushed =
 let m_admitted =
   M.counter M.global ~help:"warm-cache pushes admitted by the peer"
     "cluster_replication_admitted_total"
+
+let m_rejected =
+  M.counter M.global ~help:"warm-cache pushes the peer acked but rejected"
+    "cluster_replication_rejected_total"
 
 let m_dropped =
   M.counter M.global ~help:"warm-cache pushes dropped on a full queue"
@@ -111,13 +116,10 @@ let note_peer_error t id now =
 
 let send_to t it target =
   let now = Unix.gettimeofday () in
-  if not (target_usable t target now) then begin
-    Atomic.incr t.c_skipped;
-    M.incr m_skipped
-  end
+  if not (target_usable t target now) then M.incr t.c_skipped
   else
     match with_lock t (fun () -> List.assoc_opt target t.pools) with
-    | None -> Atomic.incr t.c_errors
+    | None -> M.incr t.c_errors
     | Some pool -> (
         match
           Pool.with_client pool (fun c ->
@@ -125,17 +127,11 @@ let send_to t it target =
         with
         | Ok admitted ->
             note_peer_ok t target;
-            Atomic.incr t.c_pushed;
-            M.incr m_pushed;
-            if admitted then begin
-              Atomic.incr t.c_admitted;
-              M.incr m_admitted
-            end
-            else Atomic.incr t.c_rejected
+            M.incr t.c_pushed;
+            M.incr (if admitted then t.c_admitted else t.c_rejected)
         | Error _ ->
             note_peer_error t target (Unix.gettimeofday ());
-            Atomic.incr t.c_errors;
-            M.incr m_errors)
+            M.incr t.c_errors)
 
 let send_one t it =
   let ring, extra = with_lock t (fun () -> (t.ring, t.replicas - 1)) in
@@ -149,7 +145,7 @@ let sender_loop t =
     match Service.Bounded_queue.pop t.queue with
     | None -> () (* closed and drained *)
     | Some it ->
-        (try send_one t it with _ -> Atomic.incr t.c_errors);
+        (try send_one t it with _ -> M.incr t.c_errors);
         go ()
   in
   go ()
@@ -185,12 +181,12 @@ let create ?(vnodes = 64) ?(queue_capacity = 256) ?(timeout_s = 5.0)
       export = None;
       gc = None;
       queue = Service.Bounded_queue.create ~capacity:(max 1 queue_capacity);
-      c_pushed = Atomic.make 0;
-      c_admitted = Atomic.make 0;
-      c_rejected = Atomic.make 0;
-      c_dropped = Atomic.make 0;
-      c_errors = Atomic.make 0;
-      c_skipped = Atomic.make 0;
+      c_pushed = M.child m_pushed;
+      c_admitted = M.child m_admitted;
+      c_rejected = M.child m_rejected;
+      c_dropped = M.child m_dropped;
+      c_errors = M.child m_errors;
+      c_skipped = M.child m_skipped;
       sender = None;
     }
   in
@@ -199,10 +195,7 @@ let create ?(vnodes = 64) ?(queue_capacity = 256) ?(timeout_s = 5.0)
 
 let push t ~key ~digest payload =
   let it = { it_key = key; it_digest = digest; it_payload = payload } in
-  if not (Service.Bounded_queue.try_push t.queue it) then begin
-    Atomic.incr t.c_dropped;
-    M.incr m_dropped
-  end
+  if not (Service.Bounded_queue.try_push t.queue it) then M.incr t.c_dropped
 
 let set_export t f = with_lock t (fun () -> t.export <- Some f)
 let set_gc t f = with_lock t (fun () -> t.gc <- Some f)
@@ -249,13 +242,14 @@ let set_members t peers =
 let replicas t = t.replicas
 
 let counts t =
+  let v = M.counter_value in
   {
-    pushed = Atomic.get t.c_pushed;
-    admitted = Atomic.get t.c_admitted;
-    rejected = Atomic.get t.c_rejected;
-    dropped = Atomic.get t.c_dropped;
-    errors = Atomic.get t.c_errors;
-    skipped_down = Atomic.get t.c_skipped;
+    pushed = v t.c_pushed;
+    admitted = v t.c_admitted;
+    rejected = v t.c_rejected;
+    dropped = v t.c_dropped;
+    errors = v t.c_errors;
+    skipped_down = v t.c_skipped;
   }
 
 let stop t =

@@ -83,6 +83,10 @@ val replicas : t -> int
 (** The configured replication factor (total copies). *)
 
 val counts : t -> counts
+(** This replicator's own counts.  Each is held in a child of the
+    registry total [cluster_replication_<field>_total] (for example
+    [cluster_replication_errors_total]), which sums every replicator in
+    the process. *)
 
 val stop : t -> unit
 (** Drain the queue, stop the sender thread, close the connections.

@@ -35,8 +35,11 @@
    Budget accounting: [inflight] counts deferred requests started and
    not yet replied to, across all connections, CAS-reserved against the
    budget (excess requests shed with the handler's overload reply,
-   never queued); the high-water mark proves the bound held.  The
-   counters stay atomics because stats readers live on other threads. *)
+   never queued); the high-water mark proves the bound held.  Both stay
+   atomics because the reservation compares and sets them.  [shed] and
+   [conns_seen] are children of net_shed_total and net_connections_total
+   (Obs.Metrics.child): one increment counts for this server and for the
+   process, and stats readers on other threads read them lock-free. *)
 
 module M = Obs.Metrics
 module Fault = Service.Fault
@@ -108,8 +111,8 @@ type t = {
   draining : bool Atomic.t;
   inflight : int Atomic.t;
   inflight_hw : int Atomic.t;
-  shed : int Atomic.t;
-  conns_seen : int Atomic.t;
+  shed : M.counter;
+  conns_seen : M.counter;
   scratch : Bytes.t;
       (* shared read buffer: fibers never suspend between reading into
          it and feeding the stream, so one buffer serves every
@@ -306,8 +309,7 @@ let release t =
    handler's backend cannot take the work, it is shed with the handler's
    own refusal *)
 let shed t conn ~id overload =
-  Atomic.incr t.shed;
-  M.incr m_shed;
+  M.incr t.shed;
   send t conn ~id overload
 
 let defer t conn ~id ~overload ~trace start =
@@ -455,16 +457,14 @@ let handle_accept t fd =
   if Atomic.get t.stop then (
     try Unix.close fd with Unix.Unix_error _ -> ())
   else begin
-    Atomic.incr t.conns_seen;
-    M.incr m_conns_total;
+    M.incr t.conns_seen;
     if Fault.fire t.fault Fault.Accept_drop then (
       try Unix.close fd with Unix.Unix_error _ -> ())
     else if List.length t.conns >= t.cfg.max_conns then begin
       (* connection budget exhausted: one explicit Overloaded frame,
          then the door closes — nothing queues.  A small fiber writes
          the verdict so a slow receiver cannot stall the accept loop. *)
-      Atomic.incr t.shed;
-      M.incr m_shed;
+      M.incr t.shed;
       Unix.set_nonblock fd;
       ignore
         (Aio.spawn (fun () ->
@@ -546,8 +546,8 @@ let serve ?(fault = Fault.none) cfg handle =
       draining = Atomic.make false;
       inflight = Atomic.make 0;
       inflight_hw = Atomic.make 0;
-      shed = Atomic.make 0;
-      conns_seen = Atomic.make 0;
+      shed = M.child m_shed;
+      conns_seen = M.child m_conns_total;
       scratch = Bytes.create 65536;
       conns = [];
       accept_fiber = None;
@@ -712,6 +712,6 @@ let drain t =
     try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
   end
 
-let connections_seen t = Atomic.get t.conns_seen
+let connections_seen t = M.counter_value t.conns_seen
 let inflight_high_water t = Atomic.get t.inflight_hw
-let shed_total t = Atomic.get t.shed
+let shed_total t = M.counter_value t.shed

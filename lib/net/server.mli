@@ -124,10 +124,13 @@ val drain : t -> unit
     {!Service.Server.shutdown}, which flushes stats). *)
 
 val connections_seen : t -> int
+(** Connections accepted: this server's share of [net_connections_total]. *)
+
 val inflight_high_water : t -> int
 (** Most deferred requests ever outstanding at once — proves the
     in-flight budget held under overload. *)
 
 val shed_total : t -> int
 (** Connections refused by the connection budget plus requests refused
-    by the in-flight budget or by their backend. *)
+    by the in-flight budget or by their backend: this server's share of
+    [net_shed_total]. *)

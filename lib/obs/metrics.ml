@@ -1,9 +1,15 @@
 (* See metrics.mli.  The registry table is guarded by a mutex (creation
    is rare and lookups return the instrument handle, which callers keep);
    counter/gauge cells are atomics so domains merge increments without
-   coordination; each histogram has its own small lock. *)
+   coordination; each histogram has its own small lock.  A child counter
+   is never in the table: it reaches the registry through its parent. *)
 
-type counter = { c_name : string; c_help : string; c_cell : int Atomic.t }
+type counter = {
+  c_name : string;
+  c_help : string;
+  c_cell : int Atomic.t;
+  c_parent : counter option;
+}
 type gauge = { g_name : string; g_help : string; g_cell : float Atomic.t }
 
 type histogram = {
@@ -45,11 +51,20 @@ let get_or_create t name mk classify =
 let counter ?(help = "") t name =
   get_or_create t name
     (fun () ->
-      let c = { c_name = name; c_help = help; c_cell = Atomic.make 0 } in
+      let c =
+        { c_name = name; c_help = help; c_cell = Atomic.make 0; c_parent = None }
+      in
       (Counter c, c))
     (function Counter c -> Some c | _ -> None)
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.c_cell by)
+let child parent = { parent with c_cell = Atomic.make 0; c_parent = Some parent }
+
+(* a direct recursive add: a closure here would allocate per increment *)
+let rec add c by =
+  ignore (Atomic.fetch_and_add c.c_cell by);
+  match c.c_parent with Some p -> add p by | None -> ()
+
+let incr ?(by = 1) c = add c by
 let counter_value c = Atomic.get c.c_cell
 
 let gauge ?(help = "") t name =

@@ -24,7 +24,19 @@ val counter : ?help:string -> t -> string -> counter
 (** Get or create a monotonic counter.
     @raise Invalid_argument if [name] exists with a different type. *)
 
+val child : counter -> counter
+(** [child total] is a fresh counter at zero, registered nowhere: each
+    increment of it also advances [total] (and [total]'s own parent, if
+    it is a child).  A service instance counts into children of the
+    registry's totals, so it reads its own count with {!counter_value}
+    while the registry's total is, by construction, the sum over every
+    instance.  {!find}, {!dump} and {!to_json} see only [total];
+    {!reset} leaves children untouched. *)
+
 val incr : ?by:int -> counter -> unit
+(** Advance a counter (by 1 by default) and every ancestor, lock-free;
+    [incr c] allocates nothing. *)
+
 val counter_value : counter -> int
 
 val gauge : ?help:string -> t -> string -> gauge

@@ -566,10 +566,10 @@ type 'r t = {
   lru : 'r entry Lru.t;
   mutex : Mutex.t;
   corrupt : unit -> bool;  (* chaos hook: poison the entry being stored *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable corruptions : int;
+  hits : Obs.Metrics.counter;
+  misses : Obs.Metrics.counter;
+  evictions : Obs.Metrics.counter;
+  corruptions : Obs.Metrics.counter;
 }
 
 let create ?(capacity = 512) ?(corrupt = fun () -> false) () =
@@ -577,10 +577,10 @@ let create ?(capacity = 512) ?(corrupt = fun () -> false) () =
     lru = Lru.create ~capacity:(max 1 capacity);
     mutex = Mutex.create ();
     corrupt;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    corruptions = 0;
+    hits = Obs.Metrics.child m_hits;
+    misses = Obs.Metrics.child m_misses;
+    evictions = Obs.Metrics.child m_evictions;
+    corruptions = Obs.Metrics.child m_corruptions;
   }
 
 let locked t f =
@@ -598,14 +598,14 @@ type stats = {
 }
 
 let stats t =
-  locked t (fun () ->
-      {
-        st_hits = t.hits;
-        st_misses = t.misses;
-        st_evictions = t.evictions;
-        st_corruptions = t.corruptions;
-        st_size = Lru.length t.lru;
-      })
+  let v = Obs.Metrics.counter_value in
+  {
+    st_hits = v t.hits;
+    st_misses = v t.misses;
+    st_evictions = v t.evictions;
+    st_corruptions = v t.corruptions;
+    st_size = size t;
+  }
 
 let checksum (stmts, reports, fresh) =
   Digest.string (Marshal.to_string (stmts, reports, fresh) [ Marshal.No_sharing ])
@@ -624,23 +624,20 @@ let find (t : 'r t) (prep : prep) : 'r entry option =
     && (e.e_names = prep.p_names || not e.e_exact)
   in
   let miss () =
-    t.misses <- t.misses + 1;
-    Obs.Metrics.incr m_misses;
+    Obs.Metrics.incr t.misses;
     None
   in
   locked t @@ fun () ->
   match Lru.find ~accept:servable t.lru prep.p_key with
   | Some e
-    when t.hits land verify_mask = 0
+    when Obs.Metrics.counter_value t.hits land verify_mask = 0
          && checksum (e.e_stmts, e.e_reports, e.e_fresh) <> Lazy.force e.e_sum ->
       (* bit-rot defense, mirroring the result cache's checksum *)
       Lru.remove t.lru prep.p_key;
-      t.corruptions <- t.corruptions + 1;
-      Obs.Metrics.incr m_corruptions;
+      Obs.Metrics.incr t.corruptions;
       miss ()
   | Some e ->
-      t.hits <- t.hits + 1;
-      Obs.Metrics.incr m_hits;
+      Obs.Metrics.incr t.hits;
       Some e
   | None -> miss ()
 
@@ -700,10 +697,7 @@ let store (t : 'r t) (prep : prep) ~(stmts : Ast.stmt list)
     }
   in
   locked t @@ fun () ->
-  if Lru.add t.lru prep.p_key e then begin
-    t.evictions <- t.evictions + 1;
-    Obs.Metrics.incr m_evictions
-  end
+  if Lru.add t.lru prep.p_key e then Obs.Metrics.incr t.evictions
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)

@@ -4,15 +4,15 @@
 type 'a t = {
   lru : 'a Lru.t;
   mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
+  hits : Obs.Metrics.counter;
+  misses : Obs.Metrics.counter;
+  evictions : Obs.Metrics.counter;
 }
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
 
-(* mirrored into the process-wide registry so `--metrics` sees cache
-   behaviour without a Server.stats call *)
+(* each cache counts into children of these totals, so `--metrics` sees
+   every cache's behaviour summed without a Server.stats call *)
 let m_hits =
   Obs.Metrics.counter Obs.Metrics.global
     ~help:"cache lookups served from the table" "service_cache_hits_total"
@@ -30,9 +30,9 @@ let create ~capacity =
   {
     lru = Lru.create ~capacity;
     mutex = Mutex.create ();
-    hits = 0;
-    misses = 0;
-    evictions = 0;
+    hits = Obs.Metrics.child m_hits;
+    misses = Obs.Metrics.child m_misses;
+    evictions = Obs.Metrics.child m_evictions;
   }
 
 let digest content = Digest.to_hex (Digest.string content)
@@ -45,20 +45,15 @@ let find c key =
   with_lock c (fun () ->
       match Lru.find c.lru key with
       | Some _ as hit ->
-          c.hits <- c.hits + 1;
-          Obs.Metrics.incr m_hits;
+          Obs.Metrics.incr c.hits;
           hit
       | None ->
-          c.misses <- c.misses + 1;
-          Obs.Metrics.incr m_misses;
+          Obs.Metrics.incr c.misses;
           None)
 
 let add c key value =
   with_lock c (fun () ->
-      if Lru.add c.lru key value then begin
-        c.evictions <- c.evictions + 1;
-        Obs.Metrics.incr m_evictions
-      end)
+      if Lru.add c.lru key value then Obs.Metrics.incr c.evictions)
 
 (* not counted as an eviction: the caller dropped it deliberately, e.g.
    on a checksum mismatch *)
@@ -70,14 +65,14 @@ let export c =
          replication must not perturb the LRU order *)
       Lru.fold (fun key value acc -> (key, value) :: acc) c.lru [])
 
-let stats c =
-  with_lock c (fun () ->
-      {
-        hits = c.hits;
-        misses = c.misses;
-        evictions = c.evictions;
-        entries = Lru.length c.lru;
-      })
+let stats (c : _ t) =
+  let v = Obs.Metrics.counter_value in
+  {
+    hits = v c.hits;
+    misses = v c.misses;
+    evictions = v c.evictions;
+    entries = with_lock c (fun () -> Lru.length c.lru);
+  }
 
 let hit_rate (s : stats) =
   let lookups = s.hits + s.misses in

@@ -79,13 +79,28 @@ let service_sites =
 
 let net_sites = [ Accept_drop; Read_stall; Trunc_write; Garbage_frame ]
 
+(* injection activity is also visible through the metrics registry; the
+   handles are resolved once (fire runs on every attempt's hot path) *)
+let m_draws =
+  Obs.Metrics.counter Obs.Metrics.global
+    ~help:"fault-site decisions drawn" "service_fault_draws_total"
+
+let m_fired_by_site =
+  Array.of_list
+    (List.map
+       (fun s ->
+         Obs.Metrics.counter Obs.Metrics.global
+           ~help:"injected faults fired, by site"
+           (Printf.sprintf "service_fault_fired_%s_total" (site_name s)))
+       all_sites)
+
 type t = {
   seed : int;
   stealth : bool;
   delay_s : float;
   probs : float array;  (* indexed by site_index; 0 = site disabled *)
-  draws : int Atomic.t array;
-  fired : int Atomic.t array;
+  draws : int Atomic.t array;  (* the draw number picks the decision *)
+  fired : Obs.Metrics.counter array;
 }
 
 let none =
@@ -95,7 +110,7 @@ let none =
     delay_s = 0.0;
     probs = Array.make n_sites 0.0;
     draws = Array.init n_sites (fun _ -> Atomic.make 0);
-    fired = Array.init n_sites (fun _ -> Atomic.make 0);
+    fired = Array.map Obs.Metrics.child m_fired_by_site;
   }
 
 let create ?(seed = 42) ?(stealth = false) ?(delay_ms = 5.0) sites =
@@ -112,28 +127,13 @@ let create ?(seed = 42) ?(stealth = false) ?(delay_ms = 5.0) sites =
     delay_s = Float.max 0.0 delay_ms /. 1000.0;
     probs;
     draws = Array.init n_sites (fun _ -> Atomic.make 0);
-    fired = Array.init n_sites (fun _ -> Atomic.make 0);
+    fired = Array.map Obs.Metrics.child m_fired_by_site;
   }
 
 let active t = Array.exists (fun p -> p > 0.0) t.probs
 let stealth t = t.stealth
 let delay_s t = t.delay_s
 let set_prob t site p = t.probs.(site_index site) <- p
-
-(* injection activity is also visible through the metrics registry; the
-   handles are resolved once (fire runs on every attempt's hot path) *)
-let m_draws =
-  Obs.Metrics.counter Obs.Metrics.global
-    ~help:"fault-site decisions drawn" "service_fault_draws_total"
-
-let m_fired_by_site =
-  Array.of_list
-    (List.map
-       (fun s ->
-         Obs.Metrics.counter Obs.Metrics.global
-           ~help:"injected faults fired, by site"
-           (Printf.sprintf "service_fault_fired_%s_total" (site_name s)))
-       all_sites)
 
 (* splitmix64 finalizer over (seed, site, draw number) *)
 let mix64 z =
@@ -161,10 +161,7 @@ let fire t site =
     let n = Atomic.fetch_and_add t.draws.(i) 1 in
     Obs.Metrics.incr m_draws;
     let hit = unit_float ~seed:t.seed ~site:i ~n < p in
-    if hit then begin
-      Atomic.incr t.fired.(i);
-      Obs.Metrics.incr m_fired_by_site.(i)
-    end;
+    if hit then Obs.Metrics.incr t.fired.(i);
     hit
   end
 
@@ -172,11 +169,11 @@ let log t =
   List.map
     (fun s ->
       let i = site_index s in
-      (s, Atomic.get t.draws.(i), Atomic.get t.fired.(i)))
+      (s, Atomic.get t.draws.(i), Obs.Metrics.counter_value t.fired.(i)))
     all_sites
 
 let total_fired t =
-  Array.fold_left (fun acc a -> acc + Atomic.get a) 0 t.fired
+  Array.fold_left (fun acc c -> acc + Obs.Metrics.counter_value c) 0 t.fired
 
 let log_to_string t =
   let lines =

@@ -2,8 +2,11 @@
 
    Concurrency structure: submitters and workers meet at a
    Bounded_queue of tickets; each ticket carries its own mutex/condition
-   pair for the await rendezvous; service-wide counters live behind one
-   stats mutex; the worker slots and orphan list behind a pool mutex.
+   pair for the await rendezvous; each job count is a lock-free child of
+   its registry total (Obs.Metrics.child), so the registry sums every
+   server in the process; one stats mutex guards the latency reservoir
+   and the breaker state; the worker slots and orphan list live behind a
+   pool mutex.
 
    Robustness structure (inside-out):
    - every job attempt runs under an exception barrier, so an
@@ -91,6 +94,8 @@ type entry = {
   e_replica : bool;  (* arrived via warm-cache replication, not computed *)
 }
 
+module M = Obs.Metrics
+
 type t = {
   queue : ticket Bounded_queue.t;
   cache : entry Cache.t;
@@ -119,27 +124,28 @@ type t = {
   mutable supervisor : unit Domain.t option;
   mutable stopping : bool;
   mutable shut : bool;  (* a shutdown drain has started (idempotence) *)
-  (* counters, under stat_mutex *)
-  mutable submitted : int;
-  mutable completed : int;
-  mutable failed : int;
-  mutable timed_out : int;
-  mutable cancelled : int;
-  mutable retries : int;
-  mutable rung_full : int;
-  mutable rung_conservative : int;
-  mutable rung_passthrough : int;
-  mutable degraded : int;  (* jobs served passthrough because breaker open *)
-  mutable respawns : int;
-  mutable corrupt_dropped : int;
-  mutable breaker_opened : int;
-  mutable replica_admitted : int;
-  mutable replica_rejected : int;  (* checksum mismatch or rung/capacity *)
-  mutable replicated_hits : int;  (* cache hits served from a replica *)
-  mutable replica_gc : int;  (* replicas dropped because ownership moved *)
+  (* counts: children of the registry totals below, read by [stats] *)
+  submitted : M.counter;
+  completed : M.counter;
+  failed : M.counter;
+  timed_out : M.counter;
+  cancelled : M.counter;
+  retries : M.counter;
+  rung_full : M.counter;
+  rung_conservative : M.counter;
+  rung_passthrough : M.counter;
+  degraded : M.counter;  (* jobs served passthrough because breaker open *)
+  respawns : M.counter;
+  corrupt_dropped : M.counter;
+  breaker_opened : M.counter;
+  replica_admitted : M.counter;
+  replica_rejected : M.counter;  (* checksum mismatch or rung/capacity *)
+  replicated_hits : M.counter;  (* cache hits served from a replica *)
+  replica_gc : M.counter;  (* replicas dropped because ownership moved *)
   mutable replication_source : (unit -> int * int) option;
       (* outbound replication counters (pushed, skipped_down), wired by
          cedard when a replicator is attached — stats-only *)
+  (* under stat_mutex: the breaker and the latency reservoir *)
   mutable br_state : breaker_state;
   mutable br_failures : int;  (* consecutive real restructure failures *)
   mutable br_opened_at : float;
@@ -173,8 +179,6 @@ let with_lock m f =
 (* ------------------------------------------------------------------ *)
 (* Registry instruments (process-wide; handles resolved once)          *)
 (* ------------------------------------------------------------------ *)
-
-module M = Obs.Metrics
 
 let m_submitted =
   M.counter M.global ~help:"jobs submitted" "service_jobs_submitted_total"
@@ -301,29 +305,19 @@ let resolve t ticket outcome =
   List.iter (fun w -> w outcome) (List.rev watchers);
   if won then begin
     let latency_ms = (now () -. ticket.tk_submitted) *. 1000.0 in
-    (match outcome with
-    | Done { payload; _ } -> (
-        M.incr m_completed;
-        match payload.p_rung with
-        | Full -> M.incr m_rung_full
-        | Conservative -> M.incr m_rung_conservative
-        | Passthrough -> M.incr m_rung_passthrough)
-    | Failed _ -> M.incr m_failed
-    | Timeout -> M.incr m_timeout
-    | Cancelled -> M.incr m_cancelled);
+    M.incr
+      (match outcome with
+      | Done { payload; _ } -> (
+          M.incr t.completed;
+          match payload.p_rung with
+          | Full -> t.rung_full
+          | Conservative -> t.rung_conservative
+          | Passthrough -> t.rung_passthrough)
+      | Failed _ -> t.failed
+      | Timeout -> t.timed_out
+      | Cancelled -> t.cancelled);
     M.observe m_job_seconds (latency_ms /. 1000.0);
-    with_lock t.stat_mutex (fun () ->
-        (match outcome with
-        | Done { payload; _ } -> (
-            t.completed <- t.completed + 1;
-            match payload.p_rung with
-            | Full -> t.rung_full <- t.rung_full + 1
-            | Conservative -> t.rung_conservative <- t.rung_conservative + 1
-            | Passthrough -> t.rung_passthrough <- t.rung_passthrough + 1)
-        | Failed _ -> t.failed <- t.failed + 1
-        | Timeout -> t.timed_out <- t.timed_out + 1
-        | Cancelled -> t.cancelled <- t.cancelled + 1);
-        Reservoir.add t.latencies latency_ms)
+    with_lock t.stat_mutex (fun () -> Reservoir.add t.latencies latency_ms)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -385,19 +379,13 @@ let cache_find t key =
   | None -> None
   | Some e ->
       if Cache.digest e.e_payload.p_text = e.e_digest then begin
-        if e.e_replica then begin
-          M.incr m_replicated_hits;
-          with_lock t.stat_mutex (fun () ->
-              t.replicated_hits <- t.replicated_hits + 1)
-        end;
+        if e.e_replica then M.incr t.replicated_hits;
         Some e.e_payload
       end
       else begin
         (* bytes rotted while resident: drop, recompute fresh *)
         Cache.remove t.cache key;
-        M.incr m_corrupt_dropped;
-        with_lock t.stat_mutex (fun () ->
-            t.corrupt_dropped <- t.corrupt_dropped + 1);
+        M.incr t.corrupt_dropped;
         None
       end
 
@@ -413,15 +401,9 @@ let admit_replica t ~key ~digest payload =
   in
   if ok then begin
     Cache.add t.cache key { e_digest = digest; e_payload = payload; e_replica = true };
-    M.incr m_replica_admitted;
-    with_lock t.stat_mutex (fun () ->
-        t.replica_admitted <- t.replica_admitted + 1)
+    M.incr t.replica_admitted
   end
-  else begin
-    M.incr m_replica_rejected;
-    with_lock t.stat_mutex (fun () ->
-        t.replica_rejected <- t.replica_rejected + 1)
-  end;
+  else M.incr t.replica_rejected;
   ok
 
 let backtrace_hint () =
@@ -602,10 +584,8 @@ let run_ladder t ws ticket ~key : outcome * bool =
     | A_done payload ->
         (Done { payload; cached = false }, payload.p_rung <> Passthrough)
     | A_permanent msg -> (Failed msg, false)
-    | (A_failed _ | A_timeout) as a when idx + 1 < Array.length rungs ->
-        with_lock t.stat_mutex (fun () -> t.retries <- t.retries + 1);
-        M.incr m_retries;
-        ignore a;
+    | (A_failed _ | A_timeout) when idx + 1 < Array.length rungs ->
+        M.incr t.retries;
         (* exponential backoff, then a fresh deadline budget for the
            cheaper rung — the original deadline died with the attempt *)
         Obs.Trace.with_span "retry"
@@ -640,7 +620,6 @@ let breaker_route t =
 
 let breaker_note t ~probe ~restructure_ok ~tainted =
   with_lock t.stat_mutex (fun () ->
-      let opened_before = t.breaker_opened in
       (if tainted then begin
         (* chaos-injected failure: never counts against real capability;
            a tainted probe is inconclusive, so re-open and re-arm the
@@ -657,7 +636,7 @@ let breaker_note t ~probe ~restructure_ok ~tainted =
       else if probe then begin
         t.br_state <- Br_open;
         t.br_opened_at <- now ();
-        t.breaker_opened <- t.breaker_opened + 1
+        M.incr t.breaker_opened
       end
       else begin
         t.br_failures <- t.br_failures + 1;
@@ -665,12 +644,10 @@ let breaker_note t ~probe ~restructure_ok ~tainted =
         then begin
           t.br_state <- Br_open;
           t.br_opened_at <- now ();
-          t.breaker_opened <- t.breaker_opened + 1;
+          M.incr t.breaker_opened;
           t.br_failures <- 0
         end
       end);
-      if t.breaker_opened > opened_before then
-        M.incr ~by:(t.breaker_opened - opened_before) m_breaker_opened;
       M.set_gauge m_breaker_state (breaker_gauge_value t.br_state))
 
 (* ------------------------------------------------------------------ *)
@@ -717,9 +694,7 @@ let process t (ws : wstate) ticket =
                degraded but alive *)
             match execute_attempt t ws ticket ~key Passthrough with
             | A_done payload ->
-                M.incr m_degraded;
-                with_lock t.stat_mutex (fun () ->
-                    t.degraded <- t.degraded + 1);
+                M.incr t.degraded;
                 Obs.Trace.attr jsp "degraded" "true";
                 finish (Done { payload; cached = false })
             | A_permanent msg | A_failed msg -> finish (Failed msg)
@@ -782,8 +757,7 @@ let salvage_ticket t ?(outcome = Failed "worker domain died while running \
       then begin
         ticket.tk_requeues <- ticket.tk_requeues + 1;
         ticket.tk_deadline <- now () +. t.timeout_s;
-        M.incr m_retries;
-        with_lock t.stat_mutex (fun () -> t.retries <- t.retries + 1);
+        M.incr t.retries;
         (* never block the one thread healing the pool on backpressure;
            requeued at the head, the job still runs before every job
            submitted after it, however late the sweep noticed the death,
@@ -807,9 +781,7 @@ let supervisor_sweep t =
             salvage_ticket t ws;
             if not t.stopping then begin
               spawn_worker t slot;
-              with_lock t.stat_mutex (fun () ->
-                  t.respawns <- t.respawns + 1);
-              M.incr m_respawns
+              M.incr t.respawns
             end
           end
           else if
@@ -833,9 +805,7 @@ let supervisor_sweep t =
             slot.s_domain <- None;
             if not t.stopping then begin
               spawn_worker t slot;
-              with_lock t.stat_mutex (fun () ->
-                  t.respawns <- t.respawns + 1);
-              M.incr m_respawns
+              M.incr t.respawns
             end
           end)
         t.slots;
@@ -894,23 +864,23 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
       supervisor = None;
       stopping = false;
       shut = false;
-      submitted = 0;
-      completed = 0;
-      failed = 0;
-      timed_out = 0;
-      cancelled = 0;
-      retries = 0;
-      rung_full = 0;
-      rung_conservative = 0;
-      rung_passthrough = 0;
-      degraded = 0;
-      respawns = 0;
-      corrupt_dropped = 0;
-      breaker_opened = 0;
-      replica_admitted = 0;
-      replica_rejected = 0;
-      replicated_hits = 0;
-      replica_gc = 0;
+      submitted = M.child m_submitted;
+      completed = M.child m_completed;
+      failed = M.child m_failed;
+      timed_out = M.child m_timeout;
+      cancelled = M.child m_cancelled;
+      retries = M.child m_retries;
+      rung_full = M.child m_rung_full;
+      rung_conservative = M.child m_rung_conservative;
+      rung_passthrough = M.child m_rung_passthrough;
+      degraded = M.child m_degraded;
+      respawns = M.child m_respawns;
+      corrupt_dropped = M.child m_corrupt_dropped;
+      breaker_opened = M.child m_breaker_opened;
+      replica_admitted = M.child m_replica_admitted;
+      replica_rejected = M.child m_replica_rejected;
+      replicated_hits = M.child m_replicated_hits;
+      replica_gc = M.child m_replica_gc;
       replication_source = None;
       br_state = Br_closed;
       br_failures = 0;
@@ -967,8 +937,7 @@ let make_ticket ?(trace = 0) t request =
 
 let submit ?trace t request =
   let ticket = make_ticket ?trace t request in
-  M.incr m_submitted;
-  with_lock t.stat_mutex (fun () -> t.submitted <- t.submitted + 1);
+  M.incr t.submitted;
   if source_too_large t request then
     (* request hygiene: reject before the source ever reaches a parser *)
     resolve t ticket (Failed (oversize_message t request))
@@ -984,8 +953,7 @@ let submit ?trace t request =
 let try_submit ?trace t request =
   if source_too_large t request then begin
     let ticket = make_ticket ?trace t request in
-    M.incr m_submitted;
-    with_lock t.stat_mutex (fun () -> t.submitted <- t.submitted + 1);
+    M.incr t.submitted;
     resolve t ticket (Failed (oversize_message t request));
     Some ticket
   end
@@ -993,8 +961,7 @@ let try_submit ?trace t request =
     let ticket = make_ticket ?trace t request in
     if not (Bounded_queue.try_push t.queue ticket) then None
     else begin
-      M.incr m_submitted;
-      with_lock t.stat_mutex (fun () -> t.submitted <- t.submitted + 1);
+      M.incr t.submitted;
       M.set_gauge m_queue_depth (float_of_int (Bounded_queue.length t.queue));
       Some ticket
     end
@@ -1063,14 +1030,13 @@ let gc_replicas t ~keep =
         else n)
       0 (Cache.export t.cache)
   in
-  if dropped > 0 then begin
-    M.incr ~by:dropped m_replica_gc;
-    with_lock t.stat_mutex (fun () -> t.replica_gc <- t.replica_gc + dropped)
-  end;
+  if dropped > 0 then M.incr ~by:dropped t.replica_gc;
   dropped
 
 let memo_stats t = Option.map Restructurer.Driver.memo_stats t.memo
 
+(* a view over the counts: none of them is copied or guarded, so only
+   the reservoir and the breaker state are read under the stats mutex *)
 let stats t =
   let replica_pushed, replica_skipped_down =
     match t.replication_source with Some f -> f () | None -> (0, 0)
@@ -1082,28 +1048,53 @@ let stats t =
         (m.Restructurer.Memo.st_hits, m.Restructurer.Memo.st_misses,
          m.Restructurer.Memo.st_size)
   in
-  with_lock t.stat_mutex (fun () ->
-      Stats.make ~shard_id:t.shard_id ~submitted:t.submitted
-        ~completed:t.completed
-        ~failed:t.failed ~timed_out:t.timed_out ~cancelled:t.cancelled
-        ~retries:t.retries ~rung_full:t.rung_full
-        ~rung_conservative:t.rung_conservative
-        ~rung_passthrough:t.rung_passthrough ~degraded:t.degraded
-        ~respawns:t.respawns ~corrupt_dropped:t.corrupt_dropped
-        ~breaker_opened:t.breaker_opened
-        ~replica_admitted:t.replica_admitted
-        ~replica_rejected:t.replica_rejected
-        ~replicated_hits:t.replicated_hits ~replica_pushed
-        ~replica_skipped_down ~replica_gc:t.replica_gc
-        ~memo_hits ~memo_misses ~memo_entries
-        ~breaker_state:(breaker_state_name t)
-        ~faults_injected:(Fault.total_fired t.fault)
-        ~queue_high_water:(Bounded_queue.high_water t.queue)
-        ~cache:(Cache.stats t.cache)
-        ~latencies_ms:(Reservoir.sample t.latencies)
-        ~latency_count:(Reservoir.count t.latencies)
-        ~max_latency_ms:(Reservoir.max_value t.latencies)
-        ~wall_s:(now () -. t.started_at) ())
+  let latencies, latency_count, max_latency_ms, breaker_state =
+    with_lock t.stat_mutex (fun () ->
+        ( Reservoir.sample t.latencies,
+          Reservoir.count t.latencies,
+          Reservoir.max_value t.latencies,
+          breaker_state_name t ))
+  in
+  let v = M.counter_value in
+  let cache = Cache.stats t.cache and completed = v t.completed in
+  let wall_s = now () -. t.started_at in
+  {
+    Stats.shard_id = t.shard_id;
+    submitted = v t.submitted;
+    completed;
+    failed = v t.failed;
+    timed_out = v t.timed_out;
+    cancelled = v t.cancelled;
+    retries = v t.retries;
+    rung_full = v t.rung_full;
+    rung_conservative = v t.rung_conservative;
+    rung_passthrough = v t.rung_passthrough;
+    degraded = v t.degraded;
+    respawns = v t.respawns;
+    corrupt_dropped = v t.corrupt_dropped;
+    breaker_opened = v t.breaker_opened;
+    replica_admitted = v t.replica_admitted;
+    replica_rejected = v t.replica_rejected;
+    replicated_hits = v t.replicated_hits;
+    replica_pushed;
+    replica_skipped_down;
+    replica_gc = v t.replica_gc;
+    memo_hits;
+    memo_misses;
+    memo_entries;
+    breaker_state;
+    faults_injected = Fault.total_fired t.fault;
+    queue_high_water = Bounded_queue.high_water t.queue;
+    cache;
+    cache_hit_rate = Cache.hit_rate cache;
+    p50_latency_ms = Stats.percentile 50.0 latencies;
+    p95_latency_ms = Stats.percentile 95.0 latencies;
+    max_latency_ms;
+    latency_count;
+    wall_s;
+    throughput =
+      (if wall_s > 0.0 then float_of_int completed /. wall_s else 0.0);
+  }
 
 (* Deterministic drain, reused verbatim by the SIGINT/SIGTERM path of
    [cedard --serve]:

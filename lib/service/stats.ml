@@ -48,53 +48,6 @@ let percentile p xs =
       in
       a.(max 0 (min (n - 1) (rank - 1)))
 
-let make ?(shard_id = "") ?(replica_admitted = 0) ?(replica_rejected = 0)
-    ?(replicated_hits = 0) ?(replica_pushed = 0) ?(replica_skipped_down = 0)
-    ?(replica_gc = 0) ?(memo_hits = 0) ?(memo_misses = 0) ?(memo_entries = 0)
-    ~submitted ~completed ~failed ~timed_out
-    ~cancelled ~retries
-    ~rung_full ~rung_conservative ~rung_passthrough ~degraded ~respawns
-    ~corrupt_dropped ~breaker_opened ~breaker_state ~faults_injected
-    ~queue_high_water ~cache ~latencies_ms ~latency_count ~max_latency_ms
-    ~wall_s () =
-  {
-    shard_id;
-    submitted;
-    completed;
-    failed;
-    timed_out;
-    cancelled;
-    retries;
-    rung_full;
-    rung_conservative;
-    rung_passthrough;
-    degraded;
-    respawns;
-    corrupt_dropped;
-    breaker_opened;
-    replica_admitted;
-    replica_rejected;
-    replicated_hits;
-    replica_pushed;
-    replica_skipped_down;
-    replica_gc;
-    memo_hits;
-    memo_misses;
-    memo_entries;
-    breaker_state;
-    faults_injected;
-    queue_high_water;
-    cache;
-    cache_hit_rate = Cache.hit_rate cache;
-    p50_latency_ms = percentile 50.0 latencies_ms;
-    p95_latency_ms = percentile 95.0 latencies_ms;
-    max_latency_ms;
-    latency_count;
-    wall_s;
-    throughput =
-      (if wall_s > 0.0 then float_of_int completed /. wall_s else 0.0);
-  }
-
 let to_string s =
   let lines =
     [

@@ -1,4 +1,6 @@
-(** Service-lifetime statistics, assembled at shutdown. *)
+(** A snapshot of one server's statistics, taken at any time: a view
+    over the server's counters ({!Server.stats} fills it, [cedarctl stats]
+    serves it live, and {!Server.shutdown} returns the final one). *)
 
 type t = {
   shard_id : string;  (** cluster shard identity; [""] outside a cluster *)
@@ -37,52 +39,13 @@ type t = {
   p95_latency_ms : float;
   max_latency_ms : float;  (** exact (tracked outside the sample) *)
   latency_count : int;  (** exact number of latencies observed *)
-  wall_s : float;  (** service lifetime, create to shutdown *)
+  wall_s : float;  (** service lifetime, create to snapshot *)
   throughput : float;  (** completed jobs per wall-clock second *)
 }
 
 val percentile : float -> float list -> float
 (** [percentile p xs]: the [p]-th percentile ([0..100]) of [xs] by
     nearest-rank; 0 on the empty list. *)
-
-val make :
-  ?shard_id:string ->
-  ?replica_admitted:int ->
-  ?replica_rejected:int ->
-  ?replicated_hits:int ->
-  ?replica_pushed:int ->
-  ?replica_skipped_down:int ->
-  ?replica_gc:int ->
-  ?memo_hits:int ->
-  ?memo_misses:int ->
-  ?memo_entries:int ->
-  submitted:int ->
-  completed:int ->
-  failed:int ->
-  timed_out:int ->
-  cancelled:int ->
-  retries:int ->
-  rung_full:int ->
-  rung_conservative:int ->
-  rung_passthrough:int ->
-  degraded:int ->
-  respawns:int ->
-  corrupt_dropped:int ->
-  breaker_opened:int ->
-  breaker_state:string ->
-  faults_injected:int ->
-  queue_high_water:int ->
-  cache:Cache.stats ->
-  latencies_ms:float list ->
-  latency_count:int ->
-  max_latency_ms:float ->
-  wall_s:float ->
-  unit ->
-  t
-(** [latencies_ms] is a (possibly sampled) list used for the
-    percentiles; [latency_count] and [max_latency_ms] are the exact
-    values tracked alongside the sample.  The optional cluster fields
-    default to a standalone, non-replicating shard. *)
 
 val to_string : t -> string
 (** Multi-line human-readable summary, printed on shutdown.  A

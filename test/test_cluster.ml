@@ -1051,6 +1051,78 @@ let test_proxy_kill_shard_failover () =
     (Cluster.Proxy.failover_total proxy >= 1);
   Alcotest.(check int) "nothing shed" 0 (Cluster.Proxy.shed_total proxy)
 
+let test_proxy_counts_match_registry () =
+  (* a drive through a proxy over two replicating shards, then again
+     with one shard gone: the proxy's and the replicators' own counts
+     each equal the delta of the registry total they count into *)
+  let totals =
+    [ "cluster_proxy_routed_total"; "cluster_failover_total";
+      "cluster_replication_pushed_total"; "cluster_replication_admitted_total";
+      "cluster_replication_rejected_total";
+      "cluster_replication_dropped_total"; "cluster_replication_errors_total";
+      "cluster_replication_skipped_down_total" ]
+  in
+  let total name =
+    match Obs.Metrics.find Obs.Metrics.global name with
+    | `Counter n -> n
+    | _ -> Alcotest.failf "%s is not a registered counter" name
+  in
+  let before = List.map total totals in
+  let jobs = 8 in
+  let proxy, replicators =
+    with_cluster ~n:2 ~replicate:true @@ fun proxy handles ->
+    let drive () =
+      with_proxy_client proxy @@ fun client ->
+      for i = 0 to jobs - 1 do
+        match
+          Net.Client.submit client ~name:"count" ~options:opts (synth_source i)
+        with
+        | Ok (W.R_done _) -> ()
+        | Ok r -> Alcotest.failf "job %d: %s" i (W.message_kind_name (W.Result r))
+        | Error msg -> Alcotest.failf "job %d: %s" i msg
+      done
+    in
+    drive ();
+    let admitted () =
+      List.fold_left
+        (fun acc h ->
+          acc + (Service.Server.stats h.h_svc).Service.Stats.replica_admitted)
+        0 handles
+    in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while admitted () < jobs && Unix.gettimeofday () < deadline do
+      Thread.delay 0.02
+    done;
+    Net.Server.drain (List.hd handles).h_net;
+    drive ();
+    (proxy, List.filter_map (fun h -> !(h.h_repl)) handles)
+  in
+  (* the proxy is drained and both replicators are stopped: every count
+     is final *)
+  let replicated f =
+    List.fold_left
+      (fun acc r -> acc + f (Cluster.Replicator.counts r))
+      0 replicators
+  in
+  let own =
+    [ Cluster.Proxy.routed_total proxy; Cluster.Proxy.failover_total proxy;
+      replicated (fun c -> c.Cluster.Replicator.pushed);
+      replicated (fun c -> c.Cluster.Replicator.admitted);
+      replicated (fun c -> c.Cluster.Replicator.rejected);
+      replicated (fun c -> c.Cluster.Replicator.dropped);
+      replicated (fun c -> c.Cluster.Replicator.errors);
+      replicated (fun c -> c.Cluster.Replicator.skipped_down) ]
+  in
+  Alcotest.(check int) "every job routed" (2 * jobs)
+    (Cluster.Proxy.routed_total proxy);
+  Alcotest.(check bool) "fills were replicated" true
+    (replicated (fun c -> c.Cluster.Replicator.pushed) > 0);
+  List.iter2
+    (fun (name, t0) n ->
+      Alcotest.(check int) (name ^ " delta = own count") n (total name - t0))
+    (List.combine totals before)
+    own
+
 (* a standalone shard the topology tests add to (and remove from) a
    running cluster; same shape as the with_cluster members *)
 let with_extra_shard id f =
@@ -1554,4 +1626,6 @@ let tests =
       `Slow test_proxy_burst_within_shard_budget;
     Alcotest.test_case "membership: shard specs parsed and checked" `Quick
       test_parse_shards;
+    Alcotest.test_case "proxy: own counts equal the registry deltas" `Slow
+      test_proxy_counts_match_registry;
   ]

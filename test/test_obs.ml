@@ -414,6 +414,33 @@ let test_counter_get_or_create () =
   Alcotest.(check int) "same instrument behind the name" 3 (M.counter_value a);
   Alcotest.(check int) "visible through both handles" 3 (M.counter_value b)
 
+let test_counter_children () =
+  (* two instances counting into one registry total *)
+  let r = M.create () in
+  let total = M.counter r "jobs_total" in
+  let a = M.child total and b = M.child total in
+  M.incr a;
+  M.incr ~by:2 b;
+  M.incr ~by:4 a;
+  Alcotest.(check int) "a reads only its own increments" 5 (M.counter_value a);
+  Alcotest.(check int) "b reads only its own increments" 2 (M.counter_value b);
+  Alcotest.(check int) "the parent reads the sum" 7 (M.counter_value total);
+  (match M.find r "jobs_total" with
+  | `Counter 7 -> ()
+  | _ -> Alcotest.fail "find reads the sum");
+  let samples =
+    String.split_on_char '\n' (M.dump r)
+    |> List.filter (fun l -> String.starts_with ~prefix:"jobs_total " l)
+  in
+  Alcotest.(check (list string)) "dump shows the name once"
+    [ "jobs_total 7" ] samples;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    M.incr a
+  done;
+  Alcotest.(check bool) "incr allocates nothing" true
+    (Gc.minor_words () -. w0 < 100.0)
+
 let test_type_clash_rejected () =
   let r = M.create () in
   ignore (M.counter r "x");
@@ -717,5 +744,7 @@ let tests =
       test_dump_sorted_with_help;
     Alcotest.test_case "metrics: to_json reparses" `Quick
       test_metrics_json_roundtrip;
+    Alcotest.test_case "metrics: children count into their parent" `Quick
+      test_counter_children;
     QCheck_alcotest.to_alcotest prop_decisions_have_spans;
   ]

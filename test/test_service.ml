@@ -327,6 +327,56 @@ let test_server_cache_short_circuit () =
     stats.Stats.cache.Cache.misses;
   Alcotest.(check bool) "hit rate positive" true (stats.Stats.cache_hit_rate > 0.0)
 
+let test_instance_counts_sum_to_registry () =
+  (* two servers in one process: each Stats.t counts only its own jobs,
+     and each registry total advances by the sum of the two *)
+  let views =
+    [
+      ("service_jobs_submitted_total", fun (s : Stats.t) -> s.Stats.submitted);
+      ("service_jobs_completed_total", fun s -> s.Stats.completed);
+      ("service_cache_hits_total", fun s -> s.Stats.cache.Cache.hits);
+      ("service_cache_misses_total", fun s -> s.Stats.cache.Cache.misses);
+      ("memo_hits_total", fun s -> s.Stats.memo_hits);
+      ("memo_misses_total", fun s -> s.Stats.memo_misses);
+    ]
+  in
+  let total name =
+    match Obs.Metrics.find Obs.Metrics.global name with
+    | `Counter n -> n
+    | _ -> Alcotest.failf "%s is not a registered counter" name
+  in
+  let before = List.map (fun (name, _) -> total name) views in
+  let a = Server.create ~workers:1 ~cache_capacity:16 () in
+  let b = Server.create ~workers:1 ~cache_capacity:16 () in
+  (* [jobs] fresh requests, then [repeats] more cycling through them *)
+  let drive server ~jobs ~repeats =
+    let req i = Traffic.nth_request ~seed:9 ~size_jitter:0 ~batch:1 i in
+    for i = 0 to jobs - 1 do
+      ignore (payload_exn "fresh" (Server.run server (req i)))
+    done;
+    for i = 0 to repeats - 1 do
+      ignore (payload_exn "repeat" (Server.run server (req (i mod jobs))))
+    done
+  in
+  drive a ~jobs:3 ~repeats:1;
+  drive b ~jobs:1 ~repeats:2;
+  let sa = Server.shutdown a and sb = Server.shutdown b in
+  Alcotest.(check (list int)) "a: submitted, completed, hits, misses"
+    [ 4; 4; 1; 3 ]
+    [ sa.Stats.submitted; sa.Stats.completed; sa.Stats.cache.Cache.hits;
+      sa.Stats.cache.Cache.misses ];
+  Alcotest.(check (list int)) "b: submitted, completed, hits, misses"
+    [ 3; 3; 2; 1 ]
+    [ sb.Stats.submitted; sb.Stats.completed; sb.Stats.cache.Cache.hits;
+      sb.Stats.cache.Cache.misses ];
+  Alcotest.(check bool) "b's memo is its own: it misses a's nests" true
+    (sb.Stats.memo_misses > 0);
+  List.iter2
+    (fun (name, view) t0 ->
+      Alcotest.(check int) (name ^ " = a + b") (view sa + view sb)
+        (total name - t0))
+    views before
+
 (* the outcome a ticket holds right now, without waiting for one *)
 let resolved_now ticket =
   let seen = ref None in
@@ -357,8 +407,15 @@ let test_busy_hit_keeps_fifo () =
   ignore (payload_exn "miss" (Server.await t_miss));
   let _, cached = payload_exn "hit" (Server.await t_hit) in
   Alcotest.(check bool) "hit served from the cache" true cached;
+  (* [await] may return before the resolving worker has run the
+     watchers, so wait (bounded) until both have recorded *)
+  let recorded () = Mutex.protect order_mu (fun () -> List.rev !order) in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while List.length (recorded ()) < 2 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
   Alcotest.(check (list string)) "resolution order" [ "miss"; "hit" ]
-    (List.rev !order);
+    (recorded ());
   ignore (Server.shutdown server)
 
 let test_server_parse_error_fails () =
@@ -779,4 +836,6 @@ let tests =
       test_duplicate_submission_races_cache_fill;
     Alcotest.test_case "cold: shutdown drains a full queue" `Quick
       test_shutdown_with_full_queue;
+    Alcotest.test_case "server: two servers' counts sum to the registry"
+      `Quick test_instance_counts_sum_to_registry;
   ]

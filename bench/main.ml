@@ -198,6 +198,20 @@ let memo_pass () =
      else 0.0)
     st.Restructurer.Memo.st_size
 
+(* Seconds per pass of [f] over [inputs]: the best of 3 runs of 40
+   passes. *)
+let best_pass_s f inputs =
+  let reps = 40 in
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      List.iter f inputs
+    done;
+    best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int reps)
+  done;
+  !best
+
 (* Codegen pass: Cedar-vs-OpenMP emission A/B.  The corpus is parsed
    and restructured once (advanced set); what is timed is only the
    backend — repeated program_to_string calls per target — so the row
@@ -218,18 +232,7 @@ let codegen_pass () =
   let bytes_per_pass target =
     List.fold_left (fun n p -> n + String.length (emit target p)) 0 progs
   in
-  let time target =
-    let reps = 40 in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to reps do
-        List.iter (fun p -> ignore (emit target p)) progs
-      done;
-      best := Float.min !best ((Unix.gettimeofday () -. t0) /. float_of_int reps)
-    done;
-    !best
-  in
+  let time target = best_pass_s (fun p -> ignore (emit target p)) progs in
   ignore (bytes_per_pass Codegen.Target.Cedar) (* warm allocator *);
   let n = List.length progs in
   let ced_s = time Codegen.Target.Cedar
@@ -254,6 +257,55 @@ let codegen_pass () =
     "codegen_openmp_bytes_per_pass": %d
   }|}
     n ced_s omp_s (per_s ced_s) (per_s omp_s) ced_bytes omp_bytes
+
+(* Front-end pass: the text path a validated job reads.  Timed are the
+   parse (lex + parse) of every corpus source, and the lift of each
+   restructured program's OpenMP text back to Cedar plus the reparse of
+   the lifted text, as [Validate.check_output] does it. *)
+let frontend_pass () =
+  let opts = Restructurer.Options.advanced Machine.Config.cedar_config1 in
+  let sources =
+    List.map
+      (fun w -> w.Workloads.Workload.source w.Workloads.Workload.small_size)
+      (Service.Traffic.corpus ())
+  in
+  let omp =
+    List.map
+      (fun src ->
+        Codegen.Emit.program_to_string ~target:Codegen.Target.Openmp
+          (Restructurer.Driver.restructure opts (Fortran.Parser.parse_program src))
+            .Restructurer.Driver.program)
+      sources
+  in
+  let lift_reparse text =
+    match Codegen.Openmp.lift_source text with
+    | Ok cedar -> ignore (Fortran.Parser.parse_program cedar)
+    | Error m -> failwith ("frontend pass: lift failed: " ^ m)
+  in
+  let bytes l = List.fold_left (fun n s -> n + String.length s) 0 l in
+  let n = List.length sources in
+  let parse_s =
+    best_pass_s (fun src -> ignore (Fortran.Parser.parse_program src)) sources
+  in
+  let lift_s = best_pass_s lift_reparse omp in
+  let per_s t = if t > 0.0 then float_of_int n /. t else 0.0 in
+  Printf.printf
+    "frontend: corpus of %d programs per pass\n\
+    \         parse          %.2f ms/pass (%.0f parses/s, %d bytes)\n\
+    \         lift+reparse   %.2f ms/pass (%.0f lift+reparses/s, %d bytes)\n%!"
+    n (1e3 *. parse_s) (per_s parse_s) (bytes sources) (1e3 *. lift_s)
+    (per_s lift_s) (bytes omp);
+  Printf.sprintf
+    {|{
+    "corpus_programs": %d,
+    "frontend_parse_pass_s": %.5f,
+    "frontend_lift_reparse_pass_s": %.5f,
+    "frontend_parses_per_s": %.1f,
+    "frontend_lift_reparses_per_s": %.1f,
+    "frontend_source_bytes_per_pass": %d,
+    "frontend_openmp_bytes_per_pass": %d
+  }|}
+    n parse_s lift_s (per_s parse_s) (per_s lift_s) (bytes sources) (bytes omp)
 
 (* Netfast pass: the warm socket path after the in-place frame decoder
    and the corked writer.  Flush counters give the frames-per-flush
@@ -840,6 +892,8 @@ let service_bench () =
   let memo_json = memo_pass () in
   print_endline "--- codegen pass (cedar vs openmp emission A/B) ---";
   let codegen_json = codegen_pass () in
+  print_endline "--- frontend pass (parse; lift + reparse) ---";
+  let frontend_json = frontend_pass () in
   print_endline "--- net pass (cedarnet TCP front-end) ---";
   let net_json = net_pass () in
   print_endline "--- netfast pass (zero-copy decode + corked writer) ---";
@@ -884,6 +938,7 @@ let service_bench () =
   "chaos_faults_injected": %d,
   "memo": %s,
   "codegen": %s,
+  "frontend": %s,
   "net": %s,
   "netfast": %s,
   "fibers": %s,
@@ -915,7 +970,7 @@ let service_bench () =
       chaos_stats.Service.Stats.degraded
       chaos_stats.Service.Stats.corrupt_dropped
       chaos_stats.Service.Stats.faults_injected memo_json codegen_json
-      net_json netfast_json fibers_json cluster_json
+      frontend_json net_json netfast_json fibers_json cluster_json
   in
   let oc = open_out "BENCH_service.json" in
   output_string oc json;
@@ -982,6 +1037,8 @@ let checkfloor () =
         "cold_throughput_jobs_per_s";
         "codegen_cedar_emits_per_s";
         "codegen_openmp_emits_per_s";
+        "frontend_parses_per_s";
+        "frontend_lift_reparses_per_s";
       ]
   in
   if not ok then exit 1
@@ -1007,6 +1064,7 @@ let () =
   | [ "service" ] -> service_bench ()
   | [ "memo" ] -> print_endline (memo_pass ())
   | [ "codegen" ] -> print_endline (codegen_pass ())
+  | [ "frontend" ] -> print_endline (frontend_pass ())
   | [ "netfast" ] -> print_endline (netfast_pass ())
   | [ "fibers" ] -> print_endline (fibers_pass ())
   | [ "cluster" ] -> print_endline (cluster_pass ())
@@ -1014,5 +1072,5 @@ let () =
   | _ ->
       prerr_endline
         "usage: main.exe \
-         [all|table1|table2|fig6|fig7|fig8|fig9|qcd|ablation|synthetic|micro|service|memo|codegen|netfast|fibers|cluster|checkfloor]";
+         [all|table1|table2|fig6|fig7|fig8|fig9|qcd|ablation|synthetic|micro|service|memo|codegen|frontend|netfast|fibers|cluster|checkfloor]";
       exit 2

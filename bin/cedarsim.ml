@@ -22,13 +22,9 @@ let run input machine engine restructure clusters prefetch =
   let src = if input = "-" then In_channel.input_all stdin else read_file input in
   let prog =
     try Fortran.Parser.parse_program src
-    with
-    | Fortran.Parser.Error (m, l) ->
-        Printf.eprintf "cedarsim: parse error at line %d: %s\n" l m;
-        exit 1
-    | Fortran.Lexer.Error (m, l) ->
-        Printf.eprintf "cedarsim: lexical error at line %d: %s\n" l m;
-        exit 1
+    with Fortran.Parser.Error (m, l) ->
+      Printf.eprintf "cedarsim: parse error at line %d: %s\n" l m;
+      exit 1
   in
   let cfg =
     match machine with

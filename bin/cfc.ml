@@ -19,13 +19,9 @@ let run input output techniques machine report_flag placement validate =
   let src = if input = "-" then In_channel.input_all stdin else read_file input in
   let prog =
     try Fortran.Parser.parse_program src
-    with
-    | Fortran.Parser.Error (m, l) ->
-        Printf.eprintf "cfc: parse error at line %d: %s\n" l m;
-        exit 1
-    | Fortran.Lexer.Error (m, l) ->
-        Printf.eprintf "cfc: lexical error at line %d: %s\n" l m;
-        exit 1
+    with Fortran.Parser.Error (m, l) ->
+      Printf.eprintf "cfc: parse error at line %d: %s\n" l m;
+      exit 1
   in
   let cfg =
     match machine with

@@ -36,11 +36,17 @@ module R = Transform.Reduction_par
 module U = Ast_utils
 module E = Fortran.Emit
 
-let expr_str = E.expr_str
-let lhs_str = E.lhs_str
-let decl_line = E.decl_line
-let emit_line = E.emit_line
-let dir buf indent text = emit_line buf indent ("!$omp " ^ text)
+let add = Buffer.add_string
+
+(* an OpenMP directive line: [dir_start], its text, [E.end_line] *)
+let dir_start buf indent =
+  E.start_line buf indent;
+  add buf "!$omp "
+
+let dir buf indent text =
+  dir_start buf indent;
+  add buf text;
+  E.end_line buf
 
 type ctx = {
   in_par : bool;  (** inside some enclosing parallel region *)
@@ -86,81 +92,108 @@ let fp_split index (locals : decl list) preamble =
   in
   go [] preamble
 
-let critical_name args =
-  match args with [ Int k ] -> Printf.sprintf " (lk%d)" k | _ -> ""
+(* "critical" or "end critical", named after a constant lock *)
+let critical_line buf indent keyword args =
+  dir_start buf indent;
+  add buf keyword;
+  (match args with
+  | [ Int k ] ->
+      add buf " (lk";
+      E.add_int buf k;
+      Buffer.add_char buf ')'
+  | _ -> ());
+  E.end_line buf
 
-let do_line h =
-  let step = match h.step with None -> "" | Some s -> ", " ^ expr_str s in
-  Printf.sprintf "DO %s = %s, %s%s" h.index (expr_str h.lo) (expr_str h.hi) step
+let do_line buf indent h =
+  E.start_line buf indent;
+  add buf "DO ";
+  add buf h.index;
+  add buf " = ";
+  E.add_expr buf h.lo;
+  add buf ", ";
+  E.add_expr buf h.hi;
+  (match h.step with
+  | None -> ()
+  | Some s ->
+      add buf ", ";
+      E.add_expr buf s);
+  E.end_line buf
 
 let mapped_call = [ "lock"; "unlock"; "await"; "advance" ]
 
 let rec emit_stmt ctx buf indent = function
-  | Assign (l, e) -> emit_line buf indent (lhs_str l ^ " = " ^ expr_str e)
   | If (c, [ s ], [])
     when match s with
          | Assign _ | Goto _ | Return | Stop -> true
          | CallSt (n, _) -> not (List.mem n mapped_call)
          | _ -> false ->
-      let inner = Buffer.create 64 in
-      emit_stmt ctx inner 0 s;
-      let text = String.trim (Buffer.contents inner) in
-      emit_line buf indent (Printf.sprintf "if (%s) %s" (expr_str c) text)
+      E.start_line buf indent;
+      add buf "if (";
+      E.add_expr buf c;
+      add buf ") ";
+      E.add_simple_stmt buf s;
+      E.end_line buf
   | If (c, t, e) ->
-      emit_line buf indent (Printf.sprintf "if (%s) then" (expr_str c));
-      List.iter (emit_stmt ctx buf (indent + 1)) t;
-      if e <> [] then begin
-        emit_line buf indent "else";
-        List.iter (emit_stmt ctx buf (indent + 1)) e
-      end;
-      emit_line buf indent "endif"
+      E.start_line buf indent;
+      add buf "if (";
+      E.add_expr buf c;
+      add buf ") then";
+      E.end_line buf;
+      emit_block ctx buf (indent + 1) t;
+      (match e with
+      | [] -> ()
+      | e ->
+          E.emit_line buf indent "else";
+          emit_block ctx buf (indent + 1) e);
+      E.emit_line buf indent "endif"
   | Where (m, body) ->
-      emit_line buf indent (Printf.sprintf "where (%s)" (expr_str m));
-      List.iter (emit_stmt ctx buf (indent + 1)) body;
-      emit_line buf indent "endwhere"
+      E.start_line buf indent;
+      add buf "where (";
+      E.add_expr buf m;
+      Buffer.add_char buf ')';
+      E.end_line buf;
+      emit_block ctx buf (indent + 1) body;
+      E.emit_line buf indent "endwhere"
   | Do (hdr, blk) when hdr.cls = Seq ->
-      emit_line buf indent (do_line hdr);
-      List.iter (emit_stmt ctx buf (indent + 1)) blk.body;
-      emit_line buf indent "enddo"
+      do_line buf indent hdr;
+      emit_block ctx buf (indent + 1) blk.body;
+      E.emit_line buf indent "enddo"
   | Do (hdr, blk) -> emit_parallel ctx buf indent hdr blk
   | CallSt ("lock", args) ->
-      if ctx.in_par then dir buf indent ("critical" ^ critical_name args)
+      if ctx.in_par then critical_line buf indent "critical" args
   | CallSt ("unlock", args) ->
-      if ctx.in_par then dir buf indent ("end critical" ^ critical_name args)
+      if ctx.in_par then critical_line buf indent "end critical" args
   | CallSt ("await", [ _; d ]) -> (
       match ctx.ordered with
       | Some i ->
-          dir buf indent
-            (Printf.sprintf "ordered depend(sink: %s - %s)" i (expr_str d))
+          dir_start buf indent;
+          add buf "ordered depend(sink: ";
+          add buf i;
+          add buf " - ";
+          E.add_expr buf d;
+          Buffer.add_char buf ')';
+          E.end_line buf
       | None -> ())
   | CallSt ("advance", _) -> (
       match ctx.ordered with
       | Some _ -> dir buf indent "ordered depend(source)"
       | None -> ())
-  | CallSt (n, []) -> emit_line buf indent ("call " ^ n)
-  | CallSt (n, args) ->
-      emit_line buf indent
-        (Printf.sprintf "call %s(%s)" n
-           (String.concat ", " (List.map expr_str args)))
-  | Return -> emit_line buf indent "return"
-  | Stop -> emit_line buf indent "stop"
-  | Continue -> emit_line buf indent "continue"
-  | Goto n -> emit_line buf indent (Printf.sprintf "goto %d" n)
-  | Labeled (l, s) ->
-      let inner = Buffer.create 64 in
-      emit_stmt ctx inner indent s;
-      let text = Buffer.contents inner in
-      let lbl = Printf.sprintf "%4d" l in
-      if String.length text > 4 then
-        Buffer.add_string buf (lbl ^ String.sub text 4 (String.length text - 4))
-      else Buffer.add_string buf text
-  | Print [] -> emit_line buf indent "print *"
-  | Print args ->
-      emit_line buf indent
-        ("print *, " ^ String.concat ", " (List.map expr_str args))
-  | Read ls ->
-      emit_line buf indent
-        ("read *, " ^ String.concat ", " (List.map lhs_str ls))
+  | Labeled (l, s) -> E.relabel buf l (fun () -> emit_stmt ctx buf indent s)
+  | s -> E.simple_line buf indent s
+
+and emit_block ctx buf indent = function
+  | [] -> ()
+  | s :: rest ->
+      emit_stmt ctx buf indent s;
+      emit_block ctx buf indent rest
+
+(* "name(item, item)" as one clause of a directive *)
+and clause buf name items =
+  Buffer.add_char buf ' ';
+  add buf name;
+  Buffer.add_char buf '(';
+  E.add_list buf Buffer.add_string items;
+  Buffer.add_char buf ')'
 
 and emit_parallel ctx buf indent h blk =
   let reds, h', blk' =
@@ -186,25 +219,23 @@ and emit_parallel ctx buf indent h blk =
         |> dedup
         |> List.filter (fun v -> v <> h'.index)
       in
-      List.iter
-        (fun (p, e) -> emit_line buf indent (p ^ " = " ^ expr_str e))
-        fps;
+      List.iter (fun (p, e) -> E.simple_line buf indent (Assign (LVar p, e))) fps;
       let is_dax = is_doacross h.cls in
-      let clauses =
-        (if is_dax then [ "ordered(1)" ] else [])
-        @ List.map
-            (fun r ->
-              Printf.sprintf "reduction(%s:%s)" (R.op_clause r.R.rr_op)
-                r.R.rr_shared)
-            reds
-        @ (if privates = [] then []
-           else [ "private(" ^ String.concat ", " privates ^ ")" ])
-        @
-        if fp_names = [] then []
-        else [ "firstprivate(" ^ String.concat ", " fp_names ^ ")" ]
-      in
-      dir buf indent (String.concat " " ("parallel do" :: clauses));
-      emit_line buf indent (do_line h');
+      dir_start buf indent;
+      add buf "parallel do";
+      if is_dax then add buf " ordered(1)";
+      List.iter
+        (fun r ->
+          add buf " reduction(";
+          add buf (R.op_clause r.R.rr_op);
+          Buffer.add_char buf ':';
+          add buf r.R.rr_shared;
+          Buffer.add_char buf ')')
+        reds;
+      if privates <> [] then clause buf "private" privates;
+      if fp_names <> [] then clause buf "firstprivate" fp_names;
+      E.end_line buf;
+      do_line buf indent h';
       let bctx =
         {
           ctx with
@@ -212,37 +243,25 @@ and emit_parallel ctx buf indent h blk =
           ordered = (if is_dax then Some h'.index else None);
         }
       in
-      List.iter (emit_stmt bctx buf (indent + 1)) blk'.body;
-      emit_line buf indent "enddo";
+      emit_block bctx buf (indent + 1) blk'.body;
+      E.emit_line buf indent "enddo";
       dir buf indent "end parallel do"
   | None ->
       (* serial demotion of the original loop: preamble, plain DO,
          postamble; synchronization calls drop with the parallelism *)
       ctx.hoist := !(ctx.hoist) @ h.locals;
-      List.iter (emit_stmt ctx buf indent) blk.preamble;
-      emit_line buf indent (do_line h);
-      List.iter (emit_stmt ctx buf (indent + 1)) blk.body;
-      emit_line buf indent "enddo";
-      List.iter (emit_stmt ctx buf indent) blk.postamble
+      emit_block ctx buf indent blk.preamble;
+      do_line buf indent h;
+      emit_block ctx buf (indent + 1) blk.body;
+      E.emit_line buf indent "enddo";
+      emit_block ctx buf indent blk.postamble
 
 let emit_unit buf (u : punit) =
-  (match u.u_kind with
-  | Program -> emit_line buf 0 ("program " ^ u.u_name)
-  | Subroutine ps ->
-      emit_line buf 0
-        (Printf.sprintf "subroutine %s(%s)" u.u_name (String.concat ", " ps))
-  | Function (ty, ps) ->
-      emit_line buf 0
-        (Printf.sprintf "%s function %s(%s)" (E.dtype_str ty) u.u_name
-           (String.concat ", " ps)));
-  List.iter
-    (fun (n, e) ->
-      emit_line buf 1 (Printf.sprintf "parameter (%s = %s)" n (expr_str e)))
-    u.u_params;
+  E.unit_header buf u;
   (* body first: lowering decides which loop-locals hoist to unit level *)
   let bodybuf = Buffer.create 1024 in
   let ctx = { in_par = false; ordered = None; hoist = ref [] } in
-  List.iter (emit_stmt ctx bodybuf 1) u.u_body;
+  emit_block ctx bodybuf 1 u.u_body;
   let declared = List.map (fun d -> d.d_name) u.u_decls in
   let hoisted =
     List.filter (fun d -> not (List.mem d.d_name declared)) !(ctx.hoist)
@@ -258,29 +277,35 @@ let emit_unit buf (u : punit) =
     u.u_decls;
   List.iter
     (fun d ->
-      if not (visibility_only d) then emit_line buf 1 (decl_line d)
+      if not (visibility_only d) then E.decl_line buf 1 d
       else if not (Hashtbl.mem printed d.d_name) then begin
         Hashtbl.add printed d.d_name ();
-        emit_line buf 1 (decl_line d)
+        E.decl_line buf 1 d
       end)
     u.u_decls;
-  List.iter (fun d -> emit_line buf 1 (decl_line d)) hoisted;
+  List.iter (E.decl_line buf 1) hoisted;
   List.iter
     (fun cb ->
-      let blk = if cb.c_name = "" then "" else "/" ^ cb.c_name ^ "/ " in
-      emit_line buf 1 ("common " ^ blk ^ String.concat ", " cb.c_vars);
-      if (not cb.c_process) && cb.c_name <> "" then
-        dir buf 1 (Printf.sprintf "threadprivate(/%s/)" cb.c_name))
+      E.start_line buf 1;
+      add buf "common ";
+      if cb.c_name <> "" then begin
+        Buffer.add_char buf '/';
+        add buf cb.c_name;
+        add buf "/ "
+      end;
+      E.add_list buf Buffer.add_string cb.c_vars;
+      E.end_line buf;
+      if (not cb.c_process) && cb.c_name <> "" then begin
+        dir_start buf 1;
+        add buf "threadprivate(/";
+        add buf cb.c_name;
+        add buf "/)";
+        E.end_line buf
+      end)
     u.u_commons;
-  List.iter
-    (fun group ->
-      List.iter
-        (fun (a, b) ->
-          emit_line buf 1 (Printf.sprintf "equivalence (%s, %s)" a b))
-        group)
-    u.u_equivs;
+  E.equivalence_lines buf u;
   Buffer.add_buffer buf bodybuf;
-  emit_line buf 0 "end"
+  E.emit_line buf 0 "end"
 
 let program_to_string (p : program) =
   let buf = Buffer.create 4096 in
@@ -303,10 +328,48 @@ let unit_to_string u =
 exception Lift_error of string
 
 let trim = String.trim
+let starts_with = String.starts_with
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
+(* The lift reads its input line by line, each line a range [i, e) of
+   the source: these helpers test it in place. *)
+
+(* the characters [String.trim] drops *)
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+let rec skip_space s i e = if i < e && is_space s.[i] then skip_space s (i + 1) e else i
+let rec rskip_space s i e = if e > i && is_space s.[e - 1] then rskip_space s i (e - 1) else e
+
+(* [s.[i..e)] begins with [prefix]; when [fold], ignoring the case of
+   [s] ([prefix] is lower case) *)
+let rec prefix_from fold s i prefix k =
+  k = String.length prefix
+  || (let c = s.[i + k] in
+      (if fold then Char.lowercase_ascii c else c) = prefix.[k])
+     && prefix_from fold s i prefix (k + 1)
+
+let has_prefix s i e prefix =
+  i + String.length prefix <= e && prefix_from false s i prefix 0
+
+let has_prefix_ci s i e prefix =
+  i + String.length prefix <= e && prefix_from true s i prefix 0
+
+(* [s.[i..e)] is exactly [w] *)
+let is_word s i e w = e - i = String.length w && has_prefix s i e w
+let is_word_ci s i e w = e - i = String.length w && has_prefix_ci s i e w
+
+(* Calls [f ls le] on each line of [src], as [String.split_on_char '\n']
+   splits it, less a final empty piece. *)
+let iter_lines src f =
+  let n = String.length src in
+  let ls = ref 0 in
+  while !ls < n do
+    let le = ref !ls in
+    while !le < n && String.unsafe_get src !le <> '\n' do
+      incr le
+    done;
+    f !ls !le;
+    ls := !le + 1
+  done
 
 let leading_ws s =
   let n = String.length s in
@@ -314,7 +377,7 @@ let leading_ws s =
   while !i < n && (s.[!i] = ' ' || s.[!i] = '\t') do incr i done;
   String.sub s 0 !i
 
-let is_directive s = starts_with ~prefix:"!$omp" (trim s)
+let is_directive s i e = has_prefix s (skip_space s i e) e "!$omp"
 
 let directive_text s =
   let t = trim s in
@@ -356,42 +419,56 @@ let parse_clauses text =
 let split_commas s =
   String.split_on_char ',' s |> List.map trim |> List.filter (fun x -> x <> "")
 
-(* word-boundary rename outside quoted strings *)
-let rename_word ~from ~into line =
-  let is_word c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-    || (c >= '0' && c <= '9')
-    || c = '_'
-  in
+let is_word_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+  || (c >= '0' && c <= '9')
+  || c = '_'
+
+(* [from] occurs in [line] at [i] as a whole word *)
+let word_at line i from =
   let n = String.length line and fl = String.length from in
-  let buf = Buffer.create (n + 8) in
+  has_prefix line i n from
+  && (i = 0 || not (is_word_char line.[i - 1]))
+  && (i + fl = n || not (is_word_char line.[i + fl]))
+
+(* word-boundary rename outside quoted strings; [line] itself when
+   [from] does not occur *)
+let rename_word ~from ~into line =
+  let n = String.length line and fl = String.length from in
+  let buf = ref None in
   let i = ref 0 and in_str = ref false in
   while !i < n do
     let c = line.[!i] in
-    if c = '\'' then begin
-      in_str := not !in_str;
-      Buffer.add_char buf c;
-      incr i
-    end
-    else if
-      (not !in_str)
-      && !i + fl <= n
-      && String.sub line !i fl = from
-      && ((!i = 0) || not (is_word line.[!i - 1]))
-      && (!i + fl = n || not (is_word line.[!i + fl]))
-    then begin
-      Buffer.add_string buf into;
+    if c <> '\'' && (not !in_str) && word_at line !i from then begin
+      let b =
+        match !buf with
+        | Some b -> b
+        | None ->
+            let b = Buffer.create (n + 8) in
+            Buffer.add_substring b line 0 !i;
+            buf := Some b;
+            b
+      in
+      Buffer.add_string b into;
       i := !i + fl
     end
     else begin
-      Buffer.add_char buf c;
+      if c = '\'' then in_str := not !in_str;
+      (match !buf with Some b -> Buffer.add_char b c | None -> ());
       incr i
     end
   done;
-  Buffer.contents buf
+  match !buf with Some b -> Buffer.contents b | None -> line
 
 let decl_keywords =
   [ "double precision "; "integer "; "real "; "logical "; "character " ]
+
+(* [s.[i..e)] starts with one of [decl_keywords] *)
+let rec starts_with_any s i e = function
+  | [] -> false
+  | kw :: rest -> has_prefix s i e kw || starts_with_any s i e rest
+
+let is_decl_start s i e = starts_with_any s i e decl_keywords
 
 (* "real x(10)" -> Some ("x", "real x(10)") *)
 let parse_decl_line t =
@@ -453,14 +530,18 @@ let critical_id dt =
         | None -> "1"
       else "1")
 
+(* where the code of the trimmed line [s.[i..e)] starts, past any
+   leading statement label *)
+let code_start s i e =
+  let k = ref i in
+  while !k < e && s.[!k] >= '0' && s.[!k] <= '9' do incr k done;
+  if !k > i && !k < e && s.[!k] = ' ' then skip_space s !k e else i
+
 (* trimmed line with any leading statement label stripped *)
 let code_text t =
   let n = String.length t in
-  let i = ref 0 in
-  while !i < n && t.[!i] >= '0' && t.[!i] <= '9' do incr i done;
-  if !i > 0 && !i < n && t.[!i] = ' ' then trim (String.sub t !i (n - !i))
-  else if !i = 0 then t
-  else t
+  let k = code_start t 0 n in
+  String.sub t k (n - k)
 
 type frame = {
   f_ws : string;  (** leading whitespace of the loop header line *)
@@ -482,8 +563,6 @@ type frame = {
     [Error _] on a directive the lift does not understand. *)
 let lift_source (src : string) : (string, string) result =
   try
-    let raw = String.split_on_char '\n' src in
-    let raw = match List.rev raw with "" :: r -> List.rev r | _ -> raw in
     let out = Buffer.create (String.length src) in
     let stack : frame list ref = ref [] in
     let pending : (string * string) list option ref = ref None in
@@ -491,10 +570,9 @@ let lift_source (src : string) : (string, string) result =
     let threadpriv : (string, unit) Hashtbl.t = Hashtbl.create 4 in
     let fresh = ref 0 in
     (* prescan: which named commons stay task-local *)
-    List.iter
-      (fun l ->
-        if is_directive l then
-          let dt = directive_text l in
+    iter_lines src (fun ls le ->
+        if is_directive src ls le then
+          let dt = directive_text (String.sub src ls (le - ls)) in
           if starts_with ~prefix:"threadprivate" dt then
             match String.index_opt dt '/' with
             | Some i -> (
@@ -502,33 +580,43 @@ let lift_source (src : string) : (string, string) result =
                 | Some j ->
                     Hashtbl.replace threadpriv (String.sub dt (i + 1) (j - i - 1)) ()
                 | None -> ())
-            | None -> ())
-      raw;
+            | None -> ());
     let cur_buf () = match !stack with [] -> out | f :: _ -> f.f_lines in
-    let emit line = Buffer.add_string (cur_buf ()) (line ^ "\n") in
+    let emit line =
+      let b = cur_buf () in
+      Buffer.add_string b line;
+      Buffer.add_char b '\n'
+    in
+    let emit_range ls le =
+      let b = cur_buf () in
+      Buffer.add_substring b src ls (le - ls);
+      Buffer.add_char b '\n'
+    in
     (* pop the newest emitted line at the current level if [p] holds *)
     let pop_last p =
       let buf = cur_buf () in
-      let s = Buffer.contents buf in
-      let n = String.length s in
+      let n = Buffer.length buf in
       if n = 0 then None
-      else
-        let start =
-          match String.rindex_opt (String.sub s 0 (n - 1)) '\n' with
-          | Some i -> i + 1
-          | None -> 0
-        in
-        let last = String.sub s start (n - start - 1) in
+      else begin
+        let start = ref (n - 1) in
+        while !start > 0 && Buffer.nth buf (!start - 1) <> '\n' do
+          decr start
+        done;
+        let last = Buffer.sub buf !start (n - !start - 1) in
         if p last then begin
-          Buffer.clear buf;
-          Buffer.add_string buf (String.sub s 0 start);
+          Buffer.truncate buf !start;
           Some last
         end
         else None
+      end
     in
     let close_frame f =
-      let b = Buffer.create 256 in
-      let add ws t = Buffer.add_string b (ws ^ t ^ "\n") in
+      let b = cur_buf () in
+      let add ws t =
+        Buffer.add_string b ws;
+        Buffer.add_string b t;
+        Buffer.add_char b '\n'
+      in
       let inner = f.f_ws ^ "  " in
       List.iter (add inner) f.f_locals;
       let has_blocks = f.f_pre <> [] || f.f_post <> [] in
@@ -541,8 +629,7 @@ let lift_source (src : string) : (string, string) result =
         add f.f_ws "endloop";
         List.iter (add inner) f.f_post
       end;
-      add f.f_ws ("end " ^ f.f_kind);
-      Buffer.add_buffer (cur_buf ()) b
+      add f.f_ws ("end " ^ f.f_kind)
     in
     let open_frame line clauses =
       let t = trim line in
@@ -635,100 +722,110 @@ let lift_source (src : string) : (string, string) result =
         }
         :: !stack
     in
-    let process line =
-      let t = trim line in
-      if t = "" then emit line
-      else if is_directive line then begin
-        let dt = directive_text line in
-        let ws = leading_ws line in
-        if starts_with ~prefix:"parallel do" dt then
-          pending :=
-            Some (parse_clauses (String.sub dt 11 (String.length dt - 11)))
-        else if starts_with ~prefix:"end parallel do" dt then ()
-        else if starts_with ~prefix:"ordered depend(source" dt then
-          emit (ws ^ "call advance(1)")
-        else if starts_with ~prefix:"ordered depend(sink" dt then begin
-          let payload =
-            match String.index_opt dt ':' with
-            | Some i -> (
-                let rest = String.sub dt (i + 1) (String.length dt - i - 1) in
-                match String.rindex_opt rest ')' with
-                | Some j -> String.sub rest 0 j
-                | None -> rest)
-            | None -> raise (Lift_error ("bad sink clause: " ^ dt))
-          in
-          let d =
-            match String.index_opt payload '-' with
-            | Some i ->
-                trim (String.sub payload (i + 1) (String.length payload - i - 1))
-            | None -> "0"
-          in
-          emit (ws ^ Printf.sprintf "call await(1, %s)" d)
-        end
-        else if starts_with ~prefix:"end critical" dt then
-          emit (ws ^ Printf.sprintf "call unlock(%s)" (critical_id dt))
-        else if starts_with ~prefix:"critical" dt then
-          emit (ws ^ Printf.sprintf "call lock(%s)" (critical_id dt))
-        else if starts_with ~prefix:"threadprivate" dt then ()
-        else raise (Lift_error ("unknown directive: " ^ dt))
+    let directive line =
+      let dt = directive_text line in
+      let ws = leading_ws line in
+      if starts_with ~prefix:"parallel do" dt then
+        pending := Some (parse_clauses (String.sub dt 11 (String.length dt - 11)))
+      else if starts_with ~prefix:"end parallel do" dt then ()
+      else if starts_with ~prefix:"ordered depend(source" dt then
+        emit (ws ^ "call advance(1)")
+      else if starts_with ~prefix:"ordered depend(sink" dt then begin
+        let payload =
+          match String.index_opt dt ':' with
+          | Some i -> (
+              let rest = String.sub dt (i + 1) (String.length dt - i - 1) in
+              match String.rindex_opt rest ')' with
+              | Some j -> String.sub rest 0 j
+              | None -> rest)
+          | None -> raise (Lift_error ("bad sink clause: " ^ dt))
+        in
+        let d =
+          match String.index_opt payload '-' with
+          | Some i ->
+              trim (String.sub payload (i + 1) (String.length payload - i - 1))
+          | None -> "0"
+        in
+        emit (ws ^ Printf.sprintf "call await(1, %s)" d)
       end
+      else if starts_with ~prefix:"end critical" dt then
+        emit (ws ^ Printf.sprintf "call unlock(%s)" (critical_id dt))
+      else if starts_with ~prefix:"critical" dt then
+        emit (ws ^ Printf.sprintf "call lock(%s)" (critical_id dt))
+      else if starts_with ~prefix:"threadprivate" dt then ()
+      else raise (Lift_error ("unknown directive: " ^ dt))
+    in
+    (* a named common with no threadprivate mark is process-shared *)
+    let common_line ls le ts te cs =
+      let ct = String.sub src cs (te - cs) in
+      let blkname =
+        match String.index_opt ct '/' with
+        | Some i -> (
+            match String.index_from_opt ct (i + 1) '/' with
+            | Some j -> String.sub ct (i + 1) (j - i - 1)
+            | None -> "")
+        | None -> ""
+      in
+      if blkname <> "" && Hashtbl.mem threadpriv blkname then
+        String.sub src ls (le - ls)
+      else
+        leading_ws (String.sub src ls (le - ls))
+        ^ "process " ^ String.sub src ts (te - ts)
+    in
+    (* a body line as it goes out: a process common at unit level, the
+       renames of every open frame (shared -> partial) inside loops *)
+    let emit_code ls le ts te cs =
+      match !stack with
+      | [] when has_prefix_ci src cs te "common" ->
+          emit (common_line ls le ts te cs)
+      | frames when List.exists (fun f -> not (List.is_empty f.f_renames)) frames ->
+          emit
+            (List.fold_left
+               (fun l f ->
+                 List.fold_left
+                   (fun l (shared, partial) ->
+                     rename_word ~from:shared ~into:partial l)
+                   l f.f_renames)
+               (String.sub src ls (le - ls))
+               frames)
+      | _ -> emit_range ls le
+    in
+    let process ls le =
+      let ts = skip_space src ls le in
+      let te = rskip_space src ts le in
+      if ts = te then emit_range ls le
+      else if has_prefix src ts te "!$omp" then
+        directive (String.sub src ls (le - ls))
       else
         match !pending with
         | Some clauses ->
             pending := None;
-            open_frame line clauses
+            open_frame (String.sub src ls (le - ls)) clauses
         | None ->
-            let ct = code_text t in
-            let lower_ct = String.lowercase_ascii ct in
-            (if !stack = [] then
-               match parse_decl_line ct with
-               | Some (name, text) -> Hashtbl.replace decls name text
-               | None -> ());
-            (* a named common with no threadprivate mark is process-shared *)
-            let line =
-              if !stack = [] && starts_with ~prefix:"common" lower_ct then begin
-                let blkname =
-                  match String.index_opt ct '/' with
-                  | Some i -> (
-                      match String.index_from_opt ct (i + 1) '/' with
-                      | Some j -> String.sub ct (i + 1) (j - i - 1)
-                      | None -> "")
-                  | None -> ""
-                in
-                if blkname <> "" && Hashtbl.mem threadpriv blkname then line
-                else leading_ws line ^ "process " ^ t
-              end
-              else line
-            in
-            (* body renames of every open frame (shared -> partial) *)
-            let line =
-              List.fold_left
-                (fun l f ->
-                  List.fold_left
-                    (fun l (shared, partial) ->
-                      rename_word ~from:shared ~into:partial l)
-                    l f.f_renames)
-                line !stack
-            in
-            if lower_ct = "enddo" && !stack <> [] then begin
+            let cs = code_start src ts te in
+            if !stack = [] && is_decl_start src cs te then (
+              match parse_decl_line (String.sub src cs (te - cs)) with
+              | Some (name, text) -> Hashtbl.replace decls name text
+              | None -> ());
+            if is_word_ci src cs te "enddo" && !stack <> [] then begin
               let f = List.hd !stack in
               f.f_depth <- f.f_depth - 1;
               if f.f_depth = 0 then begin
                 stack := List.tl !stack;
                 close_frame f
               end
-              else emit line
+              else emit_code ls le ts te cs
             end
             else begin
               (match !stack with
-              | f :: _ when starts_with ~prefix:"do " lower_ct ->
+              | f :: _ when has_prefix_ci src cs te "do " ->
                   f.f_depth <- f.f_depth + 1
               | _ -> ());
-              if ct = "end" && !stack = [] then Hashtbl.reset decls;
-              emit line
+              if !stack = [] && is_word src cs te "end" then Hashtbl.reset decls;
+              emit_code ls le ts te cs
             end
     in
-    List.iter process raw;
+    iter_lines src process;
     (match !stack with
     | [] -> ()
     | _ -> raise (Lift_error "input ended inside a parallel loop"));

@@ -9,7 +9,7 @@
 
 open Ast
 
-exception Error of string * int
+exception Error = Lexer.Error
 
 let error lineno fmt =
   Printf.ksprintf (fun m -> raise (Error (m, lineno))) fmt
@@ -35,7 +35,10 @@ let cur_lineno st = if eof st then -1 else (peek st).Token.lineno
 
 type cursor = { mutable toks : Token.t list; lineno : int }
 
-let cpeek c = match c.toks with [] -> None | t :: _ -> Some t
+(* Peeks match on the token list itself, so they allocate nothing; [tok]
+   is a constant token, compared physically. *)
+let at c tok = match c.toks with t :: _ -> t == tok | [] -> false
+let at_end c = match c.toks with [] -> true | _ :: _ -> false
 
 let cnext c =
   match c.toks with
@@ -54,91 +57,101 @@ let expect_ident c =
   | Token.Ident s -> s
   | t -> error c.lineno "expected identifier, got %s" (Token.to_string t)
 
+let relop = function
+  | Token.OpEq -> Some Eq
+  | Token.OpNe -> Some Ne
+  | Token.OpLt -> Some Lt
+  | Token.OpLe -> Some Le
+  | Token.OpGt -> Some Gt
+  | Token.OpGe -> Some Ge
+  | _ -> None
+
+(* where one position of a subscript list ends, and where one bound of
+   a section ends *)
+let at_subscript_end c =
+  match c.toks with Token.Comma :: _ | Token.RParen :: _ -> true | _ -> false
+
+let at_dim_end c = at c Token.Colon || at_subscript_end c
+
 let rec parse_expr st c = parse_or st c
 
 and parse_or st c =
   let lhs = parse_and st c in
-  match cpeek c with
-  | Some Token.OpOr ->
-      ignore (cnext c);
+  match c.toks with
+  | Token.OpOr :: rest ->
+      c.toks <- rest;
       Bin (Or, lhs, parse_or st c)
   | _ -> lhs
 
 and parse_and st c =
   let lhs = parse_not st c in
-  match cpeek c with
-  | Some Token.OpAnd ->
-      ignore (cnext c);
+  match c.toks with
+  | Token.OpAnd :: rest ->
+      c.toks <- rest;
       Bin (And, lhs, parse_and st c)
   | _ -> lhs
 
 and parse_not st c =
-  match cpeek c with
-  | Some Token.OpNot ->
-      ignore (cnext c);
+  match c.toks with
+  | Token.OpNot :: rest ->
+      c.toks <- rest;
       Un (Not, parse_not st c)
   | _ -> parse_rel st c
 
 and parse_rel st c =
   let lhs = parse_additive st c in
-  let mk op =
-    ignore (cnext c);
-    Bin (op, lhs, parse_additive st c)
-  in
-  match cpeek c with
-  | Some Token.OpEq -> mk Eq
-  | Some Token.OpNe -> mk Ne
-  | Some Token.OpLt -> mk Lt
-  | Some Token.OpLe -> mk Le
-  | Some Token.OpGt -> mk Gt
-  | Some Token.OpGe -> mk Ge
-  | _ -> lhs
+  match c.toks with
+  | t :: rest -> (
+      match relop t with
+      | Some op ->
+          c.toks <- rest;
+          Bin (op, lhs, parse_additive st c)
+      | None -> lhs)
+  | [] -> lhs
 
 and parse_additive st c =
   (* unary +/- binds looser than * in Fortran: -a*b = -(a*b); we fold the
      leading sign after parsing the first term, which gives the same result
      for the expressions we accept *)
-  let neg, first =
-    match cpeek c with
-    | Some Token.Minus ->
-        ignore (cnext c);
-        (true, parse_term st c)
-    | Some Token.Plus ->
-        ignore (cnext c);
-        (false, parse_term st c)
-    | _ -> (false, parse_term st c)
+  let first =
+    match c.toks with
+    | Token.Minus :: rest ->
+        c.toks <- rest;
+        Un (Neg, parse_term st c)
+    | Token.Plus :: rest ->
+        c.toks <- rest;
+        parse_term st c
+    | _ -> parse_term st c
   in
-  let lhs = if neg then Un (Neg, first) else first in
-  let rec loop lhs =
-    match cpeek c with
-    | Some Token.Plus ->
-        ignore (cnext c);
-        loop (Bin (Add, lhs, parse_term st c))
-    | Some Token.Minus ->
-        ignore (cnext c);
-        loop (Bin (Sub, lhs, parse_term st c))
-    | _ -> lhs
-  in
-  loop lhs
+  additive_rest st c first
 
-and parse_term st c =
-  let rec loop lhs =
-    match cpeek c with
-    | Some Token.Star ->
-        ignore (cnext c);
-        loop (Bin (Mul, lhs, parse_factor st c))
-    | Some Token.Slash ->
-        ignore (cnext c);
-        loop (Bin (Div, lhs, parse_factor st c))
-    | _ -> lhs
-  in
-  loop (parse_factor st c)
+and additive_rest st c lhs =
+  match c.toks with
+  | Token.Plus :: rest ->
+      c.toks <- rest;
+      additive_rest st c (Bin (Add, lhs, parse_term st c))
+  | Token.Minus :: rest ->
+      c.toks <- rest;
+      additive_rest st c (Bin (Sub, lhs, parse_term st c))
+  | _ -> lhs
+
+and parse_term st c = term_rest st c (parse_factor st c)
+
+and term_rest st c lhs =
+  match c.toks with
+  | Token.Star :: rest ->
+      c.toks <- rest;
+      term_rest st c (Bin (Mul, lhs, parse_factor st c))
+  | Token.Slash :: rest ->
+      c.toks <- rest;
+      term_rest st c (Bin (Div, lhs, parse_factor st c))
+  | _ -> lhs
 
 and parse_factor st c =
   let base = parse_primary st c in
-  match cpeek c with
-  | Some Token.DStar ->
-      ignore (cnext c);
+  match c.toks with
+  | Token.DStar :: rest ->
+      c.toks <- rest;
       (* right-associative *)
       Bin (Pow, base, parse_factor st c)
   | _ -> base
@@ -156,9 +169,9 @@ and parse_primary st c =
       expect c Token.RParen ")";
       e
   | Token.Ident name -> (
-      match cpeek c with
-      | Some Token.LParen ->
-          ignore (cnext c);
+      match c.toks with
+      | Token.LParen :: rest ->
+          c.toks <- rest;
           parse_ref st c name
       | _ -> Var name)
   | t -> error c.lineno "unexpected token %s in expression" (Token.to_string t)
@@ -167,7 +180,7 @@ and parse_primary st c =
 and parse_ref st c name =
   let dims = ref [] in
   let finished = ref false in
-  if cpeek c = Some Token.RParen then begin
+  if at c Token.RParen then begin
     ignore (cnext c);
     finished := true
   end;
@@ -188,23 +201,17 @@ and parse_ref st c name =
 
 (* one position of a (possibly sectioned) reference: e | e:e | e:e:e | : *)
 and parse_section_dim st c =
-  let at_colon () = cpeek c = Some Token.Colon in
-  let at_end () =
-    match cpeek c with
-    | Some Token.Comma | Some Token.RParen -> true
-    | _ -> false
-  in
-  let lo = if at_colon () || at_end () then None else Some (parse_expr st c) in
-  if not (at_colon ()) then
+  let lo = if at_dim_end c then None else Some (parse_expr st c) in
+  if not (at c Token.Colon) then
     match lo with
     | Some e -> Elem e
     | None -> error c.lineno "empty subscript"
   else begin
     ignore (cnext c);
-    let hi = if at_colon () || at_end () then None else Some (parse_expr st c) in
-    if at_colon () then begin
+    let hi = if at_dim_end c then None else Some (parse_expr st c) in
+    if at c Token.Colon then begin
       ignore (cnext c);
-      let step = if at_end () then None else Some (parse_expr st c) in
+      let step = if at_subscript_end c then None else Some (parse_expr st c) in
       Range (lo, hi, step)
     end
     else Range (lo, hi, None)
@@ -228,21 +235,21 @@ let parse_decl_names st c ty vis =
   while !continue_ do
     let name = expect_ident c in
     let dims =
-      match cpeek c with
-      | Some Token.LParen ->
+      match c.toks with
+      | Token.LParen :: _ ->
           ignore (cnext c);
           let ds = ref [] in
           let fin = ref false in
           while not !fin do
             (* each dim: expr | expr:expr | '*' *)
             let d =
-              match cpeek c with
-              | Some Token.Star ->
+              match c.toks with
+              | Token.Star :: _ ->
                   ignore (cnext c);
                   (Int 1, Int (-1)) (* assumed-size *)
               | _ ->
                   let e1 = parse_expr st c in
-                  if cpeek c = Some Token.Colon then begin
+                  if at c Token.Colon then begin
                     ignore (cnext c);
                     let e2 = parse_expr st c in
                     (e1, e2)
@@ -260,10 +267,10 @@ let parse_decl_names st c ty vis =
     in
     if dims <> [] then Hashtbl.replace st.arrays name (List.length dims);
     decls := { d_name = name; d_type = ty; d_dims = dims; d_vis = vis } :: !decls;
-    match cpeek c with
-    | Some Token.Comma -> ignore (cnext c)
-    | None -> continue_ := false
-    | Some t -> error c.lineno "unexpected %s in declaration" (Token.to_string t)
+    match c.toks with
+    | Token.Comma :: _ -> ignore (cnext c)
+    | [] -> continue_ := false
+    | t :: _ -> error c.lineno "unexpected %s in declaration" (Token.to_string t)
   done;
   List.rev !decls
 
@@ -283,28 +290,40 @@ let loop_class_of_keyword = function
 
 let rest_cursor (line : Token.line) toks = { toks; lineno = line.Token.lineno }
 
-(* does this line begin an END of the given loop class? accepts both
-   "end xdoall" and "endxdoall" *)
-let is_end_of_class cls (line : Token.line) =
-  let kw = String.lowercase_ascii (loop_keyword cls) in
-  match line.Token.tokens with
-  | [ Token.Ident "end"; Token.Ident k ] -> k = kw
-  | [ Token.Ident k ] -> k = "end" ^ kw
-  | _ -> false
+(* Stop predicates compare a line's tokens in place. *)
 
 let is_kw (line : Token.line) k =
-  match line.Token.tokens with Token.Ident k' :: _ -> k' = k | _ -> false
+  match line.Token.tokens with Token.Ident k' :: _ -> String.equal k' k | _ -> false
 
 let is_kw2 (line : Token.line) k1 k2 =
   match line.Token.tokens with
-  | Token.Ident a :: Token.Ident b :: _ -> a = k1 && b = k2
+  | Token.Ident a :: Token.Ident b :: _ -> String.equal a k1 && String.equal b k2
   | _ -> false
 
-let is_exact (line : Token.line) ks =
+(* the line is exactly the word [k] *)
+let is_exact (line : Token.line) k =
   match line.Token.tokens with
-  | ts -> (
-      try List.for_all2 (fun t k -> Token.equal t (Token.Ident k)) ts ks
-      with Invalid_argument _ -> false)
+  | [ Token.Ident a ] -> String.equal a k
+  | _ -> false
+
+(* the line is "end <k>" or "end<k>", e.g. "end do" or "enddo" *)
+let is_end (line : Token.line) k endk =
+  match line.Token.tokens with
+  | [ Token.Ident a ] -> String.equal a endk
+  | [ Token.Ident "end"; Token.Ident b ] -> String.equal b k
+  | _ -> false
+
+(* does this line END the given loop class? accepts both "end xdoall"
+   and "endxdoall" *)
+let is_end_of_class cls line =
+  match cls with
+  | Seq -> is_end line "do" "enddo"
+  | Cdoall -> is_end line "cdoall" "endcdoall"
+  | Sdoall -> is_end line "sdoall" "endsdoall"
+  | Xdoall -> is_end line "xdoall" "endxdoall"
+  | Cdoacross -> is_end line "cdoacross" "endcdoacross"
+  | Sdoacross -> is_end line "sdoacross" "endsdoacross"
+  | Xdoacross -> is_end line "xdoacross" "endxdoacross"
 
 let rec parse_stmts st (stop : Token.line -> bool) : stmt list =
   let acc = ref [] in
@@ -338,7 +357,7 @@ and parse_stmt_nolabel st : stmt =
   | Token.Ident "do" :: Token.IntLit lbl :: rest ->
       advance st;
       parse_labeled_do st line lbl rest
-  | Token.Ident kw :: rest when loop_class_of_keyword kw <> None ->
+  | Token.Ident kw :: rest when Option.is_some (loop_class_of_keyword kw) ->
       advance st;
       let cls = Option.get (loop_class_of_keyword kw) in
       parse_block_do st line cls rest
@@ -348,8 +367,8 @@ and parse_stmt_nolabel st : stmt =
       expect c Token.LParen "(";
       let cond = parse_expr st c in
       expect c Token.RParen ")";
-      match cpeek c with
-      | Some (Token.Ident "then") -> parse_block_if st cond
+      match c.toks with
+      | Token.Ident "then" :: _ -> parse_block_if st cond
       | _ ->
           (* one-line logical IF *)
           let body = parse_inline_stmt st line c in
@@ -360,17 +379,17 @@ and parse_stmt_nolabel st : stmt =
       expect c Token.LParen "(";
       let mask = parse_expr st c in
       expect c Token.RParen ")";
-      match cpeek c with
-      | None ->
+      match c.toks with
+      | [] ->
           (* block WHERE *)
           let body =
             parse_stmts st (fun l ->
-                is_exact l [ "endwhere" ] || is_exact l [ "end"; "where" ])
+                is_end l "where" "endwhere")
           in
           if eof st then error ln "missing ENDWHERE";
           advance st;
           Where (mask, body)
-      | Some _ ->
+      | _ :: _ ->
           let s = parse_inline_stmt st line c in
           Where (mask, [ s ]))
   | Token.Ident "call" :: rest ->
@@ -396,19 +415,19 @@ and parse_stmt_nolabel st : stmt =
       advance st;
       let c = rest_cursor line rest in
       let args =
-        match cpeek c with
-        | None -> []
-        | Some Token.Comma ->
+        match c.toks with
+        | [] -> []
+        | Token.Comma :: _ ->
             ignore (cnext c);
             parse_expr_list st c
-        | Some _ -> error ln "expected , after print *"
+        | _ :: _ -> error ln "expected , after print *"
       in
       Print args
   | Token.Ident "write" :: Token.LParen :: Token.Star :: Token.Comma
     :: Token.Star :: Token.RParen :: rest ->
       advance st;
       let c = rest_cursor line rest in
-      let args = if cpeek c = None then [] else parse_expr_list st c in
+      let args = if at_end c then [] else parse_expr_list st c in
       Print args
   | Token.Ident "read" :: Token.Star :: Token.Comma :: rest
   | Token.Ident "read" :: Token.LParen :: Token.Star :: Token.Comma
@@ -416,7 +435,7 @@ and parse_stmt_nolabel st : stmt =
       advance st;
       let c = rest_cursor line rest in
       let ls = ref [ parse_lhs st c ] in
-      while cpeek c = Some Token.Comma do
+      while at c Token.Comma do
         ignore (cnext c);
         ls := parse_lhs st c :: !ls
       done;
@@ -428,54 +447,54 @@ and parse_stmt_nolabel st : stmt =
       let lhs = parse_lhs st c in
       expect c Token.Assign "=";
       let rhs = parse_expr st c in
-      (match cpeek c with
-      | None -> ()
-      | Some t -> error ln "trailing token %s after assignment" (Token.to_string t));
+      (match c.toks with
+      | [] -> ()
+      | t :: _ -> error ln "trailing token %s after assignment" (Token.to_string t));
       Assign (lhs, rhs)
 
 (* a statement embedded after IF(...) or WHERE(...) on the same line *)
 and parse_inline_stmt st line c : stmt =
-  match cpeek c with
-  | Some (Token.Ident "call") ->
+  match c.toks with
+  | Token.Ident "call" :: _ ->
       ignore (cnext c);
       parse_call st c
-  | Some (Token.Ident "goto") -> (
+  | Token.Ident "goto" :: _ -> (
       ignore (cnext c);
       match cnext c with
       | Token.IntLit n -> Goto n
       | t -> error line.Token.lineno "goto %s" (Token.to_string t))
-  | Some (Token.Ident "return") ->
+  | Token.Ident "return" :: _ ->
       ignore (cnext c);
       Return
-  | Some (Token.Ident "stop") ->
+  | Token.Ident "stop" :: _ ->
       ignore (cnext c);
       Stop
-  | Some (Token.Ident "print") ->
+  | Token.Ident "print" :: _ ->
       ignore (cnext c);
       expect c Token.Star "*";
       let args =
-        match cpeek c with
-        | None -> []
-        | Some Token.Comma ->
+        match c.toks with
+        | [] -> []
+        | Token.Comma :: _ ->
             ignore (cnext c);
             parse_expr_list st c
-        | Some _ -> error line.Token.lineno "bad print"
+        | _ :: _ -> error line.Token.lineno "bad print"
       in
       Print args
-  | Some _ ->
+  | _ :: _ ->
       let lhs = parse_lhs st c in
       expect c Token.Assign "=";
       let rhs = parse_expr st c in
       Assign (lhs, rhs)
-  | None -> error line.Token.lineno "missing statement after IF(...)"
+  | [] -> error line.Token.lineno "missing statement after IF(...)"
 
 and parse_call st c =
   let name = expect_ident c in
   let args =
-    match cpeek c with
-    | Some Token.LParen ->
+    match c.toks with
+    | Token.LParen :: _ ->
         ignore (cnext c);
-        if cpeek c = Some Token.RParen then begin
+        if at c Token.RParen then begin
           ignore (cnext c);
           []
         end
@@ -490,7 +509,7 @@ and parse_call st c =
 
 and parse_expr_list st c =
   let acc = ref [ parse_expr st c ] in
-  while cpeek c = Some Token.Comma do
+  while at c Token.Comma do
     ignore (cnext c);
     acc := parse_expr st c :: !acc
   done;
@@ -498,8 +517,8 @@ and parse_expr_list st c =
 
 and parse_lhs st c : lhs =
   let name = expect_ident c in
-  match cpeek c with
-  | Some Token.LParen -> (
+  match c.toks with
+  | Token.LParen :: _ -> (
       ignore (cnext c);
       match parse_ref st c name with
       | Idx (n, args) -> LIdx (n, args)
@@ -522,7 +541,7 @@ and parse_block_do st line cls rest =
   expect c Token.Comma ",";
   let hi = parse_expr st c in
   let step =
-    if cpeek c = Some Token.Comma then begin
+    if at c Token.Comma then begin
       ignore (cnext c);
       Some (parse_expr st c)
     end
@@ -531,7 +550,7 @@ and parse_block_do st line cls rest =
   if cls = Seq then begin
     let body =
       parse_stmts st (fun l ->
-          is_exact l [ "enddo" ] || is_exact l [ "end"; "do" ])
+          is_end_of_class Seq l)
     in
     if eof st then error line.Token.lineno "missing ENDDO";
     advance st;
@@ -545,7 +564,7 @@ and parse_block_do st line cls rest =
       else
         let l = peek st in
         match l.Token.tokens with
-        | Token.Ident kw :: rest when dtype_of_keyword kw <> None ->
+        | Token.Ident kw :: rest when Option.is_some (dtype_of_keyword kw) ->
             advance st;
             let c = rest_cursor l rest in
             locals :=
@@ -560,13 +579,13 @@ and parse_block_do st line cls rest =
         | _ -> ()
     in
     scan_locals ();
-    let stop l = is_exact l [ "loop" ] || is_end_of_class cls l in
+    let stop l = is_exact l "loop" || is_end_of_class cls l in
     let first = parse_stmts st stop in
     if eof st then error line.Token.lineno "missing END %s" (loop_keyword cls);
     let blk =
-      if is_exact (peek st) [ "loop" ] then begin
+      if is_exact (peek st) "loop" then begin
         advance st;
-        let body = parse_stmts st (fun l -> is_exact l [ "endloop" ]) in
+        let body = parse_stmts st (fun l -> is_exact l "endloop") in
         if eof st then error line.Token.lineno "missing ENDLOOP";
         advance st;
         let post = parse_stmts st (fun l -> is_end_of_class cls l) in
@@ -592,7 +611,7 @@ and parse_labeled_do st line lbl rest =
   expect c Token.Comma ",";
   let hi = parse_expr st c in
   let step =
-    if cpeek c = Some Token.Comma then begin
+    if at c Token.Comma then begin
       ignore (cnext c);
       Some (parse_expr st c)
     end
@@ -614,13 +633,12 @@ and parse_labeled_do st line lbl rest =
 
 and parse_block_if st cond =
   let stop l =
-    is_exact l [ "endif" ] || is_exact l [ "end"; "if" ] || is_kw l "else"
-    || is_kw2 l "elseif" "" || is_kw l "elseif"
+    is_end l "if" "endif" || is_kw l "else" || is_kw l "elseif"
   in
   let then_branch = parse_stmts st stop in
   if eof st then error (cur_lineno st) "missing ENDIF";
   let line = peek st in
-  if is_exact line [ "endif" ] || is_exact line [ "end"; "if" ] then begin
+  if is_end line "if" "endif" then begin
     advance st;
     If (cond, then_branch, [])
   end
@@ -636,8 +654,8 @@ and parse_block_if st cond =
     expect c Token.LParen "(";
     let cond2 = parse_expr st c in
     expect c Token.RParen ")";
-    (match cpeek c with
-    | Some (Token.Ident "then") -> ()
+    (match c.toks with
+    | Token.Ident "then" :: _ -> ()
     | _ -> error line.Token.lineno "expected THEN after ELSE IF (...)");
     let nested = parse_block_if st cond2 in
     If (cond, then_branch, [ nested ])
@@ -650,7 +668,7 @@ and parse_block_if st cond =
         advance st;
         let else_branch =
           parse_stmts st (fun l ->
-              is_exact l [ "endif" ] || is_exact l [ "end"; "if" ])
+              is_end l "if" "endif")
         in
         if eof st then error line.Token.lineno "missing ENDIF";
         advance st;
@@ -666,16 +684,16 @@ and parse_block_if st cond =
 (* ------------------------------------------------------------------ *)
 
 let parse_formals c =
-  match cpeek c with
-  | Some Token.LParen ->
+  match c.toks with
+  | Token.LParen :: _ ->
       ignore (cnext c);
-      if cpeek c = Some Token.RParen then begin
+      if at c Token.RParen then begin
         ignore (cnext c);
         []
       end
       else begin
         let acc = ref [ expect_ident c ] in
-        while cpeek c = Some Token.Comma do
+        while at c Token.Comma do
           ignore (cnext c);
           acc := expect_ident c :: !acc
         done;
@@ -702,7 +720,7 @@ let parse_unit st : punit =
         let c = rest_cursor line rest in
         (n, Function (Real, parse_formals c))
     | Token.Ident ty :: Token.Ident "function" :: Token.Ident n :: rest
-      when dtype_of_keyword ty <> None ->
+      when Option.is_some (dtype_of_keyword ty) ->
         advance st;
         let c = rest_cursor line rest in
         (n, Function (Option.get (dtype_of_keyword ty), parse_formals c))
@@ -720,7 +738,7 @@ let parse_unit st : punit =
   (* declaration section *)
   let parse_common_vars c process =
     let cname =
-      if cpeek c = Some Token.Slash then begin
+      if at c Token.Slash then begin
         ignore (cnext c);
         let n = expect_ident c in
         expect c Token.Slash "/";
@@ -731,7 +749,7 @@ let parse_unit st : punit =
     let vars = ref [ expect_ident c ] in
     (* skip any dims appearing in common decls: common /b/ a(10) *)
     let skip_dims () =
-      if cpeek c = Some Token.LParen then begin
+      if at c Token.LParen then begin
         let depth = ref 0 in
         let fin = ref false in
         while not !fin do
@@ -745,7 +763,7 @@ let parse_unit st : punit =
       end
     in
     skip_dims ();
-    while cpeek c = Some Token.Comma do
+    while at c Token.Comma do
       ignore (cnext c);
       vars := expect_ident c :: !vars;
       skip_dims ()
@@ -764,7 +782,7 @@ let parse_unit st : punit =
       in
       ignore continue_decl;
       match l.Token.tokens with
-      | Token.Ident kw :: rest when dtype_of_keyword kw <> None -> (
+      | Token.Ident kw :: rest when Option.is_some (dtype_of_keyword kw) -> (
           (* could be "real function..." caught above, or a decl; also
              guard against "real x" executable?? no: decls first. But an
              assignment like "realvar = 1" lexes as single ident, fine *)
@@ -791,7 +809,7 @@ let parse_unit st : punit =
           advance st;
           let c = rest_cursor l rest in
           let names = ref [ expect_ident c ] in
-          while cpeek c = Some Token.Comma do
+          while at c Token.Comma do
             ignore (cnext c);
             names := expect_ident c :: !names
           done;
@@ -805,7 +823,7 @@ let parse_unit st : punit =
           advance st;
           let c = rest_cursor l rest in
           let names = ref [ expect_ident c ] in
-          while cpeek c = Some Token.Comma do
+          while at c Token.Comma do
             ignore (cnext c);
             names := expect_ident c :: !names
           done;
@@ -852,7 +870,7 @@ let parse_unit st : punit =
             while not !gfin do
               let n = expect_ident c in
               (* skip element subscripts *)
-              if cpeek c = Some Token.LParen then begin
+              if at c Token.LParen then begin
                 let depth = ref 0 in
                 let dfin = ref false in
                 while not !dfin do
@@ -873,7 +891,7 @@ let parse_unit st : punit =
             (match List.rev !names with
             | a :: rest -> groups := List.map (fun b -> (a, b)) rest :: !groups
             | [] -> ());
-            if cpeek c = Some Token.Comma then ignore (cnext c) else fin := true
+            if at c Token.Comma then ignore (cnext c) else fin := true
           done;
           equivs := !equivs @ List.rev !groups;
           decl_loop ()
@@ -883,7 +901,7 @@ let parse_unit st : punit =
       | _ -> ()
   in
   decl_loop ();
-  let body = parse_stmts st (fun l -> is_exact l [ "end" ]) in
+  let body = parse_stmts st (fun l -> is_exact l "end") in
   if eof st then error ln "missing END for unit %s" name;
   advance st;
   {
@@ -915,7 +933,7 @@ let parse_expr_string src : expr =
   in
   let c = { toks; lineno = 1 } in
   let e = parse_expr st c in
-  (match cpeek c with
-  | None -> ()
-  | Some t -> error 1 "trailing token %s in expression" (Token.to_string t));
+  (match c.toks with
+  | [] -> ()
+  | t :: _ -> error 1 "trailing token %s in expression" (Token.to_string t));
   e

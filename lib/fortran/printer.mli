@@ -1,12 +1,11 @@
 (** Cedar Fortran source printer.
 
     Output re-parses with {!Parser.parse_program}; the property tests
-    rely on the round trip.  Expression/line primitives are re-exported
-    from {!Emit}, the layer shared with non-Cedar codegen backends. *)
+    rely on the round trip.  The expression and line writers come from
+    {!Emit}, the layer shared with non-Cedar codegen backends; every
+    line is written straight into the output buffer. *)
 
 val expr_str : Ast.expr -> string
-val lhs_str : Ast.lhs -> string
-val decl_line : Ast.decl -> string
 
 val emit_stmt : Buffer.t -> int -> Ast.stmt -> unit
 (** Append one statement (recursively) at the given indent level. *)

@@ -574,16 +574,21 @@ let execute_attempt t (ws : wstate) ticket ~key rung : attempt =
     | A_timeout -> "timeout");
   a
 
-(* Walk the ladder.  Returns the final outcome plus whether the
-   restructure stage (non-passthrough rungs) genuinely succeeded — the
-   circuit breaker's health signal. *)
-let run_ladder t ws ticket ~key : outcome * bool =
+(* The circuit breaker's health signal from one job: the restructure
+   stage (non-passthrough rungs) succeeded, failed, or was never put to
+   the test — a source that does not parse says nothing about it. *)
+type health = Healthy | Sick | Inconclusive
+
+(* Walk the ladder.  Returns the final outcome and the job's health
+   signal. *)
+let run_ladder t ws ticket ~key : outcome * health =
   let rungs = [| Full; Conservative; Passthrough |] in
   let rec go idx =
     match execute_attempt t ws ticket ~key rungs.(idx) with
     | A_done payload ->
-        (Done { payload; cached = false }, payload.p_rung <> Passthrough)
-    | A_permanent msg -> (Failed msg, false)
+        ( Done { payload; cached = false },
+          if payload.p_rung <> Passthrough then Healthy else Sick )
+    | A_permanent msg -> (Failed msg, Inconclusive)
     | (A_failed _ | A_timeout) when idx + 1 < Array.length rungs ->
         M.incr t.retries;
         (* exponential backoff, then a fresh deadline budget for the
@@ -593,8 +598,8 @@ let run_ladder t ws ticket ~key : outcome * bool =
           (fun _ -> Unix.sleepf (t.retry_base_s *. (2.0 ** float_of_int idx)));
         ticket.tk_deadline <- now () +. t.timeout_s;
         go (idx + 1)
-    | A_failed msg -> (Failed msg, false)
-    | A_timeout -> (Timeout, false)
+    | A_failed msg -> (Failed msg, Sick)
+    | A_timeout -> (Timeout, Sick)
   in
   go 0
 
@@ -618,36 +623,34 @@ let breaker_route t =
   M.set_gauge m_breaker_state (breaker_gauge_value t.br_state);
   route
 
-let breaker_note t ~probe ~restructure_ok ~tainted =
+let breaker_note t ~probe health =
   with_lock t.stat_mutex (fun () ->
-      (if tainted then begin
-        (* chaos-injected failure: never counts against real capability;
-           a tainted probe is inconclusive, so re-open and re-arm the
-           timer rather than concluding anything *)
-        if probe then begin
-          t.br_state <- Br_open;
-          t.br_opened_at <- now ()
-        end
-      end
-      else if restructure_ok then begin
-        t.br_failures <- 0;
-        if probe then t.br_state <- Br_closed
-      end
-      else if probe then begin
-        t.br_state <- Br_open;
-        t.br_opened_at <- now ();
-        M.incr t.breaker_opened
-      end
-      else begin
-        t.br_failures <- t.br_failures + 1;
-        if t.br_state = Br_closed && t.br_failures >= t.breaker_threshold
-        then begin
+      (match health with
+      | Inconclusive ->
+          (* a chaos-injected failure or a client's unparseable source:
+             never counts against real capability; an inconclusive
+             probe re-opens and re-arms the timer rather than concluding
+             anything *)
+          if probe then begin
+            t.br_state <- Br_open;
+            t.br_opened_at <- now ()
+          end
+      | Healthy ->
+          t.br_failures <- 0;
+          if probe then t.br_state <- Br_closed
+      | Sick when probe ->
           t.br_state <- Br_open;
           t.br_opened_at <- now ();
-          M.incr t.breaker_opened;
-          t.br_failures <- 0
-        end
-      end);
+          M.incr t.breaker_opened
+      | Sick ->
+          t.br_failures <- t.br_failures + 1;
+          if t.br_state = Br_closed && t.br_failures >= t.breaker_threshold
+          then begin
+            t.br_state <- Br_open;
+            t.br_opened_at <- now ();
+            M.incr t.breaker_opened;
+            t.br_failures <- 0
+          end);
       M.set_gauge m_breaker_state (breaker_gauge_value t.br_state))
 
 (* ------------------------------------------------------------------ *)
@@ -700,9 +703,9 @@ let process t (ws : wstate) ticket =
             | A_permanent msg | A_failed msg -> finish (Failed msg)
             | A_timeout -> finish Timeout)
         | (`Normal | `Probe) as route ->
-            let outcome, restructure_ok = run_ladder t ws ticket ~key in
-            breaker_note t ~probe:(route = `Probe) ~restructure_ok
-              ~tainted:ticket.tk_tainted;
+            let outcome, health = run_ladder t ws ticket ~key in
+            breaker_note t ~probe:(route = `Probe)
+              (if ticket.tk_tainted then Inconclusive else health);
             finish outcome)
 
 let rec worker_loop t (slot : slot) (ws : wstate) =

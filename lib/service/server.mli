@@ -43,7 +43,9 @@
     Chaos faults from an attached {!Fault} injector taint the jobs they
     strike (unless the injector is in stealth mode), and tainted
     failures never count toward the breaker — injected chaos must not
-    convince the service that its restructurer is broken. *)
+    convince the service that its restructurer is broken.  Nor does a
+    source that does not parse: it fails at once, without a retry, and
+    leaves the breaker as it was. *)
 
 type request = {
   req_name : string;  (** label for reporting, e.g. the workload name *)

@@ -168,35 +168,59 @@ let test_symbols () =
       Alcotest.(check bool) "t is real" true (Symbols.dtype_of t "t" = Ast.Real)
   | _ -> Alcotest.fail "expected one unit"
 
-(* qcheck: random expression generator, printer/parser round trip *)
+(* qcheck: random expression generator, printer/parser round trip.  The
+   logical levels are generated in the shapes the parser builds: .or.
+   and .and. nest to the right, and a relational operator compares two
+   arithmetic operands. *)
 let gen_expr =
   let open QCheck.Gen in
   let var = oneofl [ "a"; "b"; "c"; "i"; "j"; "n" ] in
-  sized
-  @@ fix (fun self size ->
-         if size <= 1 then
-           oneof
-             [
-               map (fun n -> Ast.Int (abs n mod 1000)) int;
-               map (fun v -> Ast.Var v) var;
-               return (Ast.Num 1.5);
-             ]
-         else
-           oneof
-             [
-               map (fun n -> Ast.Int (abs n mod 1000)) int;
-               map (fun v -> Ast.Var v) var;
-               map2
-                 (fun op (a, b) -> Ast.Bin (op, a, b))
-                 (oneofl
-                    Ast.[ Add; Sub; Mul; Div; Pow ])
-                 (pair (self (size / 2)) (self (size / 2)));
-               map (fun a -> Ast.Un (Ast.Neg, a)) (self (size - 1));
-               map2
-                 (fun v (a, b) -> Ast.Idx (v, [ a; b ]))
-                 (oneofl [ "arr"; "mat" ])
-                 (pair (self (size / 2)) (self (size / 2)));
-             ])
+  let atom =
+    oneof
+      [
+        map (fun n -> Ast.Int (abs n mod 1000)) int;
+        map (fun v -> Ast.Var v) var;
+        return (Ast.Num 1.5);
+        map (fun s -> Ast.Str s) (oneofl [ "it's"; "'"; "''"; ""; "a b"; "x'y'z" ]);
+        map (fun b -> Ast.Bool b) bool;
+      ]
+  in
+  (* each level draws its children only when it is run *)
+  let rec arith size st =
+    if size <= 1 then atom st
+    else
+      match int_bound 4 st with
+      | 0 -> atom st
+      | 1 ->
+          let op = oneofl Ast.[ Add; Sub; Mul; Div; Pow ] st in
+          let a = arith (size / 2) st in
+          Ast.Bin (op, a, arith (size / 2) st)
+      | 2 -> Ast.Un (Ast.Neg, arith (size - 1) st)
+      | 3 ->
+          let a = arith (size / 2) st in
+          Ast.Idx (oneofl [ "arr"; "mat" ] st, [ a; arith (size / 2) st ])
+      | _ -> Ast.Call ("f", List.init (int_bound 2 st) (fun _ -> logical (size / 2) st))
+  and rel size st =
+    if size <= 1 || bool st then arith size st
+    else
+      let op = oneofl Ast.[ Eq; Ne; Lt; Le; Gt; Ge ] st in
+      let a = arith (size / 2) st in
+      Ast.Bin (op, a, arith (size / 2) st)
+  and negation size st =
+    if size <= 1 || bool st then rel size st
+    else Ast.Un (Ast.Not, negation (size - 1) st)
+  and conj size st =
+    if size <= 1 || bool st then negation size st
+    else
+      let a = negation (size / 2) st in
+      Ast.Bin (Ast.And, a, conj (size / 2) st)
+  and logical size st =
+    if size <= 1 || bool st then conj size st
+    else
+      let a = conj (size / 2) st in
+      Ast.Bin (Ast.Or, a, logical (size / 2) st)
+  in
+  sized logical
 
 let arbitrary_expr = QCheck.make gen_expr ~print:Printer.expr_str
 
@@ -213,6 +237,62 @@ let prop_expr_roundtrip =
       let s = Printer.expr_str e in
       let e2 = Parser.parse_expr_string s in
       Ast.equal_expr (norm e) (norm e2))
+
+(* Totality: on any input the front end raises [Parser.Error] or
+   returns; never another exception. *)
+let corpus_sources =
+  lazy
+    (List.map
+       (fun w -> w.Workloads.Workload.source w.Workloads.Workload.small_size)
+       (Workloads.Linalg.all @ Workloads.Perfect.all))
+
+let gen_front_end_input =
+  let open QCheck.Gen in
+  let insertion =
+    oneof
+      [
+        map (String.make 1) char;
+        oneofl
+          [ "&"; "'"; "''"; "\n"; "!"; "("; ")"; "."; ".q."; "@"; "\n     &";
+            "\n 99 "; "do "; "end"; "="; "12345678901234567890123" ];
+      ]
+  in
+  let mutate src edits =
+    List.fold_left
+      (fun s (pos, drop, ins) ->
+        let n = String.length s in
+        let p = pos mod (n + 1) in
+        let drop = min drop (n - p) in
+        String.sub s 0 p ^ ins ^ String.sub s (p + drop) (n - p - drop))
+      src edits
+  in
+  oneof
+    [
+      string_size ~gen:char (int_bound 200);
+      (fun st ->
+        let srcs = Lazy.force corpus_sources in
+        let src = List.nth srcs (int_bound (List.length srcs - 1) st) in
+        mutate src
+          (list_size (int_range 1 6)
+             (triple (int_bound 1_000_000) (int_bound 3) insertion)
+             st));
+    ]
+
+let prop_front_end_total =
+  QCheck.Test.make ~name:"front end raises only Parser.Error" ~count:1000
+    (QCheck.make gen_front_end_input ~print:(Printf.sprintf "%S"))
+    (fun src ->
+      match Parser.parse_program src with
+      | _ -> true
+      | exception Parser.Error _ -> true)
+
+let test_quote_roundtrip () =
+  let p = Parser.parse_program "      program p\n      print *, 'it''s'\n      end\n" in
+  let printed = Printer.program_to_string p in
+  Alcotest.(check string) "quote doubled" "      program p\n        print *, 'it''s'\n      end\n"
+    printed;
+  Alcotest.(check bool) "reparses to the same program" true
+    (Parser.parse_program printed = p)
 
 let tests =
   [
@@ -232,5 +312,8 @@ let tests =
     Alcotest.test_case "cedar loop structure" `Quick test_cedar_loop_structure;
     Alcotest.test_case "lexer continuation" `Quick test_lexer_continuation;
     Alcotest.test_case "symbols" `Quick test_symbols;
+    Alcotest.test_case "string literal with a quote round-trips" `Quick
+      test_quote_roundtrip;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+    QCheck_alcotest.to_alcotest prop_front_end_total;
   ]

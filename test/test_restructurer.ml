@@ -714,6 +714,243 @@ let test_output_pinned () =
   shape "rebatch" ~validate:true ~target:Codegen.Target.Openmp ~jitter:0
     pinned_rebatch
 
+(* ---------- what the validator reads, pinned ---------- *)
+
+(* The 64 rebatch-shaped requests above, each restructured and printed
+   for both targets, with its OpenMP text lifted back to Cedar and the
+   validator's verdict on it. *)
+type validated_job = {
+  vj_source : string;
+  vj_cedar : string;
+  vj_omp : string;
+  vj_lifted : string;
+  vj_verdict : string;
+}
+
+let validated_jobs =
+  lazy
+    (let memo = R.Driver.create_memo () in
+     List.init 64 (fun i ->
+         let r =
+           Service.Traffic.nth_request ~validate:true
+             ~target:Codegen.Target.Openmp ~seed:1 ~size_jitter:0 ~batch:4 i
+         in
+         let opts = r.Service.Server.req_options in
+         let prog =
+           (R.Driver.restructure ~memo opts
+              (Parser.parse_program r.Service.Server.req_source))
+             .R.Driver.program
+         in
+         let emit target = Codegen.Emit.program_to_string ~target prog in
+         let omp = emit Codegen.Target.Openmp in
+         {
+           vj_source = r.Service.Server.req_source;
+           vj_cedar = emit Codegen.Target.Cedar;
+           vj_omp = omp;
+           vj_lifted =
+             (match Codegen.Openmp.lift_source omp with
+             | Ok s -> s
+             | Error m -> "lift error: " ^ m);
+           vj_verdict =
+             (match Validate.check_output ~target:Codegen.Target.Openmp omp with
+             | Ok issues ->
+                 String.concat "\n" ("ok" :: List.map Validate.issue_to_string issues)
+             | Error m -> "error: " ^ m);
+         }))
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let check_pins label want got =
+  if want <> got then
+    Alcotest.failf "%s moved; now:\n%s" label
+      (String.concat "\n" (List.map (Printf.sprintf "    %S;") got))
+
+(* Per request: MD5 of the lifted text, MD5 of the verdict.  Recorded
+   before the text path was rewritten to lex by index and print into
+   the buffer. *)
+let pinned_lift =
+  [
+    "0149b6c628c75e58d67ae184c587bb4c 444bcb3a3fcf8389296c49467f27e1d6";
+    "38cc573316fff70c30140f199e8d5000 444bcb3a3fcf8389296c49467f27e1d6";
+    "b13b41f2d57f15938d8bc2c1f92dbaa7 444bcb3a3fcf8389296c49467f27e1d6";
+    "470990ce840e85e2f5dce25b81b1839c 444bcb3a3fcf8389296c49467f27e1d6";
+    "284387f5ed11ae398100542faea13498 444bcb3a3fcf8389296c49467f27e1d6";
+    "6a19b2715c63ac162bfc6ff868990092 444bcb3a3fcf8389296c49467f27e1d6";
+    "c5958339daaee8c739877dadcb6566a4 444bcb3a3fcf8389296c49467f27e1d6";
+    "1e978698e5c1424b3837ccb5f33ed99e 444bcb3a3fcf8389296c49467f27e1d6";
+    "6823a691a4692aca360df128183305f4 444bcb3a3fcf8389296c49467f27e1d6";
+    "768dfa2b07c782e4176a4b7679c08151 444bcb3a3fcf8389296c49467f27e1d6";
+    "df47b0f310ce0c4251d28700c10942b4 444bcb3a3fcf8389296c49467f27e1d6";
+    "9d06ca01bb3b9638fa87bfdc71672e2f 444bcb3a3fcf8389296c49467f27e1d6";
+    "90f1bfb3d1b6f279784c8b7c0cd344f0 444bcb3a3fcf8389296c49467f27e1d6";
+    "5583ace35eda498be188c4751b7561f0 444bcb3a3fcf8389296c49467f27e1d6";
+    "22c248029584ed47fd2e9b7eea8cfaf2 444bcb3a3fcf8389296c49467f27e1d6";
+    "1eccf49ec7420f75e29ca59a04319c27 444bcb3a3fcf8389296c49467f27e1d6";
+    "11e5360fba6047bd7b38a16d620e5ec4 444bcb3a3fcf8389296c49467f27e1d6";
+    "f14174dd96c1dbed148d873e0bb4a26c 444bcb3a3fcf8389296c49467f27e1d6";
+    "b9ffa0278357eccb6df1459c05dbbada 444bcb3a3fcf8389296c49467f27e1d6";
+    "e5212696d24c10f26be2085f9f4ace6b 444bcb3a3fcf8389296c49467f27e1d6";
+    "50a1a729a49bfa2ee998b4f5e0cd6242 444bcb3a3fcf8389296c49467f27e1d6";
+    "f9af629915862213719a50423bafa9d9 444bcb3a3fcf8389296c49467f27e1d6";
+    "412e82eddc984848783ccfce1b81c7f3 444bcb3a3fcf8389296c49467f27e1d6";
+    "a8a4e40bf0cd5c12b9e36d6bf239447a 444bcb3a3fcf8389296c49467f27e1d6";
+    "7a5f91c42ad9d260000262377e8a7e0e 444bcb3a3fcf8389296c49467f27e1d6";
+    "ca7ff5ed76779225d4755319f665bc02 444bcb3a3fcf8389296c49467f27e1d6";
+    "979c965fd2f994fc8679fdcda782bfa4 444bcb3a3fcf8389296c49467f27e1d6";
+    "09a41e71a6c06d191d04ea8eef2b10d1 444bcb3a3fcf8389296c49467f27e1d6";
+    "b596ade1b140100d49cb614c74ed9449 444bcb3a3fcf8389296c49467f27e1d6";
+    "b8a247bcaec77e5edca2a17b48030cd1 444bcb3a3fcf8389296c49467f27e1d6";
+    "6b857be9e0682e37df312e30f339b2be 444bcb3a3fcf8389296c49467f27e1d6";
+    "662a28417fc46cd83c426ba495073501 444bcb3a3fcf8389296c49467f27e1d6";
+    "a3db62b90a3ff10b4982310f6a9ee453 444bcb3a3fcf8389296c49467f27e1d6";
+    "3616dc6cd642ffc903bf80e20544d81f 444bcb3a3fcf8389296c49467f27e1d6";
+    "e1c2e96304c9b15a63cc2260f017673a 444bcb3a3fcf8389296c49467f27e1d6";
+    "92367a1317a2f3509c233b1dacc93e5d 444bcb3a3fcf8389296c49467f27e1d6";
+    "846271b6147f319e189b22680321a1a4 444bcb3a3fcf8389296c49467f27e1d6";
+    "5f0c691eec5b5d41819ff8b5f6e83950 444bcb3a3fcf8389296c49467f27e1d6";
+    "4c512f584027cd6b45e666f635f45ece 444bcb3a3fcf8389296c49467f27e1d6";
+    "f418147c94a2af931e0a34649fa541c4 444bcb3a3fcf8389296c49467f27e1d6";
+    "b595d26a6e1059a062d4de6888a87cb5 444bcb3a3fcf8389296c49467f27e1d6";
+    "34d1b97d71c50fae785cab96363bae96 444bcb3a3fcf8389296c49467f27e1d6";
+    "b0e0d225ef95f913375f801e2b435682 444bcb3a3fcf8389296c49467f27e1d6";
+    "b67bdc1578412a061b5d15364da91e9b 444bcb3a3fcf8389296c49467f27e1d6";
+    "52dd717198ab17839109443a7f1e5155 444bcb3a3fcf8389296c49467f27e1d6";
+    "806598301c2e285c83c6a852c4566c0d 444bcb3a3fcf8389296c49467f27e1d6";
+    "ef5ab5455a4423c8023495a9bb5a8588 444bcb3a3fcf8389296c49467f27e1d6";
+    "4b4297524384cf4b8b25f196009506a8 444bcb3a3fcf8389296c49467f27e1d6";
+    "3b768bce5f800e45cd5e13381d0bcd94 444bcb3a3fcf8389296c49467f27e1d6";
+    "ecb08a46f227c2968df3d642f1ee9e6f 444bcb3a3fcf8389296c49467f27e1d6";
+    "2b1310099345cb438aaee07bced9f24d 444bcb3a3fcf8389296c49467f27e1d6";
+    "267b45e2ef638dc499d5e5c53080ec5d 444bcb3a3fcf8389296c49467f27e1d6";
+    "53ce8bc8c12342fea220d735e07b3b4f 444bcb3a3fcf8389296c49467f27e1d6";
+    "beedd9a594cfc2aec0d6df2008391a38 444bcb3a3fcf8389296c49467f27e1d6";
+    "c1e924aae8d0c2f2feb2e801383aa869 444bcb3a3fcf8389296c49467f27e1d6";
+    "48253ba20036921671ab8dde1d9b7817 444bcb3a3fcf8389296c49467f27e1d6";
+    "49750423d272235575ac75c097bef3a4 444bcb3a3fcf8389296c49467f27e1d6";
+    "7a94fa9a7d6c5c68e0127554717da53d 444bcb3a3fcf8389296c49467f27e1d6";
+    "c123fcfa4974839661111be1363d9215 444bcb3a3fcf8389296c49467f27e1d6";
+    "cca9dae40c9624f180b6968a6f6a9183 444bcb3a3fcf8389296c49467f27e1d6";
+    "5f14c9005fdcceb1ed8ea67aef0f7ab7 444bcb3a3fcf8389296c49467f27e1d6";
+    "a4603ccfef343a6bf77982f417722355 444bcb3a3fcf8389296c49467f27e1d6";
+    "4beeed091fd807267d3bf416dbe08eac 444bcb3a3fcf8389296c49467f27e1d6";
+    "101dbef0f212544872dae2618b7f5fd5 444bcb3a3fcf8389296c49467f27e1d6";
+  ]
+
+let test_lift_pinned () =
+  check_pins "lift and verdict digests" pinned_lift
+    (List.map
+       (fun j -> md5 j.vj_lifted ^ " " ^ md5 j.vj_verdict)
+       (Lazy.force validated_jobs))
+
+(* A deterministic PRNG of our own, so the mutants do not depend on the
+   standard library's generator. *)
+let lcg seed =
+  let s = ref seed in
+  fun bound ->
+    s := (!s * 0x5DEECE66D + 0xB) land ((1 lsl 48) - 1);
+    (!s lsr 16) mod bound
+
+(* [count] small mutants: a run of 1-12 lines cut from one of [bases],
+   then 1-4 edits drawn from characters and snippets the lexer treats
+   specially (continuations, quotes, comments, labels, dots). *)
+let lexer_mutants ~seed ~count bases =
+  let rand = lcg seed in
+  let bases = Array.of_list bases in
+  let alphabet = " &'!\n\tc*.0123456789aeEdD=(),+-/:<>@_x\rC" in
+  let snippets =
+    [| "\n     &"; " &\n"; "\n& "; "''"; ".and."; ".foo."; "!"; "\nc";
+       "\n100 "; "\n     0"; "1.5d-3"; ".5e"; "'it''s'"; "\n*"; "&";
+       "\n  12 "; "\n\n"; "      " |]
+  in
+  List.init count (fun _ ->
+      let base = bases.(rand (Array.length bases)) in
+      let lines = Array.of_list (String.split_on_char '\n' base) in
+      let first = rand (Array.length lines) in
+      let len = min (1 + rand 12) (Array.length lines - first) in
+      let b =
+        Buffer.of_seq
+          (String.to_seq (String.concat "\n" (Array.to_list (Array.sub lines first len))))
+      in
+      for _ = 0 to rand 4 do
+        let s = Buffer.contents b in
+        let n = String.length s in
+        let p = rand (n + 1) in
+        let ins =
+          match rand 3 with
+          | 0 -> String.make 1 alphabet.[rand (String.length alphabet)]
+          | 1 -> snippets.(rand (Array.length snippets))
+          | _ -> ""
+        in
+        let drop = if rand 2 = 0 && p < n then 1 + rand (min 3 (n - p)) else 0 in
+        Buffer.clear b;
+        Buffer.add_string b (String.sub s 0 p);
+        Buffer.add_string b ins;
+        Buffer.add_string b (String.sub s (p + drop) (n - p - drop))
+      done;
+      Buffer.contents b)
+
+(* a 19-digit run can overflow an OCaml int, which the lexer once raised
+   as [Failure]; such inputs are left to the typed-error tests *)
+let has_long_digit_run s =
+  let run = ref 0 and long = ref false in
+  String.iter
+    (fun c ->
+      if c >= '0' && c <= '9' then (
+        incr run;
+        if !run >= 19 then long := true)
+      else run := 0)
+    s;
+  !long
+
+let lex_text src =
+  let b = Buffer.create 4096 in
+  (match Lexer.lex src with
+  | lines ->
+      List.iter
+        (fun (l : Token.line) ->
+          Printf.bprintf b "%d %d" l.Token.label l.Token.lineno;
+          List.iter
+            (fun t ->
+              Buffer.add_char b ' ';
+              match t with
+              | Token.RealLit f -> Printf.bprintf b "RealLit %h" f
+              | t -> Buffer.add_string b (Token.show t))
+            l.Token.tokens;
+          Buffer.add_char b '\n')
+        lines
+  | exception Lexer.Error (m, l) -> Printf.bprintf b "error %d %s\n" l m);
+  Buffer.contents b
+
+let lexer_inputs () =
+  let corpus =
+    List.map
+      (fun w -> w.Workloads.Workload.source w.Workloads.Workload.small_size)
+      (Service.Traffic.corpus ())
+  in
+  let jobs =
+    List.concat_map
+      (fun j -> [ j.vj_source; j.vj_cedar; j.vj_omp; j.vj_lifted ])
+      (Lazy.force validated_jobs)
+  in
+  let bases = corpus @ jobs in
+  bases
+  @ List.filter
+      (fun s -> not (has_long_digit_run s))
+      (lexer_mutants ~seed:19 ~count:4000 bases)
+
+(* One MD5 over the token lines (or the error) of every input: the
+   corpus, the 64 requests' sources and their emitted Cedar, OpenMP and
+   lifted texts, and 4000 mutants of them.  Recorded before the lexer
+   was rewritten to scan the source once by index. *)
+let pinned_tokens = "320f0d72b8309492aa5d1e58afb42041"
+
+let test_tokens_pinned () =
+  let inputs = lexer_inputs () in
+  let digest = md5 (String.concat "" (List.map (fun s -> md5 (lex_text s)) inputs)) in
+  Alcotest.(check string)
+    (Printf.sprintf "token lines of %d inputs" (List.length inputs))
+    pinned_tokens digest
+
 let workload_programs () =
   List.map
     (fun w ->
@@ -803,6 +1040,9 @@ let tests =
     Alcotest.test_case "explicit REAL I-N scalar keeps its type" `Quick
       test_real_in_scalar;
     Alcotest.test_case "output pinned per request" `Quick test_output_pinned;
+    Alcotest.test_case "lift and verdict pinned per request" `Quick
+      test_lift_pinned;
+    Alcotest.test_case "token lines pinned" `Quick test_tokens_pinned;
     Alcotest.test_case "interproc and driver tables match of_unit" `Quick
       test_shared_tables;
   ]

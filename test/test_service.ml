@@ -433,6 +433,60 @@ let test_server_parse_error_fails () =
   let stats = Server.shutdown server in
   Alcotest.(check int) "failure counted" 1 stats.Stats.failed
 
+(* A lexical error, or an integer that does not fit, is a front-end
+   error like any syntax error: answered after one attempt, no retry. *)
+let test_front_end_errors_fail_once () =
+  let server = Server.create ~workers:1 ~cache_capacity:4 () in
+  let opts = Restructurer.Options.auto_1991 Machine.Config.cedar_config1 in
+  let failed name source =
+    match
+      Server.run server
+        { Server.req_name = name; req_source = source; req_options = opts }
+    with
+    | Server.Failed m -> m
+    | _ -> Alcotest.failf "%s: expected Failed" name
+  in
+  let starts ~prefix m =
+    Alcotest.(check bool) (Printf.sprintf "%S starts with %S" m prefix) true
+      (String.starts_with ~prefix m)
+  in
+  starts ~prefix:"parse error, line 2: unexpected character @"
+    (failed "stray @" "      program p\n      x = 1 @ 2\n      end\n");
+  starts ~prefix:"parse error, line 2: integer literal"
+    (failed "long int"
+       "      program p\n      x = 123456789012345678901234567890\n      end\n");
+  starts ~prefix:"parse error, line 3: statement label"
+    (failed "long label"
+       "      program p\n      x = 1\n 12345678901234567890123 continue\n      end\n");
+  let stats = Server.shutdown server in
+  Alcotest.(check int) "three failures" 3 stats.Stats.failed;
+  Alcotest.(check int) "no retries" 0 stats.Stats.retries
+
+(* A client's parse errors say nothing about the restructurer: five in a
+   row leave the breaker closed, and the next good job runs at Full. *)
+let test_parse_errors_leave_breaker_closed () =
+  let server = Server.create ~workers:1 ~cache_capacity:4 () in
+  let opts = Restructurer.Options.auto_1991 Machine.Config.cedar_config1 in
+  for i = 1 to 5 do
+    match
+      Server.run server
+        {
+          Server.req_name = Printf.sprintf "bad %d" i;
+          req_source = "      program p\n      x = = 2\n      end\n";
+          req_options = opts;
+        }
+    with
+    | Server.Failed _ -> ()
+    | _ -> Alcotest.fail "expected Failed"
+  done;
+  let req = Traffic.nth_request ~seed:5 ~size_jitter:0 ~batch:1 0 in
+  let payload, _ = payload_exn "good" (Server.run server req) in
+  Alcotest.(check bool) "served at Full" true (payload.Server.p_rung = Server.Full);
+  let stats = Server.shutdown server in
+  Alcotest.(check int) "breaker never opened" 0 stats.Stats.breaker_opened;
+  Alcotest.(check int) "nothing degraded" 0 stats.Stats.degraded;
+  Alcotest.(check string) "breaker closed" "closed" stats.Stats.breaker_state
+
 let test_server_expired_job_cancelled () =
   (* a deadline far in the past: the job expires in the queue and must
      come back Cancelled without running; the server stays usable *)
@@ -814,6 +868,10 @@ let tests =
       `Quick test_busy_hit_keeps_fifo;
     Alcotest.test_case "server: parse error -> Failed" `Quick
       test_server_parse_error_fails;
+    Alcotest.test_case "server: a lexical error fails once, no retry" `Quick
+      test_front_end_errors_fail_once;
+    Alcotest.test_case "server: parse errors leave the breaker closed" `Quick
+      test_parse_errors_leave_breaker_closed;
     Alcotest.test_case "server: expired job -> Cancelled" `Quick
       test_server_expired_job_cancelled;
     Alcotest.test_case "driver: interrupt hook aborts" `Quick

@@ -100,22 +100,24 @@ let rec add_expr buf e =
   | Section (a, dims) -> add_apply buf a add_section_dim dims
   | Bin (op, a, b) ->
       let p = prec_of e in
-      (* ** is right-associative: a left operand of equal precedence needs
-         parentheses ((x**y)**z prints as (x**y)**z, not x**y**z) *)
+      (* a left operand of equal precedence needs parentheses where the
+         parser nests to the right: ** ((x**y)**z), .and. and .or.
+         ((a .and. b) .and. c), and a relational operator, which takes
+         one relational operator per operand ((a .lt. b) .lt. c) *)
       let need_lparen =
         match op with
-        | Pow -> prec_of a <= p && prec_of a < 9
-        | _ -> prec_of a < p
+        | Pow | And | Or | Eq | Ne | Lt | Le | Gt | Ge -> prec_of a <= p
+        | Add | Sub | Mul | Div -> prec_of a < p
       in
       add_operand buf need_lparen a;
       add buf (binop_str op);
-      (* right operand of a left-assoc op at equal precedence needs parens
-         for - and / ; Pow is right-assoc *)
+      (* a right operand of equal precedence needs them where the parser
+         nests to the left (- and /, and + and * alike) and under a
+         relational operator; ** .and. .or. nest to the right *)
       let need_rparen =
         match op with
-        | Pow -> prec_of b < p
-        | Sub | Div | Add | Mul -> prec_of b <= p && prec_of b < 9
-        | _ -> prec_of b < p
+        | Pow | And | Or -> prec_of b < p
+        | Add | Sub | Mul | Div | Eq | Ne | Lt | Le | Gt | Ge -> prec_of b <= p
       in
       add_operand buf need_rparen b
   | Un (Neg, a) ->

@@ -94,15 +94,38 @@ let decision_slug s =
     String.sub s 0 (String.length s - 1)
   else s
 
+(* Each verdict's counter, looked up in the registry by the first loop
+   that gets the verdict (so it enters the dump when it always did) and
+   kept here after: the decisions are a handful of literal strings, and
+   memo replays carry the same ones.  Two domains that miss together
+   add the same counter twice, which is harmless. *)
+let decision_counters : (string * Obs.Metrics.counter) list Atomic.t =
+  Atomic.make []
+
+let rec decision_counter decision = function
+  | (d, c) :: rest ->
+      if String.equal d decision then c else decision_counter decision rest
+  | [] ->
+      let c =
+        Obs.Metrics.counter Obs.Metrics.global
+          ~help:"loops decided, by driver verdict"
+          (Printf.sprintf "driver_decision_%s_total" (decision_slug decision))
+      in
+      let rec add () =
+        let known = Atomic.get decision_counters in
+        let added = (decision, c) :: known in
+        if not (Atomic.compare_and_set decision_counters known added) then
+          add ()
+      in
+      add ();
+      c
+
 (* every decision goes through here: prepends the report and bumps the
-   per-verdict counter (loop granularity, so registry lookup cost is
-   immaterial) *)
+   per-verdict counter *)
 let record (ctx : ctx) (r : loop_report) =
   ctx.reports <- r :: ctx.reports;
   Obs.Metrics.incr
-    (Obs.Metrics.counter Obs.Metrics.global
-       ~help:"loops decided, by driver verdict"
-       (Printf.sprintf "driver_decision_%s_total" (decision_slug r.r_decision)))
+    (decision_counter r.r_decision (Atomic.get decision_counters))
 
 (* after the fact, stamp the loop span with the newest report recorded for
    (index, depth) since [before] — the driver's verdict for this nest *)

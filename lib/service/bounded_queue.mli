@@ -20,10 +20,10 @@ val try_push : 'a t -> 'a -> bool
 
 val try_push_front : 'a t -> 'a -> bool
 (** Non-blocking enqueue at the head, ahead of every queued item:
-    [false] when full or closed.  Used by the supervisor to requeue a
-    dead worker's job — it must never block on backpressure while it is
-    the only thing healing the pool, and the job keeps its place ahead
-    of the jobs submitted after it. *)
+    [false] when full or closed.  Used by a dying worker to requeue its
+    job — it must never block on backpressure while it is healing the
+    pool, and the job keeps its place ahead of the jobs submitted after
+    it. *)
 
 val pop : 'a t -> 'a option
 (** Dequeue, blocking while the queue is empty.  Returns [None] once the

@@ -17,9 +17,12 @@
      parse-and-print serial passthrough) with exponential backoff, each
      payload tagged with the rung that produced it;
    - an exception that escapes the barrier anyway (deliberately:
-     injected domain death) unwinds the worker; a supervisor domain
-     watching per-worker heartbeats joins the corpse, requeues or fails
-     its in-flight ticket (never leaks it), and respawns the slot;
+     injected domain death) unwinds the worker, whose own last act,
+     under the pool mutex, is to requeue or fail its in-flight ticket
+     (never leak it) and respawn its slot with a domain that joins it —
+     so the pool runs one domain per worker and no other;
+   - an optional watchdog thread (wedge detection) times out a job whose
+     worker has gone silent past its deadline and respawns the slot;
    - a circuit breaker counts consecutive real (non-chaos) restructure
      failures and, once open, serves serial passthrough directly —
      degraded but alive — half-opening on a timer to probe recovery;
@@ -74,8 +77,6 @@ type ticket = {
 type wstate = {
   mutable w_ticket : ticket option;  (* in flight *)
   mutable w_heartbeat : float;
-  mutable w_crashed : bool;  (* exited via an escaping exception *)
-  mutable w_done : bool;  (* exited (normally or not) *)
 }
 
 type slot = {
@@ -120,8 +121,8 @@ type t = {
   stat_mutex : Mutex.t;
   pool_mutex : Mutex.t;
   mutable slots : slot array;
-  mutable orphans : (unit Domain.t * wstate) list;
-  mutable supervisor : unit Domain.t option;
+  mutable orphans : unit Domain.t list;  (* wedged workers, replaced *)
+  mutable watchdog : Thread.t option;  (* wedge detection, when on *)
   mutable stopping : bool;
   mutable shut : bool;  (* a shutdown drain has started (idempotence) *)
   (* counts: children of the registry totals below, read by [stats] *)
@@ -211,7 +212,8 @@ let m_degraded =
     "service_degraded_total"
 
 let m_respawns =
-  M.counter M.global ~help:"worker domains respawned by the supervisor"
+  M.counter M.global
+    ~help:"worker domains respawned after a death or a wedge"
     "service_worker_respawns_total"
 
 let m_corrupt_dropped =
@@ -284,9 +286,9 @@ let timed name hist f =
       M.observe hist (now () -. t0);
       r)
 
-(* Idempotent: the supervisor may fail a wedged worker's ticket while the
-   abandoned worker later finishes and tries to resolve it too; only the
-   first resolution counts and wakes the submitter. *)
+(* Idempotent: the watchdog may time out a wedged worker's ticket while
+   the abandoned worker later finishes and tries to resolve it too; only
+   the first resolution counts and wakes the submitter. *)
 let resolve t ticket outcome =
   let won, watchers =
     with_lock ticket.tk_mutex (fun () ->
@@ -726,29 +728,16 @@ let rec worker_loop t (slot : slot) (ws : wstate) =
         ws.w_ticket <- None;
         worker_loop t slot ws
 
-let worker_main t slot ws =
-  (try worker_loop t slot ws
-   with _ -> ws.w_crashed <- true (* the barrier never lets real errors
-                                     escape; this is a (injected) death *));
-  ws.w_done <- true
-
-let spawn_worker t slot =
-  let ws =
-    { w_ticket = None; w_heartbeat = now (); w_crashed = false; w_done = false }
-  in
-  slot.s_state <- ws;
-  slot.s_domain <- Some (Domain.spawn (fun () -> worker_main t slot ws))
-
 (* ------------------------------------------------------------------ *)
-(* Supervisor                                                          *)
+(* Self-healing                                                        *)
 (* ------------------------------------------------------------------ *)
+
+let died = Failed "worker domain died while running this job"
 
 (* Fail-or-requeue the in-flight ticket of a worker that will never
    finish it.  One requeue per ticket: a job must not ping-pong between
    dying workers forever. *)
-let salvage_ticket t ?(outcome = Failed "worker domain died while running \
-                                         this job")
-    (ws : wstate) =
+let salvage_ticket t (ws : wstate) =
   match ws.w_ticket with
   | None -> ()
   | Some ticket ->
@@ -761,66 +750,74 @@ let salvage_ticket t ?(outcome = Failed "worker domain died while running \
         ticket.tk_requeues <- ticket.tk_requeues + 1;
         ticket.tk_deadline <- now () +. t.timeout_s;
         M.incr t.retries;
-        (* never block the one thread healing the pool on backpressure;
-           requeued at the head, the job still runs before every job
-           submitted after it, however late the sweep noticed the death,
+        (* never block a dying worker on backpressure; requeued at the
+           head, the job still runs before every job submitted after it,
            which keeps a single-worker pool's order deterministic *)
         if not (Bounded_queue.try_push_front t.queue ticket) then
-          resolve t ticket outcome
+          resolve t ticket died
       end
-      else resolve t ticket outcome
+      else resolve t ticket died
 
-let supervisor_sweep t =
-  with_lock t.pool_mutex (fun () ->
-      Array.iter
-        (fun slot ->
-          let ws = slot.s_state in
-          if ws.w_crashed then begin
-            (* the domain has exited: join is immediate *)
-            (match slot.s_domain with
-            | Some d -> Domain.join d
-            | None -> ());
-            slot.s_domain <- None;
-            salvage_ticket t ws;
-            if not t.stopping then begin
-              spawn_worker t slot;
-              M.incr t.respawns
-            end
+(* A death (an exception past the barrier: injected chaos is the only
+   source) heals the pool from the dying domain itself, under the pool
+   mutex: it salvages its ticket and hands its slot to a fresh worker,
+   which joins it (a domain cannot join itself) before taking a job.  A
+   wedged worker's slot and job were already dealt with, so its death
+   changes nothing; a death once shutdown has begun is left to
+   [shutdown]. *)
+let rec worker_main t slot ws =
+  try worker_loop t slot ws
+  with _ ->
+    with_lock t.pool_mutex (fun () ->
+        if not t.stopping then begin
+          salvage_ticket t ws;
+          if slot.s_state == ws then begin
+            spawn_worker t slot ?predecessor:slot.s_domain;
+            M.incr t.respawns
           end
-          else if
-            (* heartbeat wedge detection: alive but silent long past its
-               job's deadline.  The domain cannot be killed, so it is
-               orphaned (it exits on its own at the next fuel poll) and
-               the slot respawned; its ticket resolves Timeout now *)
-            t.wedge_after_s < infinity
-            && (not ws.w_done)
-            && ws.w_ticket <> None
-            && now () -. ws.w_heartbeat > t.wedge_after_s
-            &&
-            match ws.w_ticket with
-            | Some tk -> now () > tk.tk_deadline
-            | None -> false
-          then begin
-            salvage_ticket t ~outcome:Timeout ws;
-            (match slot.s_domain with
-            | Some d -> t.orphans <- (d, ws) :: t.orphans
-            | None -> ());
-            slot.s_domain <- None;
-            if not t.stopping then begin
-              spawn_worker t slot;
-              M.incr t.respawns
-            end
-          end)
-        t.slots;
-      (* an orphan that later crashes still must not leak its ticket *)
-      List.iter
-        (fun (_, ws) -> if ws.w_crashed then salvage_ticket t ws)
-        t.orphans)
+        end)
 
-let supervisor_loop t =
+(* under the pool mutex *)
+and spawn_worker ?predecessor t slot =
+  let ws = { w_ticket = None; w_heartbeat = now () } in
+  slot.s_state <- ws;
+  slot.s_domain <-
+    Some
+      (Domain.spawn (fun () ->
+           Option.iter Domain.join predecessor;
+           worker_main t slot ws))
+
+(* ------------------------------------------------------------------ *)
+(* Wedge detection                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Alive but silent long past its job's deadline.  The domain cannot be
+   killed, so it is orphaned (it exits on its own at the next fuel poll)
+   and the slot respawned; its ticket resolves Timeout now. *)
+let watchdog_sweep t =
+  with_lock t.pool_mutex (fun () ->
+      if not t.stopping then
+        Array.iter
+          (fun slot ->
+            let ws = slot.s_state in
+            match ws.w_ticket with
+            | Some ticket
+              when now () -. ws.w_heartbeat > t.wedge_after_s
+                   && now () > ticket.tk_deadline ->
+                ws.w_ticket <- None;
+                resolve t ticket Timeout;
+                Option.iter
+                  (fun d -> t.orphans <- d :: t.orphans)
+                  slot.s_domain;
+                spawn_worker t slot;
+                M.incr t.respawns
+            | _ -> ())
+          t.slots)
+
+let watchdog_loop t =
   while not t.stopping do
-    Unix.sleepf 0.002;
-    supervisor_sweep t
+    Thread.delay 0.002;
+    watchdog_sweep t
   done
 
 (* ------------------------------------------------------------------ *)
@@ -864,7 +861,7 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
       pool_mutex = Mutex.create ();
       slots = [||];
       orphans = [];
-      supervisor = None;
+      watchdog = None;
       stopping = false;
       shut = false;
       submitted = M.child m_submitted;
@@ -891,23 +888,19 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
       latencies = Reservoir.create ~capacity:(max 1 latency_reservoir) ();
     }
   in
-  t.slots <-
-    Array.init workers (fun _ ->
-        let slot =
-          {
-            s_domain = None;
-            s_state =
+  with_lock t.pool_mutex (fun () ->
+      t.slots <-
+        Array.init workers (fun _ ->
+            let slot =
               {
-                w_ticket = None;
-                w_heartbeat = now ();
-                w_crashed = false;
-                w_done = false;
-              };
-          }
-        in
-        spawn_worker t slot;
-        slot);
-  t.supervisor <- Some (Domain.spawn (fun () -> supervisor_loop t));
+                s_domain = None;
+                s_state = { w_ticket = None; w_heartbeat = now () };
+              }
+            in
+            spawn_worker t slot;
+            slot));
+  if t.wedge_after_s < infinity then
+    t.watchdog <- Some (Thread.create watchdog_loop t);
   t
 
 let effective_workers t = Array.length t.slots
@@ -1104,10 +1097,10 @@ let stats t =
 
    1. close the queue — every submit from this instant on resolves
       [Cancelled], so "did my late submit get served?" has one answer;
-   2. stop and join the supervisor;
+   2. stop respawning, and stop and join the watchdog if there is one;
    3. join the workers — they finish their in-flight job and whatever
       was already queued before the close, then exit on the drained
-      queue;
+      queue (each respawned worker joined the one it replaced);
    4. salvage anything dead workers left behind;
    5. flush the final statistics.
 
@@ -1126,11 +1119,7 @@ let shutdown t =
   else begin
   Bounded_queue.close t.queue;
   with_lock t.pool_mutex (fun () -> t.stopping <- true);
-  (match t.supervisor with
-  | Some d ->
-      Domain.join d;
-      t.supervisor <- None
-  | None -> ());
+  Option.iter Thread.join t.watchdog;
   Array.iter
     (fun slot ->
       match slot.s_domain with
@@ -1139,12 +1128,10 @@ let shutdown t =
           slot.s_domain <- None
       | None -> ())
     t.slots;
-  (* the pool is gone: salvage what the dead left behind — crashed
-     workers' in-flight tickets, then whatever is still queued (possible
-     when every worker died before the close) *)
-  Array.iter
-    (fun slot -> if slot.s_state.w_crashed then salvage_ticket t slot.s_state)
-    t.slots;
+  (* the pool is gone: salvage what the dead left behind — the in-flight
+     tickets of workers that died once the drain began, then whatever is
+     still queued (possible when every worker did) *)
+  Array.iter (fun slot -> salvage_ticket t slot.s_state) t.slots;
   let rec drain () =
     match Bounded_queue.pop t.queue with
     | Some ticket ->
@@ -1153,11 +1140,7 @@ let shutdown t =
     | None -> ()
   in
   drain ();
-  List.iter
-    (fun (d, ws) ->
-      Domain.join d;
-      if ws.w_crashed then salvage_ticket t ws)
-    t.orphans;
+  List.iter Domain.join t.orphans;
   t.orphans <- [];
   stats t
   end

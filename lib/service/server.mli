@@ -24,16 +24,17 @@
       run-time tests), then parse-and-print serial passthrough.  Each
       [Done] payload is tagged with the rung that produced it; only
       full-rung results are cached.
-    - {b Supervision}: a supervisor domain watches per-worker
-      heartbeats.  A worker killed by an escaping exception (chaos
-      injection is the only source) is joined and respawned; its
-      in-flight job is requeued once, at the head of the queue so no
-      later job overtakes it, or resolved [Failed] — never leaked.
-      Optionally, a worker silent long past its job's deadline is
-      declared wedged: its job resolves [Timeout], the slot is
-      respawned, and the stuck domain is orphaned until it exits on its
-      own (the fuel counter in the analysis hot loops guarantees it
-      does).
+    - {b Self-healing}: the pool runs one domain per worker and no
+      other.  A worker killed by an escaping exception (chaos injection
+      is the only source) heals the pool as it dies: its in-flight job
+      is requeued once, at the head of the queue so no later job
+      overtakes it, or resolved [Failed] — never leaked — and its slot
+      is respawned with a fresh domain, which joins the dead one.
+      Optionally, a watchdog thread checks per-worker heartbeats: a
+      worker silent long past its job's deadline is declared wedged, its
+      job resolves [Timeout], the slot is respawned, and the stuck domain
+      is orphaned until it exits on its own (the fuel counter in the
+      analysis hot loops guarantees it does).
     - {b Circuit breaker}: after [breaker_threshold] consecutive {e
       real} (non-injected) restructure failures the breaker opens and
       jobs are served serial passthrough directly — degraded but alive.
@@ -112,8 +113,8 @@ val create :
   cache_capacity:int ->
   unit ->
   t
-(** Start [workers] domains ([>= 1] enforced) plus one supervisor
-    domain.  Unless [oversubscribe] is set, the pool is capped at
+(** Start [workers] domains ([>= 1] enforced) and no other.  Unless
+    [oversubscribe] is set, the pool is capped at
     [Domain.recommended_domain_count] — extra domains on an
     oversubscribed host only add stop-the-world GC barrier cost.
     [queue_capacity] bounds the backlog (default 64).  [timeout_ms <= 0]
@@ -125,12 +126,13 @@ val create :
     [retry_base_ms * 2^k] before retrying.  [breaker_threshold]
     (default 5) consecutive real restructure failures open the breaker;
     [breaker_cooldown_ms] (default 250) is the open-to-half-open timer.
-    [wedge_after_ms <= 0] (the default) disables heartbeat wedge
-    detection.  [latency_reservoir] (default 1024) bounds the latency
-    sample size.  [max_source_bytes > 0] rejects any request whose
-    source exceeds the cap — resolved [Failed] with a typed message
-    before the text ever reaches a parser ([0], the default, means
-    unlimited).
+    [wedge_after_ms > 0] starts one watchdog thread that checks worker
+    heartbeats every 2 ms; [<= 0] (the default) disables wedge
+    detection and starts no thread.  [latency_reservoir] (default 1024)
+    bounds the latency sample size.  [max_source_bytes > 0] rejects any
+    request whose source exceeds the cap — resolved [Failed] with a
+    typed message before the text ever reaches a parser ([0], the
+    default, means unlimited).
 
     [memo_capacity] (default 1024) bounds the nest-level restructurer
     memo shared by every worker: per-loop-nest analysis/transformation
@@ -220,8 +222,11 @@ val stats : t -> Stats.t
 
 val shutdown : t -> Stats.t
 (** Deterministic drain: (1) close the queue, so every later submit
-    resolves [Cancelled]; (2) stop and join the supervisor; (3) join the
-    workers — they finish in-flight and already-queued jobs first;
-    (4) salvage anything dead workers or orphans left behind; (5) return
-    the final statistics.  Idempotent — a second (e.g. signal-path)
-    caller just gets the statistics. *)
+    resolves [Cancelled]; (2) stop respawning, and stop and join the
+    watchdog if there is one; (3) join the workers — they finish
+    in-flight and already-queued jobs first — and every orphaned
+    domain; (4) salvage the jobs of workers that died during the drain
+    and whatever is still queued; (5) return the final statistics.
+    When it returns, every domain the server spawned has exited.
+    Idempotent — a second (e.g. signal-path) caller just gets the
+    statistics. *)

@@ -14,7 +14,7 @@ type t = {
   rung_conservative : int;  (** [Done] payloads from the conservative rung *)
   rung_passthrough : int;  (** [Done] payloads that are serial passthrough *)
   degraded : int;  (** jobs served passthrough because the breaker was open *)
-  respawns : int;  (** worker domains replaced by the supervisor *)
+  respawns : int;  (** worker domains replaced after a death or a wedge *)
   corrupt_dropped : int;  (** cache entries failing their integrity check *)
   breaker_opened : int;  (** closed/half-open -> open transitions *)
   replica_admitted : int;  (** warm-cache pushes admitted from ring peers *)

@@ -1,6 +1,7 @@
 (* Chaos suite: the fault injector and everything that must survive it —
-   the exception barrier, the supervisor's respawn/requeue path, the
-   degradation ladder, the circuit breaker, and the checksummed cache.
+   the exception barrier, the dying worker's own respawn/requeue path,
+   wedge detection, the degradation ladder, the circuit breaker, and the
+   checksummed cache.
 
    Single-worker servers make the fault schedule fully deterministic
    (one domain consumes every draw in submission order); the corpus
@@ -210,8 +211,9 @@ let test_raise_always_lands_on_passthrough () =
 
 let test_kill_respawns_pool () =
   (* every attempt kills its worker: each job is requeued once, dies
-     again, and resolves Failed; the supervisor keeps replacing domains
-     and the pool must still serve once the fault is lifted *)
+     again, and resolves Failed; each dying worker hands its slot to a
+     fresh domain, and the pool must still serve once the fault is
+     lifted *)
   let fault = Fault.create [ (Fault.Worker_kill, 1.0) ] in
   let server = Server.create ~workers:2 ~oversubscribe:true ~cache_capacity:16 ~fault () in
   let tickets = List.init 4 (fun i -> (i, Server.submit server (request i))) in
@@ -238,6 +240,72 @@ let test_kill_respawns_pool () =
     true
     (stats.Stats.respawns >= 8);
   Alcotest.(check int) "every killed job resolved Failed" 4 stats.Stats.failed
+
+let test_wedge_times_out_and_respawns () =
+  (* the one job in flight sleeps far past its deadline without a
+     heartbeat: the watchdog resolves it Timeout, once, and hands the
+     slot to a fresh worker that serves the next job at the full rung;
+     the orphan's late finish (joined by shutdown) resolves nothing *)
+  let fault = Fault.create ~delay_ms:1000.0 [ (Fault.Exec_delay, 1.0) ] in
+  let server =
+    Server.create ~workers:1 ~cache_capacity:16 ~timeout_ms:200.0
+      ~wedge_after_ms:20.0 ~fault ()
+  in
+  let stuck = Server.submit server (request 0) in
+  let resolutions = Atomic.make 0 in
+  Server.on_resolve stuck (fun _ -> Atomic.incr resolutions);
+  (match Server.await stuck with
+  | Server.Timeout -> ()
+  | o -> Alcotest.failf "stuck job: expected Timeout, got %s" (outcome_name o));
+  Fault.set_prob fault Fault.Exec_delay 0.0;
+  (match Server.run server (request 1) with
+  | Server.Done { payload; _ } ->
+      Alcotest.(check string) "respawned slot serves full rung" "full"
+        (Server.rung_name payload.Server.p_rung)
+  | o -> Alcotest.failf "next job: %s" (outcome_name o));
+  let stats = Server.shutdown server in
+  Alcotest.(check int) "one respawn" 1 stats.Stats.respawns;
+  Alcotest.(check int) "one timeout" 1 stats.Stats.timed_out;
+  Alcotest.(check int) "only the next job completed" 1 stats.Stats.completed;
+  Alcotest.(check int) "resolved once" 1 (Atomic.get resolutions);
+  Alcotest.(check string) "still Timeout after the orphan finished" "Timeout"
+    (outcome_name (Server.await stuck))
+
+let test_pool_starts_only_its_workers () =
+  (* a server runs one domain per worker and starts no thread, unless
+     wedge detection is on, which adds one watchdog thread.  Domain and
+     thread ids come from process-wide counters, so probes on either
+     side of a server's life count what it started; shutdown joins every
+     domain, so each has drawn its ids by then *)
+  let domain_probe () =
+    Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+  in
+  let thread_probe () =
+    let th = Thread.create ignore () in
+    Thread.join th;
+    Thread.id th
+  in
+  (* thread ids one domain draws for its own threads *)
+  let per_domain =
+    let a = thread_probe () in
+    ignore (domain_probe ());
+    thread_probe () - a - 1
+  in
+  let started ~wedge_after_ms =
+    let d0 = domain_probe () in
+    let t0 = thread_probe () in
+    ignore
+      (Server.shutdown
+         (Server.create ~workers:2 ~oversubscribe:true ~cache_capacity:4
+            ~wedge_after_ms ()));
+    let t1 = thread_probe () in
+    let domains = domain_probe () - d0 - 1 in
+    (domains, t1 - t0 - 1 - (domains * per_domain))
+  in
+  Alcotest.(check (pair int int)) "2 workers: 2 domains, no thread" (2, 0)
+    (started ~wedge_after_ms:0.0);
+  Alcotest.(check (pair int int)) "wedge detection adds one thread" (2, 1)
+    (started ~wedge_after_ms:50.0)
 
 let test_reject_falls_down_ladder () =
   (* the validator (spuriously) rejects every full/conservative result:
@@ -490,6 +558,10 @@ let tests =
       test_raise_always_lands_on_passthrough;
     Alcotest.test_case "survive: kill=1.0 -> pool respawns, no leaks" `Quick
       test_kill_respawns_pool;
+    Alcotest.test_case "survive: a wedged job times out once, slot respawns"
+      `Quick test_wedge_times_out_and_respawns;
+    Alcotest.test_case "pool: one domain per worker, no thread of its own"
+      `Quick test_pool_starts_only_its_workers;
     Alcotest.test_case "survive: reject=1.0 -> ladder floor" `Quick
       test_reject_falls_down_ladder;
     Alcotest.test_case "survive: delay=1.0 only slows" `Quick

@@ -169,9 +169,12 @@ let test_symbols () =
   | _ -> Alcotest.fail "expected one unit"
 
 (* qcheck: random expression generator, printer/parser round trip.  The
-   logical levels are generated in the shapes the parser builds: .or.
-   and .and. nest to the right, and a relational operator compares two
-   arithmetic operands. *)
+   logical levels are mostly generated in the shapes the parser builds:
+   .or. and .and. nest to the right, and a relational operator compares
+   two arithmetic operands.  The rest are shapes only the printer's
+   parentheses can carry through: the driver's left-nested .and. chains
+   of run-time tests, and relational or logical operands of a
+   relational operator. *)
 let gen_expr =
   let open QCheck.Gen in
   let var = oneofl [ "a"; "b"; "c"; "i"; "j"; "n" ] in
@@ -216,6 +219,10 @@ let gen_expr =
       Ast.Bin (Ast.And, a, conj (size / 2) st)
   and logical size st =
     if size <= 1 || bool st then conj size st
+    else if int_bound 2 st = 0 then
+      let op = oneofl Ast.[ And; Or; Eq; Ne; Lt; Le; Gt; Ge ] st in
+      let a = logical (size / 2) st in
+      Ast.Bin (op, a, logical (size / 2) st)
     else
       let a = conj (size / 2) st in
       Ast.Bin (Ast.Or, a, logical (size / 2) st)

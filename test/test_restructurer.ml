@@ -1019,6 +1019,69 @@ let test_shared_tables () =
         [ ("auto", auto); ("advanced", adv) ])
     (workload_programs ())
 
+(* ---------- one counter bump per decision ---------- *)
+
+(* Every loop decision bumps its verdict's counter once, on a direct run
+   and on a memo replay alike: over the corpus, under both technique
+   sets, each driver_decision_*_total moves by the number of reports
+   with that decision, and no other one moves. *)
+let test_decision_counters () =
+  let name decision =
+    let slug =
+      String.map
+        (function
+          | ('a' .. 'z' | '0' .. '9') as c -> c
+          | 'A' .. 'Z' as c -> Char.lowercase_ascii c
+          | _ -> '_')
+        decision
+      |> String.split_on_char '_'
+      |> List.filter (( <> ) "")
+      |> String.concat "_"
+    in
+    "driver_decision_" ^ slug ^ "_total"
+  in
+  let counters () =
+    String.split_on_char '\n' (Obs.Metrics.dump Obs.Metrics.global)
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ n; v ] when String.starts_with ~prefix:"driver_decision_" n ->
+               Some (n, int_of_string v)
+           | _ -> None)
+  in
+  let before = counters () in
+  let expected = Hashtbl.create 16 in
+  let programs = workload_programs () in
+  List.iter
+    (fun opts ->
+      let memo = R.Driver.create_memo () in
+      (* without the memo, then twice through it: the second pass replays *)
+      List.iter
+        (fun memo ->
+          List.iter
+            (fun (_, prog) ->
+              List.iter
+                (fun r ->
+                  let n = name r.R.Driver.r_decision in
+                  Hashtbl.replace expected n
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt expected n)))
+                (R.Driver.restructure ?memo opts prog).R.Driver.reports)
+            programs)
+        [ None; Some memo; Some memo ];
+      Alcotest.(check bool) "the memo replayed nests" true
+        ((R.Driver.memo_stats memo).R.Memo.st_hits > 0))
+    [ auto; adv ];
+  let moved =
+    List.filter_map
+      (fun (n, v) ->
+        let d = v - Option.value ~default:0 (List.assoc_opt n before) in
+        if d = 0 then None else Some (n, d))
+      (counters ())
+  in
+  let expected = Hashtbl.fold (fun n c acc -> (n, c) :: acc) expected [] in
+  Alcotest.(check (list (pair string int)))
+    "counter deltas equal report counts"
+    (List.sort compare expected) (List.sort compare moved)
+
 let tests =
   [
     Alcotest.test_case "paper example" `Quick test_paper_example;
@@ -1045,4 +1108,6 @@ let tests =
     Alcotest.test_case "token lines pinned" `Quick test_tokens_pinned;
     Alcotest.test_case "interproc and driver tables match of_unit" `Quick
       test_shared_tables;
+    Alcotest.test_case "one counter bump per decision" `Quick
+      test_decision_counters;
   ]

@@ -23,11 +23,12 @@ type closed_form = {
   g_update_paths : int list list;  (** statements to delete *)
 }
 
-(* count updates of v along the body; returns the single update statement's
-   path and the loop structure above it *)
+(* every assignment to v in the body, with its path and the loop
+   structure above it *)
 type update_site = {
   site_path : int list;
-  site_kind : Scalars.giv_kind;
+  site_kind : Scalars.giv_kind option;
+      (** [None]: the write is no [v = v + k] or [v = v * k] update *)
   site_inner : Ast.do_header list;  (** inner loops enclosing the update *)
   site_guarded : bool;
       (** the update sits under an IF or WHERE: it does not execute every
@@ -39,35 +40,21 @@ let find_update_sites v (body : Ast.stmt list) : update_site list =
   let rec stmt inner guarded path i (s : Ast.stmt) =
     let path = i :: path in
     match s with
-    | Ast.Assign (Ast.LVar x, _) when x = v -> (
-        match Scalars.reduction_form v s with
-        | Some (Scalars.Rsum, k) ->
-            sites :=
-              {
-                site_path = List.rev path;
-                site_kind = Scalars.Additive k;
-                site_inner = List.rev inner;
-                site_guarded = guarded;
-              }
-              :: !sites
-        | Some (Scalars.Rprod, k) ->
-            sites :=
-              {
-                site_path = List.rev path;
-                site_kind = Scalars.Multiplicative k;
-                site_inner = List.rev inner;
-                site_guarded = guarded;
-              }
-              :: !sites
-        | _ ->
-            sites :=
-              {
-                site_path = List.rev path;
-                site_kind = Scalars.Additive (Ast.Var "?");
-                site_inner = List.rev inner;
-                site_guarded = guarded;
-              }
-              :: !sites)
+    | Ast.Assign (Ast.LVar x, _) when x = v ->
+        let kind =
+          match Scalars.reduction_form v s with
+          | Some (Scalars.Rsum, k) -> Some (Scalars.Additive k)
+          | Some (Scalars.Rprod, k) -> Some (Scalars.Multiplicative k)
+          | Some ((Scalars.Rmin | Scalars.Rmax), _) | None -> None
+        in
+        sites :=
+          {
+            site_path = List.rev path;
+            site_kind = kind;
+            site_inner = List.rev inner;
+            site_guarded = guarded;
+          }
+          :: !sites
     | Ast.If (_, t, e) ->
         List.iteri (stmt inner true path) t;
         List.iteri (stmt inner true path) e
@@ -107,7 +94,7 @@ let recognize ~(lvl : Loops.level) v (body : Ast.stmt list) :
     match sites with
     | [
      {
-       site_kind = Scalars.Additive k;
+       site_kind = Some (Scalars.Additive k);
        site_inner = [];
        site_path;
        site_guarded = false;
@@ -145,7 +132,7 @@ let recognize ~(lvl : Loops.level) v (body : Ast.stmt list) :
           }
     | [
      {
-       site_kind = Scalars.Multiplicative k;
+       site_kind = Some (Scalars.Multiplicative k);
        site_inner = [];
        site_path;
        site_guarded = false;
@@ -178,7 +165,7 @@ let recognize ~(lvl : Loops.level) v (body : Ast.stmt list) :
           }
     | [
      {
-       site_kind = Scalars.Additive (Ast.Int k);
+       site_kind = Some (Scalars.Additive (Ast.Int k));
        site_inner = [ ih ];
        site_path;
        site_guarded = false;

@@ -29,9 +29,13 @@ let subscript_is e idx off =
 (** Recognize the body of loop [idx] (a single statement) as a pattern. *)
 let recognize_stmt idx (s : Ast.stmt) : pattern option =
   match s with
-  | Ast.Assign (Ast.LVar acc, Ast.Bin (Ast.Add, Ast.Var acc', Ast.Bin (Ast.Mul, x, y)))
-    when acc = acc' ->
-      Some (Dotproduct { acc; a = x; b = y })
+  | Ast.Assign (Ast.LVar acc, _) -> (
+      match Scalars.reduction_form acc s with
+      | Some (Scalars.Rsum, Ast.Bin (Ast.Mul, a, b)) ->
+          Some (Dotproduct { acc; a; b })
+      | Some (((Scalars.Rmin | Scalars.Rmax) as op), arg) ->
+          Some (Minmax_search { acc; arg; is_max = op = Scalars.Rmax })
+      | Some ((Scalars.Rsum | Scalars.Rprod), _) | None -> None)
   | Ast.Assign (Ast.LIdx (x, [ sub ]), rhs) when subscript_is sub idx 0 -> (
       (* x(i) = f(x(i-1), ...) *)
       let is_xm1 = function
@@ -48,10 +52,6 @@ let recognize_stmt idx (s : Ast.stmt) : pattern option =
       | Ast.Bin (Ast.Mul, l, m) when is_xm1 l ->
           Some (Linear_recurrence { x; mul = Some m; add = None })
       | _ -> None)
-  | Ast.Assign (Ast.LVar acc, Ast.Call (f, [ Ast.Var acc'; e ]))
-    when acc = acc' && (String.lowercase_ascii f = "max" || String.lowercase_ascii f = "min")
-    ->
-      Some (Minmax_search { acc; arg = e; is_max = String.lowercase_ascii f = "max" })
   | _ -> None
 
 (** Recognize a whole single-statement loop body. *)

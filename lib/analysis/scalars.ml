@@ -29,7 +29,8 @@ type giv_kind =
 
 type classification =
   | Induction of giv_kind
-  | Reduction of red_op
+  | Reduction of { op : red_op; sites : int }
+      (** [sites] accumulation statements, all with operator [op] *)
   | Privatizable of { live_out : bool }
   | Shared_dep
 [@@deriving show { with_path = false }, eq]
@@ -38,35 +39,36 @@ type classification =
 (* Pattern recognition on single statements                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Is [s] of the form [v = v op e] (or [v = e op v])?  Returns the
-    reduction operator and the other operand. *)
+(** Is [s] the accumulation [v = v op e] (either operand order; [v - e]
+    read as [v + (-e)])?  Returns the operator and [e].  An [e] that
+    reads [v] makes no accumulation: reordering the steps of
+    [s = s + a(i)*s] would change its result.  The census, the
+    recurrence and GIV matchers and the OpenMP merge all build on this. *)
 let reduction_form v (s : Ast.stmt) : (red_op * Ast.expr) option =
-  match s with
-  | Ast.Assign (Ast.LVar x, rhs) when x = v -> (
-      match rhs with
-      | Ast.Bin (Ast.Add, Ast.Var y, e) when y = v -> Some (Rsum, e)
-      | Ast.Bin (Ast.Add, e, Ast.Var y) when y = v -> Some (Rsum, e)
-      | Ast.Bin (Ast.Sub, Ast.Var y, e) when y = v ->
-          Some (Rsum, Ast.Un (Ast.Neg, e))
-      | Ast.Bin (Ast.Mul, Ast.Var y, e) when y = v -> Some (Rprod, e)
-      | Ast.Bin (Ast.Mul, e, Ast.Var y) when y = v -> Some (Rprod, e)
-      | Ast.Call (f, [ Ast.Var y; e ]) when String.lowercase_ascii f = "min" && y = v
-        ->
-          Some (Rmin, e)
-      | Ast.Call (f, [ e; Ast.Var y ]) when String.lowercase_ascii f = "min" && y = v
-        ->
-          Some (Rmin, e)
-      | Ast.Call (f, [ Ast.Var y; e ]) when String.lowercase_ascii f = "max" && y = v
-        ->
-          Some (Rmax, e)
-      | Ast.Call (f, [ e; Ast.Var y ]) when String.lowercase_ascii f = "max" && y = v
-        ->
-          Some (Rmax, e)
-      | _ -> None)
-  | _ -> None
-
-(** Does the reduction expression avoid reading [v] itself? *)
-let operand_free_of v e = not (SSet.mem v (Ast_utils.expr_vars e))
+  let form =
+    match s with
+    | Ast.Assign (Ast.LVar x, rhs) when x = v -> (
+        let minmax f e =
+          match String.lowercase_ascii f with
+          | "min" -> Some (Rmin, e)
+          | "max" -> Some (Rmax, e)
+          | _ -> None
+        in
+        match rhs with
+        | Ast.Bin (Ast.Add, Ast.Var y, e) when y = v -> Some (Rsum, e)
+        | Ast.Bin (Ast.Add, e, Ast.Var y) when y = v -> Some (Rsum, e)
+        | Ast.Bin (Ast.Sub, Ast.Var y, e) when y = v ->
+            Some (Rsum, Ast.Un (Ast.Neg, e))
+        | Ast.Bin (Ast.Mul, Ast.Var y, e) when y = v -> Some (Rprod, e)
+        | Ast.Bin (Ast.Mul, e, Ast.Var y) when y = v -> Some (Rprod, e)
+        | Ast.Call (f, [ Ast.Var y; e ]) when y = v -> minmax f e
+        | Ast.Call (f, [ e; Ast.Var y ]) when y = v -> minmax f e
+        | _ -> None)
+    | _ -> None
+  in
+  match form with
+  | Some (_, e) when SSet.mem v (Ast_utils.expr_vars e) -> None
+  | form -> form
 
 (* ------------------------------------------------------------------ *)
 (* Occurrence census                                                   *)
@@ -112,8 +114,9 @@ let census (body : Ast.stmt list) : (string, occ) Hashtbl.t =
     | Ast.Assign (Ast.LVar v, rhs) -> (
         let o = get v in
         o.writes <- o.writes + 1;
+        count_reads rhs;
         match reduction_form v s with
-        | Some (op, operand) when operand_free_of v operand ->
+        | Some (op, operand) ->
             o.reduction_stmts <- o.reduction_stmts + 1;
             o.red_ops <- op :: o.red_ops;
             (* also record as a candidate induction update when the
@@ -125,12 +128,10 @@ let census (body : Ast.stmt list) : (string, occ) Hashtbl.t =
                 o.induction_updates <-
                   Multiplicative operand :: o.induction_updates
             | Rsum | Rprod | Rmin | Rmax -> ());
-            count_reads
-              (match s with Ast.Assign (_, r) -> r | _ -> assert false);
-            (* compensate: the self-read inside a reduction statement should
-               not count as an "other read" *)
+            (* the self-read inside a reduction statement is not an
+               "other read" *)
             o.other_reads <- o.other_reads - 1
-        | _ -> count_reads rhs)
+        | None -> ())
     | Ast.Assign (l, rhs) ->
         (match l with
         | Ast.LIdx (_, subs) -> List.iter count_reads subs
@@ -329,7 +330,9 @@ let classify ~(index : string) ~(live_after : string -> bool)
           if is_induction then
             SMap.add v (Induction (List.hd o.induction_updates)) acc
           else if is_reduction then
-            SMap.add v (Reduction (List.hd o.red_ops)) acc
+            SMap.add v
+              (Reduction { op = List.hd o.red_ops; sites = o.reduction_stmts })
+              acc
           else if not (SSet.mem v exposed) then
             SMap.add v (Privatizable { live_out = live_after v }) acc
           else SMap.add v Shared_dep acc)

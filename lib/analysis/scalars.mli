@@ -13,7 +13,8 @@ type giv_kind =
 
 type classification =
   | Induction of giv_kind
-  | Reduction of red_op
+  | Reduction of { op : red_op; sites : int }
+      (** [sites] accumulation statements, all with operator [op] *)
   | Privatizable of { live_out : bool }
   | Shared_dep
 
@@ -24,8 +25,10 @@ val equal_classification : classification -> classification -> bool
 
 val reduction_form :
   string -> Fortran.Ast.stmt -> (red_op * Fortran.Ast.expr) option
-(** Recognize [v = v op e] (or symmetric) and return the operator and the
-    other operand. *)
+(** The one recognizer of a scalar accumulation: [v = v op e] with [op]
+    one of [+], [-] (giving [Rsum] and [-e]), [*], [min], [max], either
+    operand order, and an operand [e] that does not read [v].  Returns
+    the operator and [e]. *)
 
 val upward_exposed : Fortran.Ast.stmt list -> SSet.t
 (** Scalars read before any definite write within one iteration

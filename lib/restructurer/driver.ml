@@ -149,14 +149,6 @@ let annotate_decision sp ~before (ctx : ctx) ~index ~depth =
         Obs.Trace.count sp "versions" r.r_versions
   end
 
-let reduction_site_count v body =
-  Ast_utils.fold_stmts
-    (fun n s ->
-      match Scalars.reduction_form v (Ast_utils.strip_labels_stmt s) with
-      | Some _ -> n + 1
-      | None -> n)
-    0 body
-
 (* are the CALLs in this body safe to run in parallel iterations?  needs
    interprocedural summaries: callee pure, and writes only through array
    actuals subscripted by loop-variant expressions *)
@@ -277,16 +269,13 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
   let library =
     if tech.Options.recurrence_substitution then
       match Transform.Recurrence_sub.apply h body with
-      | Some stmts -> (
-          match Recurrence.recognize index body with
-          | Some (Recurrence.Linear_recurrence _) ->
-              use "recurrence library";
-              Some stmts
-          | Some (Recurrence.Dotproduct _) | Some (Recurrence.Minmax_search _)
-            ->
-              use "reduction library";
-              Some stmts
-          | None -> None)
+      | Some (Recurrence.Linear_recurrence _, stmts) ->
+          use "recurrence library";
+          Some stmts
+      | Some ((Recurrence.Dotproduct _ | Recurrence.Minmax_search _), stmts)
+        ->
+          use "reduction library";
+          Some stmts
       | None -> None
     else None
   in
@@ -365,8 +354,7 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
               else block (Printf.sprintf "scalar %s: conditional last value" v)
           end
           else block (Printf.sprintf "scalar %s reused" v)
-      | Scalars.Reduction op ->
-          let sites = reduction_site_count v body in
+      | Scalars.Reduction { op; sites } ->
           let allowed =
             if sites <= 1 then tech.Options.simple_reduction
             else tech.Options.generalized_reduction
@@ -384,18 +372,11 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
           else block (Printf.sprintf "reduction %s not recognized" v)
       | Scalars.Induction _ -> (
           match Giv.recognize ~lvl v body with
-          | Some cf when not (Transform.Giv_subst.uses_follow_update v body) ->
-              ignore cf;
+          | Some _ when not (Transform.Giv_subst.uses_follow_update v body) ->
               block (Printf.sprintf "induction %s read before update" v)
           | Some cf ->
-              let flat_const_additive =
-                match Ast_utils.const_eval [] cf.Giv.g_at_use with
-                | _ -> (
-                    (* flat additive iff the closed form is affine *)
-                    match Affine.of_expr cf.Giv.g_at_use with
-                    | Some _ -> true
-                    | None -> false)
-              in
+              (* flat additive iff the closed form is affine *)
+              let flat_const_additive = Affine.of_expr cf.Giv.g_at_use <> None in
               if flat_const_additive && tech.Options.simple_induction then begin
                 use "induction substitution";
                 givs := cf :: !givs
@@ -881,7 +862,8 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
           Obs.Trace.with_span "apply"
             ~attrs:[ ("mode", Cost_model.show_mode best) ]
             (fun _ ->
-              apply_doall ctx ~avail ~after_reads ~facts ~depth a h blk best)
+              apply_doall ctx ~avail ~after_reads ~facts ~depth ~live_after a
+                h blk best)
         in
         (* a parallelized loop no longer leaves its index variable with
            the sequential exit value; restore it when later code reads it
@@ -1072,27 +1054,38 @@ and serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk =
   in
   [ Ast.Do (h, { blk with Ast.body }) ]
 
-(* apply the transforms of a DOALL decision *)
-and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
+(* apply the transforms of a DOALL decision: substitute the induction
+   variables once, lower the loop to [mode], then assign each substituted
+   variable's final value when later code reads it (the rule the loop
+   index's exit value follows) *)
+and apply_doall ctx ~avail ~after_reads ~facts ~depth ~live_after
+    (a : loop_analysis) (h : Ast.do_header) (blk : Ast.block)
+    (mode : Cost_model.mode) : Ast.stmt list =
+  let h, blk, finals =
+    List.fold_left
+      (fun (h, blk, finals) cf ->
+        match Transform.Giv_subst.apply cf h blk with
+        | Some (Ast.Do (h', blk'), final) ->
+            let live = live_after cf.Giv.g_var in
+            (h', blk', if live then finals @ final else finals)
+        | Some _ | None -> (h, blk, finals))
+      (h, blk, []) a.a_givs
+  in
+  lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk mode @ finals
+
+(* the loop statements of [mode], without induction substitution or final
+   values *)
+and lower_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
     (h : Ast.do_header) (blk : Ast.block) (mode : Cost_model.mode) :
     Ast.stmt list =
   let opts = ctx.opts in
-  (* 1. induction-variable substitution *)
-  let h, blk, after_giv =
-    List.fold_left
-      (fun (h, blk, after) cf ->
-        match Transform.Giv_subst.apply cf h blk with
-        | Some (Ast.Do (h', blk'), post) -> (h', blk', after @ post)
-        | Some _ | None -> (h, blk, after))
-      (h, blk, []) a.a_givs
-  in
   match mode with
   | Cost_model.Serial ->
       (* cost model preferred serial; still restructure inner loops *)
       serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk
   | Cost_model.Vector -> (
       match Transform.Vectorize.vectorize_loop h blk.Ast.body with
-      | Some stmts -> stmts @ after_giv
+      | Some stmts -> stmts
       | None -> serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk)
   | Cost_model.Xdoall_strip -> (
       let priv = List.map fst a.a_priv_scalars in
@@ -1104,10 +1097,10 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
           Transform.Stripmine.apply ~strip:opts.Options.strip ~cls:Ast.Xdoall
             ~private_scalars:priv h blk.Ast.body
       with
-      | Some s -> (s :: after_giv)
+      | Some s -> [ s ]
       | None ->
           (* fall back to plain *)
-          apply_doall ctx ~avail ~after_reads ~facts ~depth a h blk
+          lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk
             Cost_model.Xdoall_plain)
   | Cost_model.Cdoall_mode { vector_inner = true } -> (
       (* cluster-level stripmining: CDOALL over strips, vector body *)
@@ -1118,9 +1111,9 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
           Transform.Stripmine.apply ~strip:opts.Options.strip ~cls:Ast.Cdoall
             ~private_scalars:priv h blk.Ast.body
       with
-      | Some s -> s :: after_giv
+      | Some s -> [ s ]
       | None ->
-          apply_doall ctx ~avail ~after_reads ~facts ~depth a h blk
+          lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk
             (Cost_model.Cdoall_mode { vector_inner = false }))
   | Cost_model.Xdoall_plain | Cost_model.Cdoall_mode _
   | Cost_model.Sdo_cdo_mode _ ->
@@ -1176,7 +1169,7 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
             else Ast.Do (h', blk')
         | s -> s
       in
-      (final :: after_giv)
+      [ final ]
   | Cost_model.Doacross_mode _ ->
       (* not reached from the DOALL path *)
       serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk

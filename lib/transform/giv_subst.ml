@@ -11,12 +11,7 @@ open Fortran
 open Analysis
 
 let is_update_of v s =
-  match Ast_utils.strip_labels_stmt s with
-  | Ast.Assign (Ast.LVar x, _) when x = v -> (
-      match Scalars.reduction_form v (Ast_utils.strip_labels_stmt s) with
-      | Some _ -> true
-      | None -> false)
-  | _ -> false
+  Scalars.reduction_form v (Ast_utils.strip_labels_stmt s) <> None
 
 (* check order: no read of v before its update in the body walk *)
 let uses_follow_update v body =

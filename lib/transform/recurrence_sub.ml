@@ -41,8 +41,7 @@ let vector_reduce (h : Ast.do_header) (body : Ast.stmt list) :
     match Recurrence.recognize idx body with
     | Some (Recurrence.Dotproduct { acc; a; b }) -> (
         match (vec a, vec b) with
-        | Some va, Some vb
-          when va <> a || vb <> b (* at least one true vector operand *) ->
+        | Some va, Some vb when va <> a && vb <> b ->
             Some
               [
                 Ast.Assign
@@ -99,69 +98,71 @@ let vector_reduce (h : Ast.do_header) (body : Ast.stmt list) :
                   ]
             | _ -> None)
         (* plain sum loop: s = s + e  or  s = s - e *)
-        | _ ->
-        match body with
-        | [ s ] -> (
-            match Ast_utils.strip_labels_stmt s with
-            | Ast.Assign (Ast.LVar acc, Ast.Bin ((Ast.Add | Ast.Sub) as op, Ast.Var acc', e))
-              when acc = acc'
-                   && not (Ast_utils.SSet.mem acc (Ast_utils.expr_vars e)) -> (
-                match vec e with
-                | Some ve when ve <> e ->
-                    Some
-                      [
-                        Ast.Assign
-                          ( Ast.LVar acc,
-                            Ast.Bin (op, Ast.Var acc, Ast.Call ("sum", [ ve ]))
-                          );
-                      ]
-                | _ -> None)
+        | [ (Ast.Assign (Ast.LVar acc, _) as s) ] -> (
+            let sum op e =
+              match vec e with
+              | Some ve when ve <> e ->
+                  Some
+                    [
+                      Ast.Assign
+                        ( Ast.LVar acc,
+                          Ast.Bin (op, Ast.Var acc, Ast.Call ("sum", [ ve ])) );
+                    ]
+              | _ -> None
+            in
+            match Scalars.reduction_form acc s with
+            | Some (Scalars.Rsum, Ast.Un (Ast.Neg, e)) -> sum Ast.Sub e
+            | Some (Scalars.Rsum, e) -> sum Ast.Add e
             | _ -> None)
         | _ -> None)
 
 (** Try to replace loop [h]/[body] by library calls.  Returns the
-    replacement statements. *)
-let apply (h : Ast.do_header) (body : Ast.stmt list) : Ast.stmt list option =
+    recognized pattern and the replacement statements. *)
+let apply (h : Ast.do_header) (body : Ast.stmt list) :
+    (Recurrence.pattern * Ast.stmt list) option =
   let idx = h.Ast.index in
-  match Recurrence.recognize idx body with
-  | Some (Recurrence.Dotproduct { acc; a; b }) -> (
-      match (simple_vec idx a, simple_vec idx b) with
-      | Some x, Some y ->
-          Some
-            [
-              Ast.Assign
-                ( Ast.LVar acc,
-                  Ast.Bin
-                    ( Ast.Add,
-                      Ast.Var acc,
-                      Ast.Call
-                        ("cedar_dotp", [ Ast.Var x; Ast.Var y; h.Ast.lo; h.Ast.hi ])
-                    ) );
-            ]
-      | _ -> None)
-  | Some (Recurrence.Linear_recurrence { x; mul; add }) -> (
-      let name_of o =
-        match o with
-        | None -> Some None
-        | Some e -> (
-            match simple_vec idx e with Some a -> Some (Some a) | None -> None)
-      in
-      match (name_of mul, name_of add) with
-      | Some m, Some a ->
-          let args =
-            [ Ast.Var x ]
-            @ (match m with Some b -> [ Ast.Var b ] | None -> [ Ast.Int 1 ])
-            @ (match a with Some c -> [ Ast.Var c ] | None -> [ Ast.Int 0 ])
-            @ [ h.Ast.lo; h.Ast.hi ]
-          in
-          Some [ Ast.CallSt ("cedar_slr1", args) ]
-      | _ -> None)
-  | Some (Recurrence.Minmax_search { acc; arg; is_max }) -> (
-      match simple_vec idx arg with
-      | Some x ->
-          let f = if is_max then "cedar_maxval" else "cedar_minval" in
-          let call = Ast.Call (f, [ Ast.Var x; h.Ast.lo; h.Ast.hi ]) in
-          let op = if is_max then "max" else "min" in
-          Some [ Ast.Assign (Ast.LVar acc, Ast.Call (op, [ Ast.Var acc; call ])) ]
-      | None -> None)
-  | None -> None
+  let lower = function
+    | Recurrence.Dotproduct { acc; a; b } -> (
+        match (simple_vec idx a, simple_vec idx b) with
+        | Some x, Some y ->
+            Some
+              [
+                Ast.Assign
+                  ( Ast.LVar acc,
+                    Ast.Bin
+                      ( Ast.Add,
+                        Ast.Var acc,
+                        Ast.Call
+                          ( "cedar_dotp",
+                            [ Ast.Var x; Ast.Var y; h.Ast.lo; h.Ast.hi ] ) ) );
+              ]
+        | _ -> None)
+    | Recurrence.Linear_recurrence { x; mul; add } -> (
+        let name_of o =
+          match o with
+          | None -> Some None
+          | Some e -> (
+              match simple_vec idx e with Some a -> Some (Some a) | None -> None)
+        in
+        match (name_of mul, name_of add) with
+        | Some m, Some a ->
+            let args =
+              [ Ast.Var x ]
+              @ (match m with Some b -> [ Ast.Var b ] | None -> [ Ast.Int 1 ])
+              @ (match a with Some c -> [ Ast.Var c ] | None -> [ Ast.Int 0 ])
+              @ [ h.Ast.lo; h.Ast.hi ]
+            in
+            Some [ Ast.CallSt ("cedar_slr1", args) ]
+        | _ -> None)
+    | Recurrence.Minmax_search { acc; arg; is_max } -> (
+        match simple_vec idx arg with
+        | Some x ->
+            let f = if is_max then "cedar_maxval" else "cedar_minval" in
+            let call = Ast.Call (f, [ Ast.Var x; h.Ast.lo; h.Ast.hi ]) in
+            let op = if is_max then "max" else "min" in
+            Some
+              [ Ast.Assign (Ast.LVar acc, Ast.Call (op, [ Ast.Var acc; call ])) ]
+        | None -> None)
+  in
+  Option.bind (Recurrence.recognize idx body) (fun p ->
+      Option.map (fun stmts -> (p, stmts)) (lower p))

@@ -2,10 +2,13 @@
     the vector reduction intrinsics of Cedar Fortran (paper §2.1). *)
 
 val apply :
-  Fortran.Ast.do_header -> Fortran.Ast.stmt list -> Fortran.Ast.stmt list option
+  Fortran.Ast.do_header ->
+  Fortran.Ast.stmt list ->
+  (Analysis.Recurrence.pattern * Fortran.Ast.stmt list) option
 (** Replace a whole loop by calls into the Cedar runtime library
-    ([cedar_dotp], [cedar_slr1], [cedar_maxval]/[cedar_minval]); [None]
-    when the operand shapes do not fit. *)
+    ([cedar_dotp], [cedar_slr1], [cedar_maxval]/[cedar_minval]),
+    returning the recognized pattern with them; [None] when the operand
+    shapes do not fit. *)
 
 val vector_reduce :
   Fortran.Ast.do_header -> Fortran.Ast.stmt list -> Fortran.Ast.stmt list option

@@ -241,20 +241,12 @@ let op_of_clause = function
   | "max" -> Some Scalars.Rmax
   | _ -> None
 
-(* [s = s op p] in the shape [combine_expr] builds *)
+(* [s = s op p], the merge [combine_expr] builds *)
 let merge_shape = function
-  | Ast.Assign (Ast.LVar s, Ast.Bin (Ast.Add, Ast.Var s', Ast.Var p))
-    when s = s' ->
-      Some (s, p, Scalars.Rsum)
-  | Ast.Assign (Ast.LVar s, Ast.Bin (Ast.Mul, Ast.Var s', Ast.Var p))
-    when s = s' ->
-      Some (s, p, Scalars.Rprod)
-  | Ast.Assign (Ast.LVar s, Ast.Call ("min", [ Ast.Var s'; Ast.Var p ]))
-    when s = s' ->
-      Some (s, p, Scalars.Rmin)
-  | Ast.Assign (Ast.LVar s, Ast.Call ("max", [ Ast.Var s'; Ast.Var p ]))
-    when s = s' ->
-      Some (s, p, Scalars.Rmax)
+  | Ast.Assign (Ast.LVar s, _) as st -> (
+      match Scalars.reduction_form s st with
+      | Some (op, Ast.Var p) -> Some (s, p, op)
+      | _ -> None)
   | _ -> None
 
 (* rename every use of [p] (scalar reads and assignment targets) to [s] *)

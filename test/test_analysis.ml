@@ -260,7 +260,7 @@ let test_scalar_reduction () =
 |}
   in
   Alcotest.(check bool) "sum reduction" true
-    (SMap.find_opt "sum" r.Scalars.classes = Some (Scalars.Reduction Scalars.Rsum))
+    (SMap.find_opt "sum" r.Scalars.classes = Some (Scalars.Reduction { op = Scalars.Rsum; sites = 1 }))
 
 let test_scalar_minmax_reduction () =
   let _, _, r =
@@ -275,7 +275,37 @@ let test_scalar_minmax_reduction () =
 |}
   in
   Alcotest.(check bool) "max reduction" true
-    (SMap.find_opt "big" r.Scalars.classes = Some (Scalars.Reduction Scalars.Rmax))
+    (SMap.find_opt "big" r.Scalars.classes = Some (Scalars.Reduction { op = Scalars.Rmax; sites = 1 }))
+
+(* the one accumulation recognizer: an operand that reads its own
+   accumulator makes no reduction, and either operand order does *)
+let test_reduction_form () =
+  let _, body =
+    body_of_loop
+      {|
+      subroutine s(a, b, n, s, t)
+      real a(n), b(n)
+      do i = 1, n
+        t = max(t, a(i)*t)
+        s = s + a(i)*s
+        s = a(i)*b(i) + s
+      enddo
+      end
+|}
+  in
+  match body with
+  | [ max_t; dot_s; commuted ] ->
+      Alcotest.(check bool) "t = max(t, a(i)*t) rejected" true
+        (Scalars.reduction_form "t" max_t = None);
+      Alcotest.(check bool) "s = s + a(i)*s rejected" true
+        (Scalars.reduction_form "s" dot_s = None);
+      Alcotest.(check bool) "s = a(i)*b(i) + s accepted" true
+        (match Scalars.reduction_form "s" commuted with
+        | Some (Scalars.Rsum, Ast.Bin (Ast.Mul, Ast.Idx ("a", _), Ast.Idx ("b", _)))
+          ->
+            true
+        | _ -> false)
+  | _ -> Alcotest.fail "expected three statements"
 
 let test_scalar_induction () =
   let _, _, r =
@@ -786,6 +816,7 @@ let tests =
     Alcotest.test_case "scalar shared" `Quick test_scalar_shared;
     Alcotest.test_case "scalar reduction" `Quick test_scalar_reduction;
     Alcotest.test_case "scalar minmax" `Quick test_scalar_minmax_reduction;
+    Alcotest.test_case "reduction form" `Quick test_reduction_form;
     Alcotest.test_case "scalar induction" `Quick test_scalar_induction;
     Alcotest.test_case "inner sum private" `Quick test_inner_sum_private;
     Alcotest.test_case "conditional def" `Quick test_conditional_def_not_private;

@@ -227,9 +227,8 @@ let harness body =
     };
   ]
 
-let gen_program : Ast.program G.t =
-  let* body = gen_stmts [] 3 5 in
-  G.return (harness body)
+let gen_body : Ast.stmt list G.t = gen_stmts [] 3 5
+let gen_program : Ast.program G.t = G.map harness gen_body
 
 (* ------------------------------------------------------------------ *)
 (* Hardened generators: loop shapes aimed at the trickiest transforms  *)
@@ -383,11 +382,41 @@ let gen_special_stmts : Ast.stmt list G.t =
   | `TwoVersion -> gen_twoversion_stmts []
   | `IfWhere -> G.map (fun l -> [ l ]) (gen_ifwhere_loop [])
 
-let gen_program_hard : Ast.program G.t =
+let gen_body_hard : Ast.stmt list G.t =
   let* pre = gen_stmts [] 2 2 in
   let* specials = G.list_size (G.int_range 1 2) gen_special_stmts in
   let* post = gen_stmts [] 2 2 in
-  G.return (harness (pre @ List.concat specials @ post))
+  G.return (pre @ List.concat specials @ post)
+
+let gen_program_hard : Ast.program G.t = G.map harness gen_body_hard
+
+(* ------------------------------------------------------------------ *)
+(* Shrinking: the arbitraries below generate the body alone and the    *)
+(* properties wrap it in [harness], so a shrunk counterexample keeps   *)
+(* the initialization and the checksum dump                            *)
+(* ------------------------------------------------------------------ *)
+
+(* drop one statement, or shrink inside one DO or IF body (a DO keeps at
+   least one statement, an IF at least one in its THEN branch) *)
+let rec shrink_stmts (stmts : Ast.stmt list) : Ast.stmt list QCheck.Iter.t =
+ fun yield ->
+  List.iteri (fun i _ -> yield (List.filteri (fun j _ -> j <> i) stmts)) stmts;
+  List.iteri
+    (fun i s ->
+      shrink_stmt s (fun s' ->
+          yield (List.mapi (fun j x -> if j = i then s' else x) stmts)))
+    stmts
+
+and shrink_stmt (s : Ast.stmt) : Ast.stmt QCheck.Iter.t =
+ fun yield ->
+  match s with
+  | Ast.Do (h, blk) ->
+      shrink_stmts blk.Ast.body (fun body ->
+          if body <> [] then yield (Ast.Do (h, { blk with Ast.body })))
+  | Ast.If (c, t, e) ->
+      shrink_stmts t (fun t -> if t <> [] then yield (Ast.If (c, t, e)));
+      shrink_stmts e (fun e -> yield (Ast.If (c, t, e)))
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The differential property                                           *)
@@ -485,45 +514,47 @@ let validated ~prop prog =
                printed)
         else true
 
+let print_body body = Printer.program_to_string (harness body)
 let arbitrary_program =
-  QCheck.make gen_program ~print:Printer.program_to_string
+  QCheck.make gen_body ~print:print_body ~shrink:shrink_stmts
 
 let arbitrary_hard =
-  QCheck.make gen_program_hard ~print:Printer.program_to_string
+  QCheck.make gen_body_hard ~print:print_body ~shrink:shrink_stmts
 
 (* long_factor 50: the nightly job (QCHECK_LONG=1) runs each property at
    50x the PR-gate count *)
 let prop_auto =
   QCheck.Test.make ~name:"fuzz: auto restructuring preserves semantics"
-    ~count:120 ~long_factor:50 arbitrary_program (fun prog ->
-      preserves ~prop:"auto" (R.Options.auto_1991 cedar) prog)
+    ~count:120 ~long_factor:50 arbitrary_program (fun body ->
+      preserves ~prop:"auto" (R.Options.auto_1991 cedar) (harness body))
 
 let prop_advanced =
   QCheck.Test.make ~name:"fuzz: advanced restructuring preserves semantics"
-    ~count:120 ~long_factor:50 arbitrary_program (fun prog ->
-      preserves ~prop:"advanced" (R.Options.advanced cedar) prog)
+    ~count:120 ~long_factor:50 arbitrary_program (fun body ->
+      preserves ~prop:"advanced" (R.Options.advanced cedar) (harness body))
 
 let prop_hard_auto =
   QCheck.Test.make
     ~name:"fuzz: hardened shapes preserve semantics (auto)" ~count:80
-    ~long_factor:50 arbitrary_hard (fun prog ->
-      preserves ~prop:"hard-auto" (R.Options.auto_1991 cedar) prog)
+    ~long_factor:50 arbitrary_hard (fun body ->
+      preserves ~prop:"hard-auto" (R.Options.auto_1991 cedar) (harness body))
 
 let prop_hard_advanced =
   QCheck.Test.make
     ~name:"fuzz: hardened shapes preserve semantics (advanced)" ~count:80
-    ~long_factor:50 arbitrary_hard (fun prog ->
-      preserves ~prop:"hard-advanced" (R.Options.advanced cedar) prog)
+    ~long_factor:50 arbitrary_hard (fun body ->
+      preserves ~prop:"hard-advanced" (R.Options.advanced cedar) (harness body))
 
 let prop_validated =
   QCheck.Test.make
     ~name:"fuzz: validated output passes the checker and is race-free"
-    ~count:60 ~long_factor:50 arbitrary_hard (fun prog ->
-      validated ~prop:"validated" prog)
+    ~count:60 ~long_factor:50 arbitrary_hard (fun body ->
+      validated ~prop:"validated" (harness body))
 
 let prop_roundtrip =
   QCheck.Test.make ~name:"fuzz: printed programs reparse equal" ~count:120
-    ~long_factor:50 arbitrary_program (fun prog ->
+    ~long_factor:50 arbitrary_program (fun body ->
+      let prog = harness body in
       let printed = Printer.program_to_string prog in
       let p2 = Parser.parse_program printed in
       let strip u =

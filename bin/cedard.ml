@@ -99,18 +99,12 @@ let serve server fault ?on_cluster_change ~host ~port ~max_conns
      limit before accepting *)
   ignore (Aio.raise_fd_limit ());
   let net = Net.Server.create ~fault ?on_cluster_change net_cfg server in
-  let scrape =
-    match metrics_port with
-    | None -> None
-    | Some p ->
-        let ep =
-          Net.Metrics_http.start ~host ~port:p (fun () ->
-              Obs.Metrics.dump Obs.Metrics.global)
-        in
-        Printf.printf "cedard: metrics on http://%s:%d/metrics\n%!" host
-          (Net.Metrics_http.port ep);
-        Some ep
-  in
+  Option.iter
+    (fun p ->
+      Printf.printf "cedard: metrics on http://%s:%d/metrics\n%!" host
+        (Net.Metrics_http.start ~host ~port:p net (fun () ->
+             Obs.Metrics.dump Obs.Metrics.global)))
+    metrics_port;
   (* signal-safe: request_stop only flips an atomic flag *)
   let on_signal _ = Net.Server.request_stop net in
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
@@ -122,7 +116,6 @@ let serve server fault ?on_cluster_change ~host ~port ~max_conns
   Net.Server.wait_stop net;
   Printf.printf "cedard: draining...\n%!";
   Net.Server.drain net;
-  (match scrape with Some ep -> Net.Metrics_http.stop ep | None -> ());
   let stats = Service.Server.shutdown server in
   Printf.printf
     "cedard: served %d connection(s), in-flight high water %d, shed %d\n"
@@ -216,62 +209,10 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
       Service.Server.set_replication_source server (fun () ->
           let c = Cluster.Replicator.counts r in
           (c.Cluster.Replicator.pushed, c.Cluster.Replicator.skipped_down)));
-  (* the shard's own member view, mutated by Cluster_add/Cluster_remove
-     frames the proxy broadcasts after an applied topology change.  The
-     "epoch" a shard acks is its local applied-change count — the
-     cluster's ring epoch lives in the proxy's membership view. *)
-  let on_cluster_change =
-    match (replicator, peers) with
-    | Some r, Some initial ->
-        let mu = Mutex.create () in
-        let members = ref initial in
-        let applied = ref 0 in
-        Some
-          (fun change ->
-            Mutex.lock mu;
-            let result =
-              match change with
-              | `Add (id, host, port) ->
-                  if
-                    List.exists
-                      (fun s -> s.Cluster.Membership.sh_id = id)
-                      !members
-                  then (false, !applied, Printf.sprintf "%s: already a member" id)
-                  else begin
-                    members :=
-                      !members
-                      @ [
-                          {
-                            Cluster.Membership.sh_id = id;
-                            sh_host = host;
-                            sh_port = port;
-                          };
-                        ];
-                    incr applied;
-                    Cluster.Replicator.set_members r !members;
-                    (true, !applied, Printf.sprintf "%s: member added" id)
-                  end
-              | `Remove id ->
-                  if
-                    not
-                      (List.exists
-                         (fun s -> s.Cluster.Membership.sh_id = id)
-                         !members)
-                  then (false, !applied, Printf.sprintf "%s: not a member" id)
-                  else begin
-                    members :=
-                      List.filter
-                        (fun s -> s.Cluster.Membership.sh_id <> id)
-                        !members;
-                    incr applied;
-                    Cluster.Replicator.set_members r !members;
-                    (true, !applied, Printf.sprintf "%s: member removed" id)
-                  end
-            in
-            Mutex.unlock mu;
-            result)
-    | _ -> None
-  in
+  (* the shard's member view lives in its replicator, mutated by the
+     Cluster_add/Cluster_remove frames the proxy broadcasts after an
+     applied topology change *)
+  let on_cluster_change = Option.map Cluster.Replicator.apply_change replicator in
   let stop_replicator () =
     match replicator with
     | None -> ()

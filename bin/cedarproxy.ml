@@ -32,18 +32,12 @@ let run shards_spec host port max_conns max_inflight failover vnodes
       let proxy =
         Cluster.Proxy.create ~cfg ~vnodes ~probe_ms ~down_after ~seed shards
       in
-      let scrape =
-        match metrics_port with
-        | None -> None
-        | Some p ->
-            let ep =
-              Net.Metrics_http.start ~host ~port:p (fun () ->
-                  Obs.Metrics.dump Obs.Metrics.global)
-            in
-            Printf.printf "cedarproxy: metrics on http://%s:%d/metrics\n%!"
-              host (Net.Metrics_http.port ep);
-            Some ep
-      in
+      Option.iter
+        (fun p ->
+          Printf.printf "cedarproxy: metrics on http://%s:%d/metrics\n%!" host
+            (Net.Metrics_http.start ~host ~port:p (Cluster.Proxy.front proxy)
+               (fun () -> Obs.Metrics.dump Obs.Metrics.global)))
+        metrics_port;
       let on_signal _ = Cluster.Proxy.request_stop proxy in
       Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
       Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
@@ -61,7 +55,6 @@ let run shards_spec host port max_conns max_inflight failover vnodes
       Cluster.Proxy.wait_stop proxy;
       Printf.printf "cedarproxy: draining...\n%!";
       Cluster.Proxy.drain proxy;
-      (match scrape with Some ep -> Net.Metrics_http.stop ep | None -> ());
       Printf.printf
         "cedarproxy: routed %d submit(s), %d failover(s), shed %d, %d \
          topology change(s) (final epoch %d), %d read-repair(s), %d stale \

@@ -81,10 +81,7 @@ type t = {
   mutable full_ring : Ring.t;  (* all current members: the all-down fallback *)
   mutable live_ring : Ring.t;
   mutable epoch : int;  (* bumps whenever routable membership changes *)
-  mutable tick : int;  (* jitter draw counter *)
   mutable draws : int;  (* probe-loss draw counter *)
-  mutable stopping : bool;
-  mutable prober : Thread.t option;
 }
 
 module M = Obs.Metrics
@@ -199,35 +196,27 @@ let probe_shard t tr =
     in
     match Net.Client.connect cfg with
     | Error _ -> apply_failure t tr
-    | Ok c ->
-        (match Net.Client.ping c with
+    | Ok c -> (
+        Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+        match Net.Client.ping c with
         | Ok _ -> apply_success t tr
-        | Error _ -> apply_failure t tr);
-        Net.Client.close c
+        | Error _ -> apply_failure t tr)
 
 let probe_once t =
   let snapshot = with_lock t (fun () -> t.tracked) in
   List.iter (fun tr -> probe_shard t tr) snapshot
 
 let probe_loop t =
-  while not t.stopping do
+  let rec loop tick =
     probe_once t;
-    let n = with_lock t (fun () -> t.tick <- t.tick + 1; t.tick) in
     (* jitter the period ±50% so a proxy fleet never probes in phase *)
-    let delay = t.probe_s *. (0.5 +. unit_float t.seed n) in
-    (* sleep in small slices so stop is prompt *)
-    let slices = max 1 (int_of_float (delay /. 0.05)) in
-    let slice = delay /. float_of_int slices in
-    let i = ref 0 in
-    while (not t.stopping) && !i < slices do
-      Thread.delay slice;
-      incr i
-    done
-  done
+    Aio.sleep (t.probe_s *. (0.5 +. unit_float t.seed tick));
+    loop (tick + 1)
+  in
+  loop 1
 
 let create ?(vnodes = 64) ?(probe_ms = 500.0) ?(down_after = 2)
-    ?(timeout_s = 1.0) ?(seed = 0x5eed) ?(auto_probe = true)
-    ?(probe_loss = 0.0) shards =
+    ?(timeout_s = 1.0) ?(seed = 0x5eed) ?(probe_loss = 0.0) shards =
   let ids = List.map (fun s -> s.sh_id) shards in
   let full_ring = Ring.make ~vnodes ids in
   let t =
@@ -243,14 +232,10 @@ let create ?(vnodes = 64) ?(probe_ms = 500.0) ?(down_after = 2)
       full_ring;
       live_ring = full_ring;
       epoch = 1;
-      tick = 0;
       draws = 0;
-      stopping = false;
-      prober = None;
     }
   in
   M.set_gauge m_epoch 1.0;
-  if auto_probe then t.prober <- Some (Thread.create probe_loop t);
   t
 
 let ring t = with_lock t (fun () -> t.live_ring)
@@ -316,11 +301,3 @@ let members_json t =
   in
   Printf.sprintf "{\"epoch\":%d,\"vnodes\":%d,\"shards\":[%s]}" epoch vnodes
     (String.concat "," shards)
-
-let stop t =
-  t.stopping <- true;
-  match t.prober with
-  | None -> ()
-  | Some th ->
-      t.prober <- None;
-      Thread.join th

@@ -4,11 +4,12 @@
     {!add_shard} and {!remove_shard} change it at runtime (driven by
     [cedarctl cluster add/remove] through the proxy).  What this module
     tracks is which members are currently routable.  Health is probed
-    with the protocol's own {!Net.Wire.Ping} on a seeded, jittered loop
-    (so a fleet of proxies does not synchronize its probes), and
-    demotions also arrive from the data path — the proxy reports a
-    transport error on a routed request via {!note_failure}, which is
-    faster than waiting for the next probe tick.
+    with the protocol's own {!Net.Wire.Ping} on a seeded, jittered loop,
+    so a fleet of proxies does not synchronize its probes; the loop
+    ({!probe_loop}) is a fiber on the proxy's event loop.  Demotions
+    also arrive from the data path — the proxy reports a transport
+    error on a routed request via {!note_failure}, which is faster than
+    waiting for the next probe tick.
 
     States: [Up] (routable), [Suspect] (missed probes, still routable —
     the failover path covers it), [Down] (missed [down_after]
@@ -30,12 +31,16 @@ val state_name : state -> string
 
 type shard = { sh_id : string; sh_host : string; sh_port : int }
 
+val check_shard : shard -> (shard, string) result
+(** Check a shard where it enters a member view: a non-empty id of
+    [[A-Za-z0-9_]] (ids become JSON strings and metric names), an IPv4
+    literal host (the client dials [PF_INET] sockets to IP literals
+    only), and a port in 1..65535. *)
+
 val parse_shards : string -> (shard list, string) result
 (** Parse ["id=host:port,id=host:port,..."], the shard spec every CLI
-    takes.  Each shard is checked: a non-empty id of [[A-Za-z0-9_]]
-    (ids become JSON strings and metric names), an IPv4 literal host
-    (the client dials [PF_INET] sockets to IP literals only), and a port
-    in 1..65535.  The first bad entry is the [Error]. *)
+    takes.  Each shard is checked with {!check_shard}; the first bad
+    entry is the [Error]. *)
 
 type t
 
@@ -45,18 +50,16 @@ val create :
   ?down_after:int ->
   ?timeout_s:float ->
   ?seed:int ->
-  ?auto_probe:bool ->
   ?probe_loss:float ->
   shard list ->
   t
-(** Start tracking the given shards (all initially [Up]).  [vnodes]
+(** Start tracking the given shards (all initially [Up]).  Nothing is
+    probed until {!probe_once} or {!probe_loop} runs.  [vnodes]
     (default 64) is per-shard ring weight; [probe_ms] (default 500)
     the mean probe period, jittered ±50% per tick; [down_after]
     (default 2) consecutive failures demote to [Down]; [timeout_s]
     (default 1) bounds each probe's connect and round trip; [seed]
-    makes the jitter stream deterministic.  [auto_probe:false]
-    (default [true]) suppresses the background thread — tests then
-    drive probing synchronously with {!probe_once}.  [probe_loss]
+    makes the jitter stream deterministic.  [probe_loss]
     (default 0) deterministically fails that fraction of probes before
     they touch the network — the seeded flapping injector. *)
 
@@ -98,13 +101,16 @@ val note_success : t -> string -> unit
 (** Data-path promotion: the shard answered; resets it to [Up]. *)
 
 val probe_once : t -> unit
-(** One synchronous probe pass over every shard (ping, apply
-    transitions).  The background loop calls exactly this. *)
+(** One probe pass over every shard (ping, apply transitions).  In a
+    fiber it suspends only that fiber; on any other thread it blocks
+    the thread. *)
+
+val probe_loop : t -> unit
+(** Probe forever: {!probe_once}, then {!Aio.sleep} for the jittered
+    period.  A fiber body ([Cluster.Proxy] runs it with
+    {!Net.Server.spawn}); it ends only by {!Aio.Cancelled}. *)
 
 val members_json : t -> string
 (** Membership as JSON:
     [{"epoch":E,"vnodes":V,"shards":[{"id":...,"host":...,"port":...,
     "state":...,"fails":...},...]}] *)
-
-val stop : t -> unit
-(** Stop the probe thread (if any) and join it.  Idempotent. *)

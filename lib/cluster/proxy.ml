@@ -4,11 +4,12 @@
    each request means.  A relayed request is [Defer]red: its shard round
    trip runs as a fiber on the front end's scheduler and fulfils a
    promise the responder awaits.  Net.Client suspends only the calling
-   fiber, so relays, read-repairs and topology changes all run on the
-   one event-loop thread and share the barrier state below without a
-   lock; a relay stuck on a silent shard holds nothing but its own
-   fiber, one unit of [max_inflight] and one of that shard's
-   [shard_width] round-trip slots. *)
+   fiber, so relays, read-repairs, topology changes and the membership
+   prober all run on the one event-loop thread, and the first three
+   share the barrier state below without a lock; a relay stuck on a
+   silent shard holds nothing but its own fiber, one unit of
+   [max_inflight] and one of that shard's [shard_width] round-trip
+   slots. *)
 
 module M = Obs.Metrics
 
@@ -629,13 +630,10 @@ let create ?(cfg = default_cfg) ?(vnodes = 64) ?(probe_ms = 500.0)
       write_timeout_s = 30.0;
     }
   in
-  match Net.Server.serve front_cfg (handle t) with
-  | front ->
-      Atomic.set t.front (Some front);
-      t
-  | exception e ->
-      Membership.stop members;
-      raise e
+  let front = Net.Server.serve front_cfg (handle t) in
+  Atomic.set t.front (Some front);
+  Net.Server.spawn front (fun () -> Membership.probe_loop members);
+  t
 
 let front t = Option.get (Atomic.get t.front)
 let port t = Net.Server.port (front t)
@@ -645,10 +643,9 @@ let wait_stop t = Net.Server.wait_stop (front t)
 
 let drain t =
   (* the front end returns once its scheduler has no live fiber left:
-     every deferred reply is written and every read-repair is done, so
-     nothing touches the pools any more *)
+     every deferred reply is written, every read-repair is done and the
+     prober is cancelled, so nothing touches the pools any more *)
   Net.Server.drain (front t);
-  Membership.stop t.members;
   List.iter (fun (_, l) -> Pool.close_all l.pool) t.pools
 
 let routed_total t = M.counter_value t.routed

@@ -74,15 +74,20 @@ val create :
   ?seed:int ->
   Membership.shard list ->
   t
-(** Start the proxy over the given shards: builds the membership view
-    (with its jittered probe loop), the per-shard pools and the front
-    end.  Ring parameters must match the shards' replicators ([vnodes],
-    default 64).
-    @raise Unix.Unix_error when the address cannot be bound (the
-    prober is stopped first). *)
+(** Start the proxy over the given shards: builds the membership view,
+    the per-shard pools and the front end, and spawns the view's
+    jittered probe loop on the front end's event loop.  Ring parameters
+    must match the shards' replicators ([vnodes], default 64).
+    @raise Unix.Unix_error when the address cannot be bound (nothing
+    has started then). *)
 
 val port : t -> int
 (** The bound TCP port. *)
+
+val front : t -> Net.Server.t
+(** The front end the proxy serves through; other loops can run on its
+    event loop ({!Net.Server.spawn}), as cedarproxy's metrics endpoint
+    does. *)
 
 val membership : t -> Membership.t
 
@@ -93,8 +98,9 @@ val wait_stop : t -> unit
 (** Block until {!request_stop} is called. *)
 
 val drain : t -> unit
-(** Stop accepting, finish in-flight relays and read-repairs and flush
-    their replies, stop probing, close the pools.  Idempotent. *)
+(** Stop accepting, stop probing, finish in-flight relays and
+    read-repairs and flush their replies, close the pools.
+    Idempotent. *)
 
 val routed_total : t -> int
 (** Submits relayed to a shard (first attempt or failover).  Like every

@@ -28,6 +28,8 @@ type t = {
   vnodes : int;
   timeout_s : float;
   mutex : Mutex.t;
+  mutable members : Membership.shard list;  (* this shard's view *)
+  mutable applied : int;  (* topology changes applied to the view *)
   mutable ring : Ring.t;
   mutable pools : (string * Pool.t) list;  (* by shard id, self excluded *)
   health : (string, peer_health) Hashtbl.t;
@@ -175,6 +177,8 @@ let create ?(vnodes = 64) ?(queue_capacity = 256) ?(timeout_s = 5.0)
       vnodes;
       timeout_s;
       mutex = Mutex.create ();
+      members = peers;
+      applied = 0;
       ring = Ring.make ~vnodes ids;
       pools = make_pools ~timeout_s ~self peers;
       health = Hashtbl.create 8;
@@ -211,6 +215,7 @@ let set_members t peers =
   let old_pools =
     with_lock t (fun () ->
         let ids = List.map (fun s -> s.Membership.sh_id) peers in
+        t.members <- peers;
         t.ring <- Ring.make ~vnodes:t.vnodes ids;
         let old = t.pools in
         t.pools <- make_pools ~timeout_s:t.timeout_s ~self:t.self peers;
@@ -238,6 +243,31 @@ let set_members t peers =
       List.iter
         (fun (key, digest, payload) -> push t ~key ~digest payload)
         (f ())
+
+(* a change the proxy broadcast after applying it: an add passes the
+   proxy's own checks before it reaches the view *)
+let apply_change t (change : Net.Server.cluster_change) =
+  let known id = List.exists (fun s -> s.Membership.sh_id = id) t.members in
+  let next =
+    match change with
+    | `Add (sh_id, sh_host, sh_port) -> (
+        match Membership.check_shard { Membership.sh_id; sh_host; sh_port } with
+        | Error _ as e -> e
+        | Ok _ when known sh_id -> Error (sh_id ^ ": already a member")
+        | Ok s -> Ok (t.members @ [ s ], sh_id ^ ": member added"))
+    | `Remove id ->
+        if not (known id) then Error (id ^ ": not a member")
+        else
+          Ok
+            ( List.filter (fun s -> s.Membership.sh_id <> id) t.members,
+              id ^ ": member removed" )
+  in
+  match next with
+  | Error msg -> (false, t.applied, msg)
+  | Ok (members, msg) ->
+      t.applied <- t.applied + 1;
+      set_members t members;
+      (true, t.applied, msg)
 
 let replicas t = t.replicas
 

@@ -79,6 +79,16 @@ val set_members : t -> Membership.shard list -> unit
     re-queue every resident cache entry once so placement converges to
     the new ring. *)
 
+val apply_change : t -> Net.Server.cluster_change -> bool * int * string
+(** Apply a topology change pushed down from the proxy to this shard's
+    member view, then {!set_members}.  An add is checked as the proxy
+    checks it ({!Membership.check_shard}); an add of a member, or a
+    remove of a non-member, is refused.  Returns [(ok, applied,
+    message)], where [applied] counts the changes applied so far (the
+    cluster's ring epoch lives in the proxy) — the shape of
+    {!Net.Server.create}'s [on_cluster_change].  Not synchronized: call
+    it from one thread, as the server's event loop does. *)
+
 val replicas : t -> int
 (** The configured replication factor (total copies). *)
 

@@ -102,6 +102,10 @@ let connect_once cfg =
         | () -> Ok ()
         | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) -> (
             match Aio.wait_writable ~deadline fd with
+            | exception e ->
+                (* cancelled: the fiber dies, the socket must not leak *)
+                (try Unix.close fd with Unix.Unix_error _ -> ());
+                raise e
             | `Deadline ->
                 Error
                   (Printf.sprintf "timed out after %.1fs" cfg.connect_timeout_s)

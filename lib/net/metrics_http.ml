@@ -1,16 +1,8 @@
-(* Minimal HTTP/1.0 endpoint for the Prometheus text dump.  One accept
-   thread, one short-lived connection per scrape: read the request head,
-   answer with the dump, close.  Deliberately not a web server — just
-   enough HTTP for `curl` and a Prometheus scraper. *)
-
-type t = {
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
-  mutable thread : Thread.t option;
-}
+(* Minimal HTTP/1.0 endpoint for the Prometheus text dump, on a
+   Net.Server's event loop: one accept fiber, one short-lived fiber per
+   scrape (read the request head, answer with the dump, close), so a
+   silent connection holds up no other scrape.  Deliberately not a web
+   server — just enough HTTP for `curl` and a Prometheus scraper. *)
 
 let http_response body =
   Printf.sprintf
@@ -22,102 +14,62 @@ let http_response body =
      %s"
     (String.length body) body
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let off = ref 0 in
-  while !off < n do
-    let w = Unix.write fd b !off (n - !off) in
-    if w <= 0 then raise Exit;
-    off := !off + w
-  done
+let rec has_blank_line s i =
+  i + 4 <= String.length s
+  && (String.sub s i 4 = "\r\n\r\n" || has_blank_line s (i + 1))
 
-(* Read until the blank line ending the request head (or 4 KiB, or the
-   read deadline) — the request itself is ignored: every path serves the
+(* Read until the blank line ending the request head (or 4 KiB, EOF or
+   the deadline) — the request itself is ignored: every path serves the
    dump. *)
-let drain_request fd =
+let drain_request fd ~deadline =
   let buf = Bytes.create 512 in
   let seen = Buffer.create 256 in
   let rec go () =
     if Buffer.length seen < 4096 then
-      match Unix.read fd buf 0 (Bytes.length buf) with
-      | 0 -> ()
-      | n ->
+      match Aio.read ~deadline fd buf 0 (Bytes.length buf) with
+      | `Data n ->
           Buffer.add_subbytes seen buf 0 n;
-          let s = Buffer.contents seen in
-          if
-            not
-              (String.length s >= 4
-              &&
-              let rec has i =
-                i + 4 <= String.length s
-                && (String.sub s i 4 = "\r\n\r\n" || has (i + 1))
-              in
-              has 0)
-          then go ()
-      | exception Unix.Unix_error _ -> ()
+          if not (has_blank_line (Buffer.contents seen) 0) then go ()
+      | `Eof | `Deadline -> ()
   in
   go ()
 
+let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let serve_one fd dump =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0
-   with Unix.Unix_error _ -> ());
-  (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
-   with Unix.Unix_error _ -> ());
-  (try
-     drain_request fd;
-     write_all fd (http_response (dump ()))
-   with Exit | Unix.Unix_error _ -> ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
+  Fun.protect ~finally:(fun () -> close fd) @@ fun () ->
+  Unix.set_nonblock fd;
+  drain_request fd ~deadline:(Aio.now () +. 2.0);
+  let reply = Bytes.unsafe_of_string (http_response (dump ())) in
+  ignore
+    (Aio.write_all ~deadline:(Aio.now () +. 5.0) fd reply 0
+       (Bytes.length reply))
 
-let accept_loop t dump =
-  while not (Atomic.get t.stop) do
-    match Unix.select [ t.listen_fd; t.wake_r ] [] [] (-1.0) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> Atomic.set t.stop true
-    | ready, _, _ ->
-        if List.mem t.wake_r ready then ()
-        else if List.mem t.listen_fd ready then begin
-          match Unix.accept t.listen_fd with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (_, _, _) -> Atomic.set t.stop true
-          | fd, _ -> serve_one fd dump
-        end
-  done
+let accept_loop listen_fd dump =
+  Fun.protect ~finally:(fun () -> close listen_fd) @@ fun () ->
+  let rec loop () =
+    match Aio.accept listen_fd with
+    | `Conn (fd, _) ->
+        ignore (Aio.spawn (fun () -> serve_one fd dump));
+        loop ()
+    | `Deadline -> loop ()
+    | `Error _ -> ()
+  in
+  loop ()
 
-let start ?(host = "127.0.0.1") ~port dump =
+let start ?(host = "127.0.0.1") ~port front dump =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   (try Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
    with e ->
-     (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+     close listen_fd;
      raise e);
   Unix.listen listen_fd 16;
+  Unix.set_nonblock listen_fd;
   let bound_port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> port
   in
-  let wake_r, wake_w = Unix.pipe () in
-  let t =
-    { listen_fd; bound_port; wake_r; wake_w; stop = Atomic.make false;
-      thread = None }
-  in
-  t.thread <- Some (Thread.create (fun () -> accept_loop t dump) ());
-  t
-
-let port t = t.bound_port
-
-let stop t =
-  if not (Atomic.exchange t.stop true) then begin
-    (try ignore (Unix.write t.wake_w (Bytes.of_string "x") 0 1)
-     with Unix.Unix_error _ -> ());
-    (match t.thread with
-    | Some th ->
-        Thread.join th;
-        t.thread <- None
-    | None -> ());
-    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-    try Unix.close t.wake_w with Unix.Unix_error _ -> ()
-  end
+  Server.spawn front (fun () -> accept_loop listen_fd dump);
+  bound_port

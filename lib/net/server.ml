@@ -8,6 +8,9 @@
    Fiber structure (one Aio scheduler on one event-loop thread):
 
    - one accept fiber owning the listening socket;
+   - the loops other modules start through [spawn] (the proxy's
+     membership prober, the metrics endpoint), cancelled with the
+     accept fiber;
    - per connection, three fibers: a reader (decodes frames off the
      non-blocking socket through Wire.Stream and hands each request to
      the handler without waiting on earlier replies — pipelining), a
@@ -118,7 +121,9 @@ type t = {
          it and feeding the stream, so one buffer serves every
          connection — per-conn memory stays flat *)
   mutable conns : conn list;  (* loop thread only *)
-  mutable accept_fiber : Aio.fiber option;
+  mutable fibers : Aio.fiber list;
+      (* loop thread only: the accept fiber and every [spawn]ed one,
+         all cancelled when a stop is requested *)
   mutable loop_thread : Thread.t option;
 }
 
@@ -283,6 +288,9 @@ let writer t conn =
 (* Request dispatch                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* loop thread only *)
+let cancel_fibers t = List.iter (Aio.cancel_on t.sched) t.fibers
+
 (* CAS admission against the in-flight budget *)
 let rec try_reserve t =
   let cur = Atomic.get t.inflight in
@@ -333,8 +341,9 @@ let dispatch t conn ~id msg =
   | Wire.Shutdown_req ->
       send t conn ~id Wire.Shutdown_ack;
       Atomic.set t.stop true;
-      (* wake the accept fiber so the stop is noticed immediately *)
-      (match t.accept_fiber with Some f -> Aio.cancel f | None -> ());
+      (* wake the accept fiber so the stop is noticed immediately, and
+         stop the spawned loops *)
+      cancel_fibers t;
       `Close
   | Wire.Pong | Wire.Result _ | Wire.Stats_text _ | Wire.Metrics_text _
   | Wire.Shutdown_ack | Wire.Cache_ack _ | Wire.Stats_json _
@@ -550,7 +559,7 @@ let serve ?(fault = Fault.none) cfg handle =
       conns_seen = M.child m_conns_total;
       scratch = Bytes.create 65536;
       conns = [];
-      accept_fiber = None;
+      fibers = [];
       loop_thread = None;
     }
   in
@@ -559,7 +568,7 @@ let serve ?(fault = Fault.none) cfg handle =
       (Thread.create
          (fun () ->
            Aio.run t.sched (fun () ->
-               t.accept_fiber <- Some (Aio.self ());
+               t.fibers <- Aio.self () :: t.fibers;
                accept_loop t))
          ());
   t
@@ -678,12 +687,17 @@ let port t = t.bound_port
 
 let request_stop t =
   Atomic.set t.stop true;
-  (* wake the accept fiber; posting is safe from any thread and a no-op
-     once the loop has already finished *)
+  (* cancel the accept fiber and the spawned ones; posting is safe from
+     any thread and a no-op once the loop has already finished *)
+  Aio.post t.sched (fun () -> cancel_fibers t)
+
+(* the fiber starts on the loop thread; one spawned after the stop
+   request is cancelled before its first step *)
+let spawn t f =
   Aio.post t.sched (fun () ->
-      match t.accept_fiber with
-      | Some f -> Aio.cancel_on t.sched f
-      | None -> ())
+      let fiber = Aio.spawn_on t.sched f in
+      t.fibers <- fiber :: t.fibers;
+      if Atomic.get t.stop then Aio.cancel_on t.sched fiber)
 
 let stop_requested t = Atomic.get t.stop
 

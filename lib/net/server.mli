@@ -7,7 +7,8 @@
     of code.
 
     One accept fiber, plus a reader, a responder and a writer fiber per
-    connection, all on one {!Aio} scheduler thread.  Requests on one
+    connection, all on one {!Aio} scheduler thread.  Other loops that
+    only wait on sockets and timers run there too, through {!spawn}.  Requests on one
     connection may be pipelined: the reader hands each request to the
     handler without waiting for earlier replies.  A {!Reply} goes out at
     once; {!Defer}red replies stream back from the responder in request
@@ -111,6 +112,14 @@ val request_stop : t -> unit
     sets an atomic flag).  {!wait_stop} returns shortly after. *)
 
 val stop_requested : t -> bool
+
+val spawn : t -> (unit -> unit) -> unit
+(** Start [f] as a fiber on the server's event loop; callable from any
+    thread.  A stop request ({!request_stop} or a
+    {!Wire.Shutdown_req} frame) cancels it together with the accept
+    fiber: {!Aio.Cancelled} is raised at its next suspension point, and
+    {!drain} waits until it has finished.  A fiber spawned after the
+    stop request is cancelled before its first step. *)
 
 val wait_stop : t -> unit
 (** Block until {!request_stop} is called (signal path) or a

@@ -747,6 +747,9 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
     if avail.spread && a.a_library <> None then None
     else Transform.Recurrence_sub.vector_reduce h body
   in
+  (* every parallel exit: the loop no longer leaves its index with the
+     sequential exit value, so restore it when later code reads it
+     (nonempty-trip assumption, as elsewhere) *)
   let with_exit_value stmts =
     if live_after h.Ast.index then
       stmts @ [ Ast.Assign (Ast.LVar h.Ast.index, h.Ast.hi) ]
@@ -865,13 +868,9 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
               apply_doall ctx ~avail ~after_reads ~facts ~depth ~live_after a
                 h blk best)
         in
-        (* a parallelized loop no longer leaves its index variable with
-           the sequential exit value; restore it when later code reads it
-           (nonempty-trip assumption, as elsewhere) *)
         let parallel_stmts =
-          if best <> Cost_model.Serial && live_after h.Ast.index then
-            parallel_stmts @ [ Ast.Assign (Ast.LVar h.Ast.index, h.Ast.hi) ]
-          else parallel_stmts
+          if best = Cost_model.Serial then parallel_stmts
+          else with_exit_value parallel_stmts
         in
         match a.a_rt_condition with
         | Some cond when best <> Cost_model.Serial ->
@@ -912,30 +911,9 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
             end
             else begin
               report "doacross" (Some mode) ("doacross sync" :: a.a_techniques) 2;
-              let da = Transform.Doacross.apply ~cls:Ast.Cdoall plan h blk in
-              match da with
-              | Ast.Do (h', blk') ->
-                  let with_reds =
-                    if a.a_scalar_reds <> [] || a.a_array_reds <> [] then
-                      Transform.Reduction_par.apply ~scalars:a.a_scalar_reds
-                        ~arrays:a.a_array_reds h' blk'
-                    else da
-                  in
-                  let final =
-                    match with_reds with
-                    | Ast.Do (h'', blk'')
-                      when a.a_priv_scalars <> [] || a.a_priv_arrays <> [] ->
-                        Transform.Privatize.apply
-                          {
-                            Transform.Privatize.p_scalars = a.a_priv_scalars;
-                            p_arrays = a.a_priv_arrays;
-                            p_last_value = a.a_last_values;
-                          }
-                          h'' blk''
-                    | s -> s
-                  in
-                  [ final ]
-              | s -> [ s ]
+              with_exit_value
+                (apply_doall ctx ~avail ~after_reads ~facts ~depth ~live_after
+                   a h blk mode)
             end
         | _ -> (
             (* loop distribution: split the body so the parallel part
@@ -1054,14 +1032,14 @@ and serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk =
   in
   [ Ast.Do (h, { blk with Ast.body }) ]
 
-(* apply the transforms of a DOALL decision: substitute the induction
+(* apply the transforms of a parallel decision: substitute the induction
    variables once, lower the loop to [mode], then assign each substituted
    variable's final value when later code reads it (the rule the loop
    index's exit value follows) *)
 and apply_doall ctx ~avail ~after_reads ~facts ~depth ~live_after
     (a : loop_analysis) (h : Ast.do_header) (blk : Ast.block)
     (mode : Cost_model.mode) : Ast.stmt list =
-  let h, blk, finals =
+  let h, blk', finals =
     List.fold_left
       (fun (h, blk, finals) cf ->
         match Transform.Giv_subst.apply cf h blk with
@@ -1071,7 +1049,16 @@ and apply_doall ctx ~avail ~after_reads ~facts ~depth ~live_after
         | Some _ | None -> (h, blk, finals))
       (h, blk, []) a.a_givs
   in
-  lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk mode @ finals
+  (* a DOACROSS plan holds statement positions, and the substitution
+     deleted each update: plan again on the substituted body *)
+  let a =
+    match mode with
+    | Cost_model.Doacross_mode _ when blk' != blk ->
+        let a' = analyze_loop_inner ctx ~live_after ~facts h blk'.Ast.body in
+        { a with a_doacross = a'.a_doacross }
+    | _ -> a
+  in
+  lower_doall ctx ~avail ~after_reads ~facts ~depth a h blk' mode @ finals
 
 (* the loop statements of [mode], without induction substitution or final
    values *)
@@ -1134,45 +1121,47 @@ and lower_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
           ~after_reads:(SSet.union after_reads (back_edge_live ctx h blk.Ast.body))
           ~facts:(facts @ bound_facts h) ~depth:(depth + 1) blk.Ast.body
       in
-      let blk = { blk with Ast.body = body' } in
-      (* reductions *)
-      let with_reds =
-        if a.a_scalar_reds <> [] || a.a_array_reds <> [] then
-          Transform.Reduction_par.apply ~scalars:a.a_scalar_reds
-            ~arrays:a.a_array_reds { h with Ast.cls } blk
-        else Ast.Do ({ h with Ast.cls }, blk)
+      [ parallel_tail a (Ast.Do ({ h with Ast.cls }, { blk with Ast.body = body' })) ]
+  | Cost_model.Doacross_mode _ -> (
+      match a.a_doacross with
+      | Some plan ->
+          [ parallel_tail a (Transform.Doacross.apply ~cls:Ast.Cdoall plan h blk) ]
+      | None -> serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk)
+
+(* the reduction and privatization tail of a parallel loop *)
+and parallel_tail (a : loop_analysis) (loop : Ast.stmt) : Ast.stmt =
+  let with_reds =
+    match loop with
+    | Ast.Do (h, blk) when a.a_scalar_reds <> [] || a.a_array_reds <> [] ->
+        Transform.Reduction_par.apply ~scalars:a.a_scalar_reds
+          ~arrays:a.a_array_reds h blk
+    | s -> s
+  in
+  (* privatization: only names still present after the inner recursion
+     (vectorized inner loops consume their indices) *)
+  match with_reds with
+  | Ast.Do (h', blk') ->
+      let still_used =
+        SSet.union
+          (Ast_utils.reads_of blk'.Ast.body)
+          (Ast_utils.writes_of blk'.Ast.body)
       in
-      (* privatization: only names still present after the inner recursion
-         (vectorized inner loops consume their indices) *)
-      let final =
-        match with_reds with
-        | Ast.Do (h', blk') ->
-            let still_used =
-              SSet.union
-                (Ast_utils.reads_of blk'.Ast.body)
-                (Ast_utils.writes_of blk'.Ast.body)
-            in
-            let scalars =
-              List.filter (fun (v, _) -> SSet.mem v still_used) a.a_priv_scalars
-            in
-            let arrays =
-              List.filter (fun (v, _, _) -> SSet.mem v still_used) a.a_priv_arrays
-            in
-            if scalars <> [] || arrays <> [] then
-              Transform.Privatize.apply
-                {
-                  Transform.Privatize.p_scalars = scalars;
-                  p_arrays = arrays;
-                  p_last_value = a.a_last_values;
-                }
-                h' blk'
-            else Ast.Do (h', blk')
-        | s -> s
+      let scalars =
+        List.filter (fun (v, _) -> SSet.mem v still_used) a.a_priv_scalars
       in
-      [ final ]
-  | Cost_model.Doacross_mode _ ->
-      (* not reached from the DOALL path *)
-      serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk
+      let arrays =
+        List.filter (fun (v, _, _) -> SSet.mem v still_used) a.a_priv_arrays
+      in
+      if scalars <> [] || arrays <> [] then
+        Transform.Privatize.apply
+          {
+            Transform.Privatize.p_scalars = scalars;
+            p_arrays = arrays;
+            p_last_value = a.a_last_values;
+          }
+          h' blk'
+      else Ast.Do (h', blk')
+  | s -> s
 
 (* ------------------------------------------------------------------ *)
 (* Statement-list walk                                                 *)

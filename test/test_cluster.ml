@@ -466,10 +466,8 @@ let test_membership_transitions () =
     ]
   in
   let m =
-    Cluster.Membership.create ~down_after:2 ~timeout_s:1.0 ~auto_probe:false
-      shards
+    Cluster.Membership.create ~down_after:2 ~timeout_s:1.0 shards
   in
-  Fun.protect ~finally:(fun () -> Cluster.Membership.stop m) @@ fun () ->
   Cluster.Membership.probe_once m;
   Alcotest.(check bool) "live shard up" true
     (state_of m "live" = Cluster.Membership.Up);
@@ -510,10 +508,9 @@ let test_membership_ring_epoch () =
      transition, a resurrection, an add, a remove — never on a
      Suspect⇄Up flap, never on a refused change *)
   let m =
-    Cluster.Membership.create ~down_after:2 ~timeout_s:0.5 ~auto_probe:false
+    Cluster.Membership.create ~down_after:2 ~timeout_s:0.5
       [ mk_shard "a" (dead_port ()); mk_shard "b" (dead_port ()) ]
   in
-  Fun.protect ~finally:(fun () -> Cluster.Membership.stop m) @@ fun () ->
   Alcotest.(check int) "epoch starts at 1" 1 (Cluster.Membership.epoch m);
   Cluster.Membership.note_failure m "a";
   Alcotest.(check bool) "one miss suspects" true
@@ -579,13 +576,9 @@ let test_membership_flapping_probe_loss () =
   in
   let mk loss =
     Cluster.Membership.create ~down_after:2 ~timeout_s:1.0 ~seed:0xf1a9
-      ~auto_probe:false ~probe_loss:loss shards
+      ~probe_loss:loss shards
   in
   let lossy = mk 1.0 and clean = mk 0.0 in
-  Fun.protect ~finally:(fun () ->
-      Cluster.Membership.stop lossy;
-      Cluster.Membership.stop clean)
-  @@ fun () ->
   let last = ref (Cluster.Membership.epoch lossy) in
   let monotone ctx =
     let e = Cluster.Membership.epoch lossy in
@@ -1561,6 +1554,75 @@ let test_proxy_budget_refusals_counted () =
   Alcotest.(check int) "every refusal counted" (List.length kinds)
     (Cluster.Proxy.shed_total proxy)
 
+(* a shard's member view takes the proxy's checks: a malformed add is
+   refused and applies nothing, and a valid add or remove acks with the
+   count of changes applied *)
+let test_shard_checks_cluster_add () =
+  with_svc @@ fun svc ->
+  let r =
+    Cluster.Replicator.create ~self:"a"
+      ~peers:[ mk_shard "a" (dead_port ()); mk_shard "b" (dead_port ()) ]
+      ()
+  in
+  let net =
+    Net.Server.create ~on_cluster_change:(Cluster.Replicator.apply_change r)
+      Net.Server.default_cfg svc
+  in
+  Fun.protect ~finally:(fun () ->
+      Net.Server.drain net;
+      Cluster.Replicator.stop r)
+  @@ fun () ->
+  match Net.Client.connect (Net.Client.default_cfg ~port:(Net.Server.port net)) with
+  | Error e -> Alcotest.failf "connect to shard: %s" e
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Net.Client.close client) @@ fun () ->
+      let check label want reply =
+        match reply with
+        | Ok ack ->
+            Alcotest.(check (pair bool int)) label want
+              (ack.W.ack_ok, ack.W.ack_epoch)
+        | Error e -> Alcotest.failf "%s: %s" label e
+      in
+      let add ca_id ca_host ca_port =
+        Net.Client.cluster_add client { W.ca_id; ca_host; ca_port }
+      in
+      check "bad id, bad host refused" (false, 0)
+        (add "bad id!" "not-an-ip" 0);
+      check "quoted id, port out of range refused" (false, 0)
+        (add "x\"y" "127.0.0.1" 99999);
+      check "valid add acked" (true, 1) (add "c" "127.0.0.1" 7000);
+      check "duplicate add refused" (false, 1) (add "c" "127.0.0.1" 7000);
+      check "remove acked" (true, 2) (Net.Client.cluster_remove client "c")
+
+(* the prober and the metrics endpoint are fibers on the proxy's front
+   end: thread ids come from a process-wide counter, so probes on either
+   side of a proxy's life count what it started — the event loop only *)
+let test_proxy_starts_one_thread () =
+  let thread_probe () =
+    let th = Thread.create ignore () in
+    Thread.join th;
+    Thread.id th
+  in
+  let t0 = thread_probe () in
+  let proxy =
+    Cluster.Proxy.create ~probe_ms:10.0 [ mk_shard "gone" (dead_port ()) ]
+  in
+  ignore
+    (Net.Metrics_http.start ~port:0 (Cluster.Proxy.front proxy) (fun () ->
+         ""));
+  (* the prober runs: two missed probes take the dead shard down *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while
+    state_of (Cluster.Proxy.membership proxy) "gone" <> Cluster.Membership.Down
+    && Unix.gettimeofday () < deadline
+  do
+    Thread.delay 0.01
+  done;
+  Cluster.Proxy.drain proxy;
+  Alcotest.(check bool) "the prober marked the dead shard down" true
+    (state_of (Cluster.Proxy.membership proxy) "gone" = Cluster.Membership.Down);
+  Alcotest.(check int) "threads started" 1 (thread_probe () - t0 - 1)
+
 let tests =
   [
     Alcotest.test_case "ring: routing is order- and duplicate-independent"
@@ -1628,4 +1690,8 @@ let tests =
       test_parse_shards;
     Alcotest.test_case "proxy: own counts equal the registry deltas" `Slow
       test_proxy_counts_match_registry;
+    Alcotest.test_case "shard: Cluster_add takes the proxy's checks" `Quick
+      test_shard_checks_cluster_add;
+    Alcotest.test_case "proxy: prober and metrics endpoint start no thread"
+      `Quick test_proxy_starts_one_thread;
   ]

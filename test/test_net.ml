@@ -1188,44 +1188,62 @@ let test_idle_flood_byte_identical () =
           end)
         idle)
 
-let test_metrics_http () =
-  let ep =
-    Net.Metrics_http.start ~port:0 (fun () -> "cedar_up 1\n")
-  in
+(* one scrape: send a request head, read the reply until the server
+   closes *)
+let http_get port =
+  let fd = connect_raw port in
   Fun.protect
-    ~finally:(fun () -> Net.Metrics_http.stop ep)
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let fd = connect_raw (Net.Metrics_http.port ep) in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let req = "GET /metrics HTTP/1.0\r\n\r\n" in
-          ignore (Unix.write_substring fd req 0 (String.length req));
-          let buf = Buffer.create 256 in
-          let chunk = Bytes.create 256 in
-          let rec slurp () =
-            match Unix.read fd chunk 0 256 with
-            | 0 -> ()
-            | n ->
-                Buffer.add_subbytes buf chunk 0 n;
-                slurp ()
-            | exception Unix.Unix_error _ -> ()
-          in
-          slurp ();
-          let response = Buffer.contents buf in
-          Alcotest.(check bool) "200 OK" true
-            (String.length response >= 15
-            && String.sub response 0 15 = "HTTP/1.0 200 OK");
-          let has_body =
-            let needle = "cedar_up 1" in
-            let rec find i =
-              i + String.length needle <= String.length response
-              && (String.sub response i (String.length needle) = needle
-                 || find (i + 1))
-            in
-            find 0
-          in
-          Alcotest.(check bool) "body served" true has_body))
+      let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      let buf = Buffer.create 256 in
+      let chunk = Bytes.create 256 in
+      let rec slurp () =
+        match Unix.read fd chunk 0 256 with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            slurp ()
+        | exception Unix.Unix_error _ -> ()
+      in
+      slurp ();
+      Buffer.contents buf)
+
+let test_metrics_http () =
+  with_net @@ fun _svc net _port ->
+  let port = Net.Metrics_http.start ~port:0 net (fun () -> "cedar_up 1\n") in
+  let response = http_get port in
+  Alcotest.(check bool) "200 OK" true
+    (String.length response >= 15
+    && String.sub response 0 15 = "HTTP/1.0 200 OK");
+  let has_body =
+    let needle = "cedar_up 1" in
+    let rec find i =
+      i + String.length needle <= String.length response
+      && (String.sub response i (String.length needle) = needle
+         || find (i + 1))
+    in
+    find 0
+  in
+  Alcotest.(check bool) "body served" true has_body
+
+(* each scrape is its own fiber: a connection that never sends its
+   request head (held to the 2 s read deadline) delays no other scrape *)
+let test_metrics_http_stalled () =
+  with_net @@ fun _svc net _port ->
+  let port = Net.Metrics_http.start ~port:0 net (fun () -> "cedar_up 1\n") in
+  let silent = connect_raw port in
+  Fun.protect ~finally:(fun () -> Unix.close silent) @@ fun () ->
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  let response = http_get port in
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "second scrape answered" true
+    (String.length response >= 15
+    && String.sub response 0 15 = "HTTP/1.0 200 OK");
+  if dt >= 0.5 then
+    Alcotest.failf "second scrape took %.2f s behind a silent connection" dt
 
 let test_client_connect_fast_fail () =
   (* a dead port fails within the backoff schedule, not a kernel-default
@@ -1393,6 +1411,9 @@ let tests =
       `Slow test_idle_flood_byte_identical;
     Alcotest.test_case "metrics: http endpoint serves the dump" `Quick
       test_metrics_http;
+    Alcotest.test_case
+      "metrics endpoint: a stalled scrape does not hold up the next" `Quick
+      test_metrics_http_stalled;
     Alcotest.test_case "client: dead port fails fast" `Quick
       test_client_connect_fast_fail;
     Alcotest.test_case "client: a fiber waiting on a socket blocks no other"

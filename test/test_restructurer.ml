@@ -574,6 +574,66 @@ let test_giv_across_nest () =
         enddo
       enddo|}
 
+(* ---------- DOACROSS exits ---------- *)
+
+(* A DOACROSS loop goes through the DOALL path's exits: its induction
+   variables are substituted (paper §4.1.4), not raced on, and a live
+   index gets its exit value.  The loop must stay a DOACROSS with the
+   validator on, so the plan's await lands before the first sink of the
+   substituted body. *)
+let check_doacross_exits name src =
+  List.iter
+    (fun (set, opts) ->
+      let label = Printf.sprintf "%s [%s]" name set in
+      ignore (check_semantics label ~opts src);
+      let res = restructure { opts with R.Options.validate = true } src in
+      Alcotest.(check (list string))
+        (label ^ ": DO i decisions under validation")
+        [ "doacross"; "parallelized" ]
+        (List.filter_map
+           (fun r ->
+             if r.R.Driver.r_index = "i" then Some r.R.Driver.r_decision
+             else None)
+           res.R.Driver.reports))
+    [ ("auto", auto); ("advanced", adv) ]
+
+let test_doacross_induction () =
+  check_doacross_exits "doacross substitutes its induction variable"
+    {|
+      program p
+      real a(40), b(40), c(40)
+      do i = 1, 40
+        a(i) = i
+        b(i) = 2*i
+        c(i) = 0
+      enddo
+      k = 0
+      do 20 i = 3, 40
+        k = k + 1
+        a(i) = a(i - 1) + b(k)
+        c(i) = a(i)*2.0 + b(i)*3.0 + a(i)*b(i) + k
+   20 continue
+      print *, k, a(40), c(40)
+      end
+|}
+
+let test_doacross_live_index () =
+  check_doacross_exits "doacross restores a live index"
+    {|
+      program p
+      real a(40), b(40)
+      do i = 1, 40
+        a(i) = i
+        b(i) = 2*i
+      enddo
+      do 20 i = 3, 40
+        a(i) = a(i - 1) + b(i)
+        b(i) = a(i)*2.0 + b(i)*3.0 + a(i)*b(i) + b(i - 1)*a(i)
+   20 continue
+      print *, i, a(40), b(40)
+      end
+|}
+
 (* ---------- an explicitly REAL I-N scalar keeps its type ---------- *)
 
 (* Globalization used to mark the [real k] record itself, which then read
@@ -1195,6 +1255,10 @@ let tests =
       test_giv_final_value;
     Alcotest.test_case "fuzz case: induction across a nest" `Quick
       test_giv_across_nest;
+    Alcotest.test_case "doacross substitutes its induction variable" `Quick
+      test_doacross_induction;
+    Alcotest.test_case "doacross restores a live index" `Quick
+      test_doacross_live_index;
     Alcotest.test_case "explicit REAL I-N scalar keeps its type" `Quick
       test_real_in_scalar;
     Alcotest.test_case "output pinned per request" `Quick test_output_pinned;

@@ -35,12 +35,6 @@ let vars a = SMap.fold (fun v _ acc -> v :: acc) a.coeffs [] |> List.rev
 
 let equal a b = a.const = b.const && SMap.equal Int.equal a.coeffs b.coeffs
 
-(** Restrict to the coefficients of [names]; the remainder (constant and
-    other variables) is returned as a second affine form. *)
-let split names a =
-  let inside, outside = SMap.partition (fun v _ -> List.mem v names) a.coeffs in
-  ({ const = 0; coeffs = inside }, { const = a.const; coeffs = outside })
-
 (** Convert an expression to affine form.  [env] maps variable names that
     are themselves known affine forms (e.g. substituted induction
     variables); other variables become symbolic terms. *)

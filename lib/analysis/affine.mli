@@ -20,10 +20,6 @@ val coeff : string -> t -> int
 val vars : t -> string list
 val equal : t -> t -> bool
 
-val split : string list -> t -> t * t
-(** [split names a] separates the terms over [names] from the rest
-    (constant included in the second component). *)
-
 val of_expr : ?env:t SMap.t -> Fortran.Ast.expr -> t option
 (** Convert an expression; [env] maps variables that are themselves known
     affine forms (substituted induction variables).  [None] for

@@ -51,9 +51,11 @@ let covers (w : region) (r : region) =
 let dim_range_of ~outer_index ~(inners : Ast.do_header list) (sub : Ast.expr) :
     dim_range =
   let invariant e =
-    let vars = Ast_utils.expr_vars e in
-    (not (SSet.mem outer_index vars))
-    && not (List.exists (fun h -> SSet.mem h.Ast.index vars) inners)
+    not
+      (Ast_utils.exists_var
+         (fun v ->
+           v = outer_index || List.exists (fun h -> h.Ast.index = v) inners)
+         e)
   in
   match sub with
   | Ast.Var j -> (

@@ -92,7 +92,7 @@ let recognize a (body : Ast.stmt list) : array_reduction option =
   let ops = ref [] in
   let sites = ref 0 in
   let check_expr_free e =
-    if SSet.mem a (Ast_utils.expr_vars e) then ok := false
+    if Ast_utils.mentions a e then ok := false
   in
   let rec stmt (s : Ast.stmt) =
     match s with

@@ -89,7 +89,7 @@ let recognize ~(lvl : Loops.level) v (body : Ast.stmt list) :
        set *)
     let invariant_step k =
       Loops.is_invariant_expr body k
-      && not (SSet.mem lvl.l_index (Ast_utils.expr_vars k))
+      && not (Ast_utils.mentions lvl.l_index k)
     in
     match sites with
     | [

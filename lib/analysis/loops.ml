@@ -41,10 +41,11 @@ let trip_count_const (l : level) =
 let invariant_vars (body : Ast.stmt list) : SSet.t -> SSet.t =
  fun candidates -> SSet.diff candidates (Ast_utils.writes_of body)
 
-let is_invariant_expr (body : Ast.stmt list) (e : Ast.expr) =
-  let used = Ast_utils.expr_vars e in
+(** Does [e] read nothing the body writes?  The body's write set is
+    built once per partial application [is_invariant_expr body]. *)
+let is_invariant_expr (body : Ast.stmt list) : Ast.expr -> bool =
   let written = Ast_utils.writes_of body in
-  SSet.is_empty (SSet.inter used written)
+  fun e -> not (Ast_utils.exists_var (fun v -> SSet.mem v written) e)
 
 (* ------------------------------------------------------------------ *)
 (* Array reference collection                                          *)

@@ -67,7 +67,7 @@ let reduction_form v (s : Ast.stmt) : (red_op * Ast.expr) option =
     | _ -> None
   in
   match form with
-  | Some (_, e) when SSet.mem v (Ast_utils.expr_vars e) -> None
+  | Some (_, e) when Ast_utils.mentions v e -> None
   | form -> form
 
 (* ------------------------------------------------------------------ *)
@@ -105,10 +105,15 @@ let census (body : Ast.stmt list) : (string, occ) Hashtbl.t =
   let count_reads e =
     Ast_utils.fold_expr
       (fun () e ->
-        match e with Ast.Var v -> (get v).other_reads <- (get v).other_reads + 1 | _ -> ())
+        match e with
+        | Ast.Var v ->
+            let o = get v in
+            o.other_reads <- o.other_reads + 1
+        | _ -> ())
       () e
   in
-  let invariant = Loops.is_invariant_expr body in
+  (* the body's write set, built at the first accumulation statement *)
+  let invariant = lazy (Loops.is_invariant_expr body) in
   let rec stmt (s : Ast.stmt) =
     match s with
     | Ast.Assign (Ast.LVar v, rhs) -> (
@@ -122,9 +127,9 @@ let census (body : Ast.stmt list) : (string, occ) Hashtbl.t =
             (* also record as a candidate induction update when the
                operand is loop invariant *)
             (match op with
-            | Rsum when invariant operand ->
+            | Rsum when Lazy.force invariant operand ->
                 o.induction_updates <- Additive operand :: o.induction_updates
-            | Rprod when invariant operand ->
+            | Rprod when Lazy.force invariant operand ->
                 o.induction_updates <-
                   Multiplicative operand :: o.induction_updates
             | Rsum | Rprod | Rmin | Rmax -> ());
@@ -149,7 +154,8 @@ let census (body : Ast.stmt list) : (string, occ) Hashtbl.t =
         List.iter stmt t;
         List.iter stmt e
     | Ast.Do (h, blk) ->
-        (get h.index).writes <- (get h.index).writes + 1;
+        let o = get h.index in
+        o.writes <- o.writes + 1;
         count_reads h.lo;
         count_reads h.hi;
         Option.iter count_reads h.step;
@@ -173,7 +179,9 @@ let census (body : Ast.stmt list) : (string, occ) Hashtbl.t =
         List.iter
           (fun l ->
             match l with
-            | Ast.LVar v -> (get v).writes <- (get v).writes + 1
+            | Ast.LVar v ->
+                let o = get v in
+                o.writes <- o.writes + 1
             | _ -> ())
           ls
     | Ast.Labeled (_, s) -> stmt s

@@ -83,10 +83,8 @@ let fp_split index (locals : decl list) preamble =
     | Assign (LVar p, e) :: rest
       when List.mem p lnames
            && (not (List.mem_assoc p fps))
-           &&
-           let vs = U.expr_vars e in
-           (not (U.SSet.mem index vs))
-           && not (List.exists (fun l -> U.SSet.mem l vs) lnames) ->
+           && not
+                (U.exists_var (fun v -> v = index || List.mem v lnames) e) ->
         go ((p, e) :: fps) rest
     | _ -> None
   in

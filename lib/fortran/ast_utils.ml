@@ -70,6 +70,34 @@ and add_opt_vars acc = function None -> acc | Some e -> add_expr_vars acc e
 
 let expr_vars e = add_expr_vars SSet.empty e
 
+(** [exists_var p e] is [SSet.exists p (expr_vars e)], without building
+    the set: it stops at the first name that satisfies [p]. *)
+let rec exists_var p e =
+  match e with
+  | Var v -> p v
+  | Idx (a, args) -> p a || exists_var_list p args
+  | Section (a, dims) -> p a || exists_dim_var p dims
+  | Call (_, args) -> exists_var_list p args
+  | Bin (_, a, b) -> exists_var p a || exists_var p b
+  | Un (_, a) -> exists_var p a
+  | Int _ | Num _ | Str _ | Bool _ -> false
+
+and exists_var_list p = function
+  | [] -> false
+  | e :: rest -> exists_var p e || exists_var_list p rest
+
+and exists_dim_var p = function
+  | [] -> false
+  | Elem e :: rest -> exists_var p e || exists_dim_var p rest
+  | Range (lo, hi, step) :: rest ->
+      exists_opt_var p lo || exists_opt_var p hi || exists_opt_var p step
+      || exists_dim_var p rest
+
+and exists_opt_var p = function None -> false | Some e -> exists_var p e
+
+(** [mentions v e] is [SSet.mem v (expr_vars e)]. *)
+let mentions v e = exists_var (String.equal v) e
+
 let lhs_name = function LVar v | LIdx (v, _) | LSection (v, _) -> v
 
 (** [add_lhs_reads acc l] adds the variables read on a left-hand side (the
@@ -171,25 +199,37 @@ and rewrite_stmt f s =
   | _ -> f s'
 
 (** Strip Labeled wrappers (labels only matter for GOTO, which the
-    restructurer treats as a parallelization blocker anyway). *)
+    restructurer treats as a parallelization blocker anyway).  Only a
+    labelled CONTINUE loses its label; a statement with nothing below it
+    to strip is returned itself, not copied. *)
 let rec strip_labels_stmt s =
   match s with
   | Labeled (_, Continue) -> Continue
-  | Labeled (l, s) -> Labeled (l, strip_labels_stmt s)
+  | Labeled (l, inner) ->
+      let inner' = strip_labels_stmt inner in
+      if inner' == inner then s else Labeled (l, inner')
   | Assign _ | CallSt _ | Return | Stop | Continue | Goto _ | Print _ | Read _
     ->
       s
   | If (c, t, e) ->
-      If (c, List.map strip_labels_stmt t, List.map strip_labels_stmt e)
+      let t' = strip_labels_list t and e' = strip_labels_list e in
+      if t' == t && e' == e then s else If (c, t', e')
   | Do (hdr, blk) ->
-      Do
-        ( hdr,
-          {
-            preamble = List.map strip_labels_stmt blk.preamble;
-            body = List.map strip_labels_stmt blk.body;
-            postamble = List.map strip_labels_stmt blk.postamble;
-          } )
-  | Where (m, body) -> Where (m, List.map strip_labels_stmt body)
+      let pre = strip_labels_list blk.preamble
+      and body = strip_labels_list blk.body
+      and post = strip_labels_list blk.postamble in
+      if pre == blk.preamble && body == blk.body && post == blk.postamble then s
+      else Do (hdr, { preamble = pre; body; postamble = post })
+  | Where (m, body) ->
+      let body' = strip_labels_list body in
+      if body' == body then s else Where (m, body')
+
+and strip_labels_list stmts =
+  match stmts with
+  | [] -> stmts
+  | s :: rest ->
+      let s' = strip_labels_stmt s and rest' = strip_labels_list rest in
+      if s' == s && rest' == rest then stmts else s' :: rest'
 
 (** Does any statement in the list satisfy [p]? *)
 let exists_stmt p stmts = fold_stmts (fun acc s -> acc || p s) false stmts
@@ -266,14 +306,44 @@ let rec stmt_reads acc s =
 let writes_of stmts = List.fold_left stmt_writes SSet.empty stmts
 let reads_of stmts = List.fold_left stmt_reads SSet.empty stmts
 
+(* [stmt_reads] and [stmt_writes] in one walk *)
+let rec stmt_names acc s =
+  let add_lhs acc l = add_lhs_reads (SSet.add (lhs_name l) acc) l in
+  match s with
+  | Assign (l, e) -> add_expr_vars (add_lhs acc l) e
+  | If (c, t, e) ->
+      List.fold_left stmt_names
+        (List.fold_left stmt_names (add_expr_vars acc c) t)
+        e
+  | Do (hdr, blk) ->
+      let acc = SSet.add hdr.index acc in
+      let acc =
+        add_opt_vars (add_expr_vars (add_expr_vars acc hdr.lo) hdr.hi) hdr.step
+      in
+      List.fold_left stmt_names
+        (List.fold_left stmt_names
+           (List.fold_left stmt_names acc blk.preamble)
+           blk.body)
+        blk.postamble
+  | Where (m, body) -> List.fold_left stmt_names (add_expr_vars acc m) body
+  | CallSt (_, args) | Print args ->
+      (* a call's written arguments are names its arguments read *)
+      List.fold_left add_expr_vars acc args
+  | Read ls -> List.fold_left add_lhs acc ls
+  | Labeled (_, s) -> stmt_names acc s
+  | Return | Stop | Continue | Goto _ -> acc
+
+(** Every name the statements read or write:
+    [SSet.union (reads_of stmts) (writes_of stmts)]. *)
+let names_of stmts = List.fold_left stmt_names SSet.empty stmts
+
 (** The coefficient of [index] in an expression viewed structurally as a
     sum of terms: terms free of the index may be arbitrarily nonlinear in
     other variables; terms in the index must be [index] or [c*index].
     [None] = not linear in the index. *)
 let rec index_coeff index (e : Ast.expr) : int option =
-  let free e = not (SSet.mem index (expr_vars e)) in
   match e with
-  | _ when free e -> Some 0
+  | _ when not (mentions index e) -> Some 0
   | Ast.Var v when v = index -> Some 1
   | Ast.Bin (Ast.Add, a, b) -> (
       match (index_coeff index a, index_coeff index b) with

@@ -147,9 +147,7 @@ let of_unit (u : punit) : t =
       SMap.empty u.u_decls
   in
   (* add implicitly declared scalars used in the body *)
-  let used =
-    SSet.union (Ast_utils.reads_of u.u_body) (Ast_utils.writes_of u.u_body)
-  in
+  let used = Ast_utils.names_of u.u_body in
   let syms =
     SSet.fold
       (fun v acc ->

@@ -166,10 +166,8 @@ let rec expr_cost env (e : Ast.expr) : float =
           let ri = env.cnt.run_idx in
           if
             ri <> ""
-            && (not (Ast_utils.SSet.mem ri (Ast_utils.expr_vars first)))
-            && List.exists
-                 (fun sub -> Ast_utils.SSet.mem ri (Ast_utils.expr_vars sub))
-                 rest
+            && (not (Ast_utils.mentions ri first))
+            && List.exists (Ast_utils.mentions ri) rest
           then env.cnt.sw <- env.cnt.sw +. 1.0
       | _ -> ());
       List.fold_left

@@ -55,6 +55,10 @@ type loop_analysis = {
   a_rt_condition : Ast.expr option;
   a_library : Ast.stmt list option;
   a_techniques : string list;
+  a_body : Ast.stmt list;  (** the analyzed body, for [back_edge_live] *)
+  a_exposed : SSet.t;  (** its upward-exposed names *)
+  a_privatizable : string -> bool;
+      (** array privatization in this body, decided once per array *)
 }
 
 exception Interrupted
@@ -63,6 +67,7 @@ type ctx = {
   opts : Options.t;
   syms : Symbols.t;
   interproc : Interproc.t;
+  iface : SSet.t;  (** the unit's interface data ([Symbols.interface_vars]) *)
   unit_name : string;
   interrupt : unit -> bool;  (** polled per loop nest; true aborts the job *)
   memo : loop_report Memo.t option;  (** shared nest-level memo table *)
@@ -178,9 +183,7 @@ let calls_parallel_safe ctx ~index body =
                     (* written element must move with the loop *)
                     if
                       not
-                        (List.exists
-                           (fun e -> SSet.mem index (Ast_utils.expr_vars e))
-                           subs)
+                        (List.exists (Ast_utils.mentions index) subs)
                     then ok := false
                 | Ast.Var _ | _ -> ok := false)
             args
@@ -243,6 +246,21 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
   let blockers = ref [] in
   let block b = if not (List.mem b !blockers) then blockers := b :: !blockers in
 
+  (* each fact about the body, derived once *)
+  let written = Ast_utils.writes_of body in
+  let inner_loops = Loops.inner_loops body in
+  let inner = List.map (fun h -> h.Ast.index) inner_loops in
+  let privatizable =
+    let known = ref [] in
+    fun a ->
+      match List.assoc_opt a !known with
+      | Some p -> p
+      | None ->
+          let p = Array_private.privatizable ~outer_index:index a body in
+          known := (a, p) :: !known;
+          p
+  in
+
   (* hard blockers *)
   if Ast_utils.contains_goto body then block "goto in body";
   if Ast_utils.contains_io body then block "I/O in body";
@@ -256,7 +274,7 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
       | Some sym when sym.Symbols.s_equiv ->
           block (Printf.sprintf "%s is EQUIVALENCEd" v)
       | _ -> ())
-    (Ast_utils.writes_of body);
+    written;
   if Ast_utils.contains_call body then begin
     if tech.Options.interprocedural then begin
       if calls_parallel_safe ctx ~index body then use "interprocedural"
@@ -286,44 +304,44 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
   let last_values = ref [] in
   let scalar_reds = ref [] in
   let givs = ref [] in
-  let inner_indices =
-    List.map (fun h -> h.Ast.index) (Loops.inner_loops body)
-  in
-  (* names the body writes outside CALL statements *)
+  (* names the body writes outside CALL statements, and names calls may
+     define per the interprocedural summaries: asked only about a carried
+     scalar *)
   let writes_excl_calls =
-    Ast_utils.fold_stmts
-      (fun acc s ->
-        match s with
-        | Ast.CallSt _ -> acc
-        | s ->
-            (* collect this statement's own write, not nested calls *)
-            (match s with
-            | Ast.Assign (l, _) -> SSet.add (Ast_utils.lhs_name l) acc
-            | Ast.Do (h, _) -> SSet.add h.Ast.index acc
-            | Ast.Read ls ->
-                List.fold_left
-                  (fun acc l -> SSet.add (Ast_utils.lhs_name l) acc)
-                  acc ls
-            | _ -> acc))
-      SSet.empty body
+    lazy
+      (Ast_utils.fold_stmts
+         (fun acc s ->
+           match s with
+           | Ast.CallSt _ -> acc
+           | s ->
+               (* collect this statement's own write, not nested calls *)
+               (match s with
+               | Ast.Assign (l, _) -> SSet.add (Ast_utils.lhs_name l) acc
+               | Ast.Do (h, _) -> SSet.add h.Ast.index acc
+               | Ast.Read ls ->
+                   List.fold_left
+                     (fun acc l -> SSet.add (Ast_utils.lhs_name l) acc)
+                     acc ls
+               | _ -> acc))
+         SSet.empty body)
   in
-  (* names calls may define, per the interprocedural summaries *)
   let call_defined =
-    Ast_utils.fold_stmts
-      (fun acc s ->
-        match s with
-        | Ast.CallSt (nm, args) -> (
-            match Interproc.call_effect ctx.interproc nm args with
-            | Some (_, defs) -> SSet.union acc defs
-            | None ->
-                List.fold_left
-                  (fun acc a ->
-                    match a with
-                    | Ast.Var v | Ast.Idx (v, _) -> SSet.add v acc
-                    | _ -> acc)
-                  acc args)
-        | _ -> acc)
-      SSet.empty body
+    lazy
+      (Ast_utils.fold_stmts
+         (fun acc s ->
+           match s with
+           | Ast.CallSt (nm, args) -> (
+               match Interproc.call_effect ctx.interproc nm args with
+               | Some (_, defs) -> SSet.union acc defs
+               | None ->
+                   List.fold_left
+                     (fun acc a ->
+                       match a with
+                       | Ast.Var v | Ast.Idx (v, _) -> SSet.add v acc
+                       | _ -> acc)
+                     acc args)
+           | _ -> acc)
+         SSet.empty body)
   in
   SMap.iter
     (fun v cls ->
@@ -333,12 +351,12 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
           ()
       | Scalars.Shared_dep
         when tech.Options.interprocedural
-             && (not (SSet.mem v writes_excl_calls))
-             && not (SSet.mem v call_defined) ->
+             && (not (SSet.mem v (Lazy.force writes_excl_calls)))
+             && not (SSet.mem v (Lazy.force call_defined)) ->
           (* only "written" through call arguments the summaries prove
              read-only: actually a read-only scalar *)
           ()
-      | _ when List.mem v inner_indices ->
+      | _ when List.mem v inner ->
           (* inner loop indices are register-resident: nothing to do *)
           ()
       | Scalars.Privatizable { live_out } ->
@@ -406,12 +424,11 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
         if cf.Giv.g_monotonic then SSet.add cf.Giv.g_var acc else acc)
       SSet.empty !givs
   in
-  let inner = List.map (fun h -> h.Ast.index) (Loops.inner_loops body) in
   (* a body that is entirely one guarded block contributes its guard's
      facts (sound: the guard dominates every reference; refused when the
      condition itself references arrays) *)
   let body_guard_facts =
-    match List.map Ast_utils.strip_labels_stmt body with
+    match body with
     | [ Ast.If (c, _, []) ]
       when Ast_utils.fold_expr
              (fun acc e ->
@@ -424,7 +441,6 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
   let facts = facts @ body_guard_facts in
   (* facts from enclosing IF guards and this loop's bounds stay valid only
      if neither side is redefined in the body *)
-  let written = Ast_utils.writes_of body in
   let disequal =
     List.filter
       (fun (a, b) ->
@@ -465,7 +481,7 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
         if
           tech.Options.array_privatization
           && (not (live_after a))
-          && Array_private.privatizable ~outer_index:index a body
+          && privatizable a
         then begin
           use "array privatization";
           (match Symbols.lookup ctx.syms a with
@@ -475,29 +491,28 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
               priv_arrays := (a, Ast.Real, [ (Ast.Int 1, Ast.Int 1024) ]) :: !priv_arrays);
           false
         end
-        else if
+        else
           (* array reductions *)
-          tech.Options.generalized_reduction
-          &&
-          match Array_reduction.recognize a body with
-          | Some _ -> true
-          | None -> false
-        then begin
-          use "array reduction";
-          (match (Array_reduction.recognize a body, Symbols.lookup ctx.syms a) with
-          | Some r, Some s when s.Symbols.s_dims <> [] ->
-              array_reds :=
-                {
-                  Transform.Reduction_par.arr_name = a;
-                  arr_op = r.Array_reduction.ar_op;
-                  arr_type = s.Symbols.s_type;
-                  arr_dims = s.Symbols.s_dims;
-                }
-                :: !array_reds
-          | _ -> block (Printf.sprintf "array %s dims unknown" a));
-          false
-        end
-        else true)
+          match
+            if tech.Options.generalized_reduction then
+              Array_reduction.recognize a body
+            else None
+          with
+          | None -> true
+          | Some r ->
+              use "array reduction";
+              (match Symbols.lookup ctx.syms a with
+              | Some s when s.Symbols.s_dims <> [] ->
+                  array_reds :=
+                    {
+                      Transform.Reduction_par.arr_name = a;
+                      arr_op = r.Array_reduction.ar_op;
+                      arr_type = s.Symbols.s_type;
+                      arr_dims = s.Symbols.s_dims;
+                    }
+                    :: !array_reds
+              | _ -> block (Printf.sprintf "array %s dims unknown" a));
+              false)
       dep_arrays
   in
   (* run-time dependence test for the remaining symbolic subscripts *)
@@ -516,9 +531,7 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
               carried
           in
           if blocked_sym then begin
-            let levels =
-              lvl :: List.map Loops.level_of_header (Loops.inner_loops body)
-            in
+            let levels = lvl :: List.map Loops.level_of_header inner_loops in
             match Runtime_test.candidate_for ~levels ~body a with
             | Some c ->
                 use "run-time dependence test";
@@ -569,22 +582,41 @@ let analyze_loop_inner (ctx : ctx) ~(live_after : string -> bool)
     a_rt_condition = rt_condition;
     a_library = library;
     a_techniques = List.rev !used;
+    a_body = body;
+    a_exposed = scl.Scalars.exposed;
+    a_privatizable = privatizable;
   }
 
+(* span attributes are built only when a tracer is installed *)
 let analyze_loop (ctx : ctx) ~(live_after : string -> bool) ?(facts = [])
     (h : Ast.do_header) (body : Ast.stmt list) : loop_analysis =
   Obs.Trace.with_span "analyze"
-    ~attrs:[ ("unit", ctx.unit_name); ("index", h.Ast.index) ]
+    ~attrs:
+      (if Obs.Trace.enabled () then
+         [ ("unit", ctx.unit_name); ("index", h.Ast.index) ]
+       else [])
     (fun sp ->
       let a = analyze_loop_inner ctx ~live_after ~facts h body in
-      if a.a_techniques <> [] then
-        Obs.Trace.attr sp "techniques" (String.concat "," a.a_techniques);
-      Obs.Trace.count sp "blockers" (List.length a.a_blockers);
+      if Obs.Trace.enabled () then begin
+        if a.a_techniques <> [] then
+          Obs.Trace.attr sp "techniques" (String.concat "," a.a_techniques);
+        Obs.Trace.count sp "blockers" (List.length a.a_blockers)
+      end;
       a)
 
 (* ------------------------------------------------------------------ *)
 (* Loop transformation                                                 *)
 (* ------------------------------------------------------------------ *)
+
+(* a loop span's attributes, built only when a tracer is installed *)
+let loop_attrs ctx (h : Ast.do_header) ~depth =
+  if Obs.Trace.enabled () then
+    [
+      ("unit", ctx.unit_name);
+      ("index", h.Ast.index);
+      ("depth", string_of_int depth);
+    ]
+  else []
 
 (* is an inner loop DOALL-able (for choosing SDO/CDO nests)? cheap check *)
 let inner_doallable ctx ~live_after ~facts (body : Ast.stmt list) : bool =
@@ -606,12 +638,7 @@ let rec transform_loop (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
     ~(facts : (string * string) list) ~depth (h : Ast.do_header)
     (blk : Ast.block) : Ast.stmt list =
   Obs.Trace.with_span "loop"
-    ~attrs:
-      [
-        ("unit", ctx.unit_name);
-        ("index", h.Ast.index);
-        ("depth", string_of_int depth);
-      ]
+    ~attrs:(loop_attrs ctx h ~depth)
     (fun sp ->
       let before = ctx.reports in
       let stmts =
@@ -719,10 +746,7 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
   let opts = ctx.opts in
   let tech = opts.Options.techniques in
   let body = blk.Ast.body in
-  let live_after v =
-    SSet.mem v after_reads
-    || SSet.mem v (Symbols.interface_vars ctx.syms)
-  in
+  let live_after v = SSet.mem v after_reads || SSet.mem v ctx.iface in
   let a = analyze_loop ctx ~live_after ~facts h body in
   let lvl = Loops.level_of_header h in
   let profile = Cost_model.profile ~assumed_trip:opts.Options.assumed_trip lvl body in
@@ -780,11 +804,8 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
            that data has one copy per cluster *)
         let interface_blocked =
           ctx.opts.Options.placement_default = Transform.Globalize.Default_cluster
-          && (let iface = Symbols.interface_vars ctx.syms in
-              let used =
-                SSet.union (Ast_utils.reads_of body) (Ast_utils.writes_of body)
-              in
-              not (SSet.is_empty (SSet.inter iface used)))
+          && not
+               (SSet.is_empty (SSet.inter ctx.iface (Ast_utils.names_of body)))
         in
         let candidates = ref [ Cost_model.Serial ] in
         let add m = candidates := m :: !candidates in
@@ -863,7 +884,10 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
         let techniques = a.a_techniques in
         let parallel_stmts =
           Obs.Trace.with_span "apply"
-            ~attrs:[ ("mode", Cost_model.show_mode best) ]
+            ~attrs:
+              (if Obs.Trace.enabled () then
+                 [ ("mode", Cost_model.show_mode best) ]
+               else [])
             (fun _ ->
               apply_doall ctx ~avail ~after_reads ~facts ~depth ~live_after a
                 h blk best)
@@ -907,7 +931,7 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
             in
             if fst (List.hd ranked) = Cost_model.Serial then begin
               report "serial (doacross unprofitable)" None a.a_techniques 2;
-              serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk
+              serial_with_inner ctx ~a ~avail ~after_reads ~facts ~depth h blk
             end
             else begin
               report "doacross" (Some mode) ("doacross sync" :: a.a_techniques) 2;
@@ -938,7 +962,7 @@ and transform_loop_raw (ctx : ctx) ~(avail : avail) ~(after_reads : SSet.t)
                   split_loops
             | None ->
                 report "serial (blocked)" None a.a_techniques 1;
-                serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk)
+                serial_with_inner ctx ~a ~avail ~after_reads ~facts ~depth h blk)
       end
 
 (* try to split a blocked loop into consecutive sub-loops such that at
@@ -987,13 +1011,18 @@ and inner_loops_vectorize (body : Ast.stmt list) : bool =
    the body's top, plus arrays that are NOT written-before-read within one
    iteration (a write-first work array is re-made each time around and so
    is dead on the back edge — exactly what lets it be privatized). *)
-and back_edge_live ctx (h : Ast.do_header) (body : Ast.stmt list) : SSet.t =
-  let exposed = Scalars.upward_exposed body in
+and back_edge_live ctx ?a (h : Ast.do_header) (body : Ast.stmt list) :
+    SSet.t =
+  (* the analysis of this very body already knows both facts *)
+  let exposed, privatizable =
+    match a with
+    | Some a when a.a_body == body -> (a.a_exposed, a.a_privatizable)
+    | _ ->
+        ( Scalars.upward_exposed body,
+          fun v -> Array_private.privatizable ~outer_index:h.Ast.index v body )
+  in
   SSet.filter
-    (fun v ->
-      if Symbols.is_array ctx.syms v then
-        not (Array_private.privatizable ~outer_index:h.Ast.index v body)
-      else true)
+    (fun v -> if Symbols.is_array ctx.syms v then not (privatizable v) else true)
     exposed
 
 (* serial-semantics rewrite of a parallel loop that failed validation:
@@ -1021,10 +1050,10 @@ and serialize_parallel_loop (h : Ast.do_header) (blk : Ast.block) :
   @ strip blk.Ast.postamble
 
 (* keep this loop serial but restructure inside it *)
-and serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk =
+and serial_with_inner ctx ?a ~avail ~after_reads ~facts ~depth h blk =
   let facts = facts @ bound_facts h in
   let after_reads =
-    SSet.union after_reads (back_edge_live ctx h blk.Ast.body)
+    SSet.union after_reads (back_edge_live ctx ?a h blk.Ast.body)
   in
   let body =
     transform_stmts ctx ~avail ~after_reads ~facts ~depth:(depth + 1)
@@ -1069,11 +1098,12 @@ and lower_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
   match mode with
   | Cost_model.Serial ->
       (* cost model preferred serial; still restructure inner loops *)
-      serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk
+      serial_with_inner ctx ~a ~avail ~after_reads ~facts ~depth h blk
   | Cost_model.Vector -> (
       match Transform.Vectorize.vectorize_loop h blk.Ast.body with
       | Some stmts -> stmts
-      | None -> serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk)
+      | None ->
+          serial_with_inner ctx ~a ~avail ~after_reads ~facts ~depth h blk)
   | Cost_model.Xdoall_strip -> (
       let priv = List.map fst a.a_priv_scalars in
       match
@@ -1118,7 +1148,8 @@ and lower_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
       in
       let body' =
         transform_stmts ctx ~avail:inner_avail
-          ~after_reads:(SSet.union after_reads (back_edge_live ctx h blk.Ast.body))
+          ~after_reads:
+            (SSet.union after_reads (back_edge_live ctx ~a h blk.Ast.body))
           ~facts:(facts @ bound_facts h) ~depth:(depth + 1) blk.Ast.body
       in
       [ parallel_tail a (Ast.Do ({ h with Ast.cls }, { blk with Ast.body = body' })) ]
@@ -1126,7 +1157,8 @@ and lower_doall ctx ~avail ~after_reads ~facts ~depth (a : loop_analysis)
       match a.a_doacross with
       | Some plan ->
           [ parallel_tail a (Transform.Doacross.apply ~cls:Ast.Cdoall plan h blk) ]
-      | None -> serial_with_inner ctx ~avail ~after_reads ~facts ~depth h blk)
+      | None ->
+          serial_with_inner ctx ~a ~avail ~after_reads ~facts ~depth h blk)
 
 (* the reduction and privatization tail of a parallel loop *)
 and parallel_tail (a : loop_analysis) (loop : Ast.stmt) : Ast.stmt =
@@ -1141,11 +1173,7 @@ and parallel_tail (a : loop_analysis) (loop : Ast.stmt) : Ast.stmt =
      (vectorized inner loops consume their indices) *)
   match with_reds with
   | Ast.Do (h', blk') ->
-      let still_used =
-        SSet.union
-          (Ast_utils.reads_of blk'.Ast.body)
-          (Ast_utils.writes_of blk'.Ast.body)
-      in
+      let still_used = Ast_utils.names_of blk'.Ast.body in
       let scalars =
         List.filter (fun (v, _) -> SSet.mem v still_used) a.a_priv_scalars
       in
@@ -1211,12 +1239,7 @@ and transform_stmts ctx ~avail ~after_reads ?(facts = []) ~depth
               (* an input (already-parallel) loop: verify it as written;
                  a failed check serializes it *)
               Obs.Trace.with_span "loop"
-                ~attrs:
-                  [
-                    ("unit", ctx.unit_name);
-                    ("index", h.Ast.index);
-                    ("depth", string_of_int depth);
-                  ]
+                ~attrs:(loop_attrs ctx h ~depth)
                 (fun sp ->
                   match validator_issues ctx ~facts [ s ] with
                   | [] -> [ s ]
@@ -1283,11 +1306,13 @@ let restructure_unit ~(interrupt : unit -> bool) ?memo (opts : Options.t)
                 ~syms:(Interproc.symbols interproc) prog u)
         else (u, [])
       in
+      let syms = Interproc.symbols interproc u in
       let ctx =
         {
           opts;
-          syms = Interproc.symbols interproc u;
+          syms;
           interproc;
+          iface = Symbols.interface_vars syms;
           unit_name = u.Ast.u_name;
           interrupt;
           memo;

@@ -59,9 +59,7 @@ let distribute (h : Ast.do_header) (body : Ast.stmt list)
           (* the cell must move with the distributed index — a fixed cell
              (e.g. an accumulator indexed by an outer loop only) would see
              all of the earlier group's iterations instead of its own *)
-          List.exists
-            (fun s ->
-              Ast_utils.SSet.mem h.Ast.index (Ast_utils.expr_vars s))
+          List.exists (Ast_utils.mentions h.Ast.index)
             first.Analysis.Loops.r_subs
           && List.for_all
                (fun r ->
@@ -84,7 +82,7 @@ let distribute (h : Ast.do_header) (body : Ast.stmt list)
               (fun acc g' -> SSet.union acc (Ast_utils.reads_of g'))
               SSet.empty rest
           in
-          let mine = SSet.union (Ast_utils.reads_of g) (Ast_utils.writes_of g) in
+          let mine = Ast_utils.names_of g in
           SSet.is_empty (SSet.inter later_writes mine)
           && SSet.for_all
                (fun v ->

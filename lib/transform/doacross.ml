@@ -21,8 +21,13 @@ type plan = {
   dx_distance : int;  (** minimal carried distance *)
 }
 
-(** Statement count of a list, counting nested statements. *)
-let weight stmts = Ast_utils.fold_stmts (fun n _ -> n + 1) 0 stmts
+(** Executable statement count of a list, counting nested statements: a
+    label and a CONTINUE weigh nothing, so [DO 20 ... 20 CONTINUE] and
+    [DO ... ENDDO] weigh the same. *)
+let weight stmts =
+  Ast_utils.fold_stmts
+    (fun n s -> match s with Ast.Labeled _ | Ast.Continue -> n | _ -> n + 1)
+    0 stmts
 
 (** Build the plan from carried dependences (top-level statement indices
     are the heads of the dependence paths). *)

@@ -34,9 +34,7 @@ let fusable (h1 : Ast.do_header) body1 (h2 : Ast.do_header) body2 =
   && (not (Ast_utils.contains_goto body1 || Ast_utils.contains_goto body2))
   (* renaming h2's index to h1's must not capture an existing use *)
   && (h1.Ast.index = h2.Ast.index
-     || not
-          (SSet.mem h1.Ast.index
-             (SSet.union (Ast_utils.reads_of body2) (Ast_utils.writes_of body2))))
+     || not (SSet.mem h1.Ast.index (Ast_utils.names_of body2)))
   &&
   let body2 =
     List.map
@@ -60,9 +58,7 @@ let fusable (h1 : Ast.do_header) body1 (h2 : Ast.do_header) body2 =
            does not (e.g. an accumulator indexed only by inner loops) is
            written by every iteration of body1 and must see them all
            before body2 reads it *)
-        List.exists
-          (fun s -> SSet.mem h1.Ast.index (Ast_utils.expr_vars s))
-          first.Loops.r_subs
+        List.exists (Ast_utils.mentions h1.Ast.index) first.Loops.r_subs
         && List.for_all
              (fun r ->
                List.length r.Loops.r_subs = List.length first.Loops.r_subs

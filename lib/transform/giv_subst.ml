@@ -18,7 +18,7 @@ let uses_follow_update v body =
   let seen_update = ref false in
   let ok = ref true in
   let check_expr e =
-    if (not !seen_update) && Ast_utils.SSet.mem v (Ast_utils.expr_vars e) then
+    if (not !seen_update) && Ast_utils.mentions v e then
       ok := false
   in
   let rec stmt s =

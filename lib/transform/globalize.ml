@@ -47,9 +47,7 @@ let cross_cluster_uses (body : Ast.stmt list) : SSet.t =
           | Ast.Seq | Ast.Cdoall | Ast.Cdoacross -> false
         in
         if cross then begin
-          let used =
-            SSet.union (Ast_utils.reads_of [ s ]) (Ast_utils.writes_of [ s ])
-          in
+          let used = Ast_utils.names_of [ s ] in
           let hidden = SSet.union enclosing (nested_locals [ s ]) in
           acc := SSet.union !acc (SSet.diff used hidden)
         end;

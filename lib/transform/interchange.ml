@@ -32,12 +32,11 @@ let perfectly_nested (s : Ast.stmt) : (Ast.do_header * Ast.do_header * Ast.stmt 
   | _ -> None
 
 let bounds_invariant_of (h : Ast.do_header) index =
-  let vars e = Ast_utils.expr_vars e in
-  (not (SSet.mem index (vars h.Ast.lo)))
-  && (not (SSet.mem index (vars h.Ast.hi)))
+  (not (Ast_utils.mentions index h.Ast.lo))
+  && (not (Ast_utils.mentions index h.Ast.hi))
   && match h.Ast.step with
      | None -> true
-     | Some s -> not (SSet.mem index (vars s))
+     | Some s -> not (Ast_utils.mentions index s)
 
 (** Swap the two loops of a perfect nest.  The caller guarantees legality
     (e.g. both levels carry no dependence). *)

@@ -77,13 +77,11 @@ let vector_reduce (h : Ast.do_header) (body : Ast.stmt list) :
                         (fun s ->
                           match s with
                           | Ast.Assign (Ast.LVar _, v) ->
-                              not
-                                (Ast_utils.SSet.mem idx
-                                   (Ast_utils.expr_vars v))
+                              not (Ast_utils.mentions idx v)
                           | _ -> false)
                         rest
                | _ -> false)
-               && not (Ast_utils.SSet.mem acc (Ast_utils.expr_vars e)) -> (
+               && not (Ast_utils.mentions acc e) -> (
             match vec e with
             | Some ve when ve <> e ->
                 let t = Ast_utils.fresh_name "mx_" in

@@ -51,7 +51,7 @@ let rec vector_expr ~index ~lo ~hi ?(exp_range = None)
          cannot express it *)
       let index_dims =
         List.length
-          (List.filter (fun s -> SSet.mem index (Ast_utils.expr_vars s)) subs)
+          (List.filter (Ast_utils.mentions index) subs)
       in
       if index_dims > 1 then raise (Fail (Non_unit_stride a));
       let dims =
@@ -77,9 +77,7 @@ let rec vector_expr ~index ~lo ~hi ?(exp_range = None)
          elementwise; intrinsics are *)
       if
         (not (Ast.is_intrinsic f))
-        && List.exists
-             (fun a -> SSet.mem index (Ast_utils.expr_vars a))
-             args
+        && List.exists (Ast_utils.mentions index) args
       then raise (Fail (User_call f));
       Ast.Call (f, List.map ve args)
   | Ast.Bin (op, a, b) -> Ast.Bin (op, ve a, ve b)
@@ -115,7 +113,7 @@ let rec vector_stmts ~index ~lo ~hi ?(exp_range = None) ~expanded
             ( vector_lhs ~index ~lo ~hi ~exp_range ~expanded l,
               vector_expr ~index ~lo ~hi ~exp_range ~expanded rhs )
       | Ast.If (c, t, []) ->
-          if SSet.mem index (Ast_utils.expr_vars c) then
+          if Ast_utils.mentions index c then
             (* IF-to-WHERE conversion *)
             Ast.Where
               ( vector_expr ~index ~lo ~hi ~exp_range ~expanded c,

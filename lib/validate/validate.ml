@@ -146,8 +146,7 @@ let scalar_write_sites (body : Ast.stmt list) : (Ast.stmt * string) list =
   List.rev !acc
 
 (* variables a top-level statement touches (reads or writes) *)
-let stmt_vars (s : Ast.stmt) : SSet.t =
-  SSet.union (Ast_utils.writes_of [ s ]) (Ast_utils.reads_of [ s ])
+let stmt_vars (s : Ast.stmt) : SSet.t = Ast_utils.names_of [ s ]
 
 (* ------------------------------------------------------------------ *)
 (* Call safety (mirrors the restructurer's interprocedural gate)       *)
@@ -174,9 +173,7 @@ let check_calls vctx issue ~index body =
                 if defs then
                   match arg with
                   | Ast.Idx (_, subs)
-                    when List.exists
-                           (fun e -> SSet.mem index (Ast_utils.expr_vars e))
-                           subs ->
+                    when List.exists (Ast_utils.mentions index) subs ->
                       ()
                   | _ ->
                       issue
@@ -213,18 +210,17 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
     if not (List.mem i vctx.issues) then vctx.issues <- i :: vctx.issues
   in
   let priv = private_names h body in
-  let top = Array.of_list (List.map Ast_utils.strip_labels_stmt body) in
 
   (* ---- synchronization structure ---- *)
   let await = ref None and advance = ref None in
-  Array.iteri
+  List.iteri
     (fun i s ->
       match s with
       | Ast.CallSt (n, args) when lower n = "await" ->
           if !await = None then await := Some (i, args)
       | Ast.CallSt (n, _) when lower n = "advance" -> advance := Some i
       | _ -> ())
-    top;
+    body;
   let in_sync_region k =
     match (!await, !advance) with
     | Some (a, _), Some d -> a <= k && k <= d
@@ -254,7 +250,7 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
       in
       let all_synchronized =
         Ast.is_doacross h.Ast.cls
-        && Array.to_list top
+        && body
            |> List.mapi (fun k s -> (k, s))
            |> List.for_all (fun (k, s) ->
                   (not (SSet.mem v (stmt_vars s))) || in_sync_region k)
@@ -267,7 +263,7 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
 
   (* ---- array dependences ---- *)
   let body_guard_facts =
-    match List.map Ast_utils.strip_labels_stmt body with
+    match body with
     | [ Ast.If (c, _, []) ]
       when not
              (Ast_utils.fold_expr

@@ -188,25 +188,63 @@ let brute_force_carried s1 s2 n m =
   done;
   !found
 
+(* 3 to 6 references over two arrays, each with a random subscript and
+   access kind and its own statement path: the tester must report every
+   pair the brute force finds carried, whatever the pair's place in the
+   scan or its partner's array *)
+let gen_refs =
+  QCheck.Gen.(
+    int_range 3 6 >>= fun n ->
+    list_repeat n (triple (oneofl [ "a"; "b" ]) bool gen_sub))
+
+let print_refs refs =
+  String.concat "; "
+    (List.map
+       (fun (arr, w, s) ->
+         Printf.sprintf "%s %s(%s)" (if w then "write" else "read") arr
+           (Printer.expr_str (sub_to_expr s)))
+       refs)
+
 let prop_dep_sound =
   QCheck.Test.make ~name:"dependence test is sound vs brute force" ~count:300
-    QCheck.(make (QCheck.Gen.pair gen_sub gen_sub))
-    (fun (s1, s2) ->
+    ~long_factor:50
+    (QCheck.make ~print:print_refs gen_refs)
+    (fun spec ->
       let n = 8 and m = 4 in
       let refs =
-        [
-          mkref "a" [ Printer.expr_str (sub_to_expr s1) ] Loops.Write [ 0 ];
-          mkref "a" [ Printer.expr_str (sub_to_expr s2) ] Loops.Read [ 1 ];
-        ]
+        List.mapi
+          (fun k (arr, w, s) ->
+            mkref arr
+              [ Printer.expr_str (sub_to_expr s) ]
+              (if w then Loops.Write else Loops.Read)
+              [ k ])
+          spec
       in
       let deps =
         Depend.dependences ~env:SMap.empty ~index:"i" ~inner:[ "j" ]
           ~trip:(Some n) refs
       in
-      let claimed_carried = Depend.carried deps <> [] in
-      let actual = brute_force_carried s1 s2 n m in
-      (* soundness: actual dependence must be reported *)
-      (not actual) || claimed_carried)
+      let reported p q =
+        List.exists
+          (fun d ->
+            d.Depend.d_carried
+            && ((d.Depend.d_src = [ p ] && d.Depend.d_dst = [ q ])
+               || (d.Depend.d_src = [ q ] && d.Depend.d_dst = [ p ])))
+          deps
+      in
+      (* soundness: every actual carried dependence must be reported *)
+      let numbered = List.mapi (fun k r -> (k, r)) spec in
+      List.for_all
+        (fun (p, (a1, w1, s1)) ->
+          List.for_all
+            (fun (q, (a2, w2, s2)) ->
+              q < p || a1 <> a2
+              || not (w1 || w2)
+              || (p = q && not w1)
+              || (not (brute_force_carried s1 s2 n m))
+              || reported p q)
+            numbered)
+        numbered)
 
 (* ---------------- scalar classification ---------------- *)
 
@@ -727,6 +765,218 @@ let test_depend_proof_counters () =
   Alcotest.(check bool) "gcd proof counted" true
     (counter_value "depend_indep_gcd_total" > gcd0)
 
+(* the pair counter, then one per independence proof *)
+let depend_counters =
+  "depend_pairs_tested_total"
+  :: List.map
+       (fun p -> Printf.sprintf "depend_indep_%s_total" p)
+       [ "ziv"; "gcd"; "siv"; "trip"; "disequal"; "distance" ]
+
+(* Every DO of every unit of every corpus program and synthetic kernel,
+   tested with its index, inner indices, constant trip count and
+   references, once without and once with the body's invariance: one
+   MD5 over the shown dependence lists, and the counter deltas, each
+   captured when the tester still converted every pair's subscripts. *)
+let test_dependences_pinned () =
+  let counters = depend_counters in
+  let before = List.map counter_value counters in
+  let buf = Buffer.create 65536 in
+  let rec walk stmts = List.iter stmt stmts
+  and stmt = function
+    | Ast.Do (h, blk) ->
+        let body = blk.Ast.body in
+        let index = h.Ast.index in
+        let inner = List.map (fun h -> h.Ast.index) (Loops.inner_loops body) in
+        let trip = Loops.trip_count_const (Loops.level_of_header h) in
+        let refs = Loops.collect_refs body in
+        let written = Ast_utils.writes_of body in
+        List.iter
+          (fun invariant ->
+            List.iter
+              (fun d ->
+                Buffer.add_string buf (Depend.show_dep d);
+                Buffer.add_char buf '\n')
+              (Depend.dependences ~invariant ~env:SMap.empty ~index ~inner
+                 ~trip refs);
+            Buffer.add_string buf "--\n")
+          [ (fun _ -> false); (fun v -> not (Ast_utils.SSet.mem v written)) ];
+        walk blk.Ast.preamble;
+        walk body;
+        walk blk.Ast.postamble
+    | Ast.If (_, t, e) ->
+        walk t;
+        walk e
+    | Ast.Where (_, b) -> walk b
+    | Ast.Labeled (_, s) -> stmt s
+    | _ -> ()
+  in
+  List.iter
+    (fun w ->
+      let prog =
+        Parser.parse_program
+          (w.Workloads.Workload.source w.Workloads.Workload.small_size)
+      in
+      List.iter (fun u -> walk u.Ast.u_body) prog)
+    (Workloads.Linalg.all @ Workloads.Perfect.all);
+  List.iter
+    (fun k ->
+      List.iter
+        (fun u -> walk u.Ast.u_body)
+        (Parser.parse_program (Workloads.Synthetic.program_of k)))
+    Workloads.Synthetic.kernels;
+  let deltas =
+    List.map2 (fun c b -> counter_value c - b) counters before
+  in
+  Alcotest.(check string)
+    "MD5 of the corpus dependence lists" "2d8444e1f63d98b1cc62ffc92e320160"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check (list int))
+    "pairs tested, then independence proofs (ziv gcd siv trip disequal \
+     distance)"
+    [ 2288; 2; 0; 0; 0; 0; 0 ] deltas
+
+(* Seeded reference lists that reach every subscript test and override:
+   affine terms in the tested index, an inner index and symbolic names,
+   products and exact quotients, shared and reshaped subscripts, a
+   closed form and an injectivity fact for k, an i <> m disequality and
+   a trip bound.  Pinned like the corpus, from the same capture. *)
+let test_dependences_pinned_seeded () =
+  let st = Random.State.make [| 24 |] in
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let coin () = Random.State.bool st in
+  let term () =
+    match int 0 7 with
+    | 0 -> Ast.Int (int (-3) 3)
+    | 1 | 2 ->
+        let c = int (-2) 3 in
+        if c = 1 then Ast.Var "i" else Ast.Bin (Ast.Mul, Ast.Int c, Ast.Var "i")
+    | 3 -> Ast.Bin (Ast.Mul, Ast.Int (int 1 2), Ast.Var "j")
+    | 4 -> Ast.Var (pick [ "n"; "k"; "m" ])
+    | 5 -> Ast.Bin (Ast.Mul, Ast.Var "i", Ast.Var "j")
+    | 6 ->
+        let c = 2 * int 0 2 in
+        let two_i = Ast.Bin (Ast.Mul, Ast.Int 2, Ast.Var "i") in
+        Ast.Bin (Ast.Div, Ast.Bin (Ast.Add, two_i, Ast.Int c), Ast.Int 2)
+    | _ -> Ast.Un (Ast.Neg, Ast.Var (pick [ "i"; "n" ]))
+  in
+  let sub () =
+    let rec more k acc =
+      if k = 0 then acc
+      else
+        let op = pick [ Ast.Add; Ast.Sub ] in
+        more (k - 1) (Ast.Bin (op, acc, term ()))
+    in
+    let first = term () in
+    more (int 0 2) first
+  in
+  let counters = depend_counters in
+  let before = List.map counter_value counters in
+  let buf = Buffer.create 65536 in
+  for _ = 1 to 3000 do
+    let p1 = sub () in
+    let p2 = sub () in
+    let pool = [ p1; p2; Ast.Var "k"; Ast.Var (pick [ "i"; "m" ]) ] in
+    let refs =
+      List.init (int 2 7) (fun _ ->
+          let array = pick [ "a"; "b" ] in
+          (* a is mostly one-dimensional, b two; one in four reshaped *)
+          let rank = if array = "a" then 1 else 2 in
+          let rank = if int 0 3 = 0 then 3 - rank else rank in
+          let subs = List.init rank (fun _ -> pick pool) in
+          let access = if coin () then Loops.Write else Loops.Read in
+          let top = int 0 3 in
+          let path = if coin () then [ top ] else [ top; int 0 1 ] in
+          {
+            Loops.r_array = array;
+            r_subs = subs;
+            r_access = access;
+            r_path = path;
+            r_conditional = false;
+          })
+    in
+    let inner = pick [ []; [ "j" ] ] in
+    let trip = pick [ None; Some 8; Some 3 ] in
+    let env =
+      if coin () then
+        SMap.singleton "k"
+          (Option.get (Affine.of_expr (expr "2*i + 1")))
+      else SMap.empty
+    in
+    let injective =
+      if coin () then Ast_utils.SSet.singleton "k" else Ast_utils.SSet.empty
+    in
+    let disequal = if coin () then [ ("i", "m") ] else [] in
+    let invariant =
+      if coin () then fun v -> v <> "k" else fun _ -> false
+    in
+    List.iter
+      (fun d ->
+        Buffer.add_string buf (Depend.show_dep d);
+        Buffer.add_char buf '\n')
+      (Depend.dependences ~injective ~disequal ~invariant ~env ~index:"i"
+         ~inner ~trip refs);
+    Buffer.add_string buf "--\n"
+  done;
+  let deltas =
+    List.map2 (fun c b -> counter_value c - b) counters before
+  in
+  Alcotest.(check string)
+    "MD5 of the seeded dependence lists" "5196af6ebb9409b6de3cd0eae2ae31ea"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check (list int))
+    "pairs tested, then independence proofs (ziv gcd siv trip disequal \
+     distance)"
+    [ 16937; 15; 139; 49; 2; 8; 12 ] deltas
+
+(* [Ast_utils.names_of] walks once what [reads_of] and [writes_of] walk
+   twice: over every statement of the corpus, before and after
+   restructuring (which adds calls, sections and parallel loops), the
+   one-walk set equals the union. *)
+let test_names_of_one_walk () =
+  let checked = ref 0 in
+  let check label prog =
+    List.iter
+      (fun u ->
+        Ast_utils.fold_stmts
+          (fun () s ->
+            let one = Ast_utils.names_of [ s ] in
+            let two =
+              Ast_utils.SSet.union
+                (Ast_utils.reads_of [ s ])
+                (Ast_utils.writes_of [ s ])
+            in
+            if not (Ast_utils.SSet.equal one two) then
+              Alcotest.failf "%s: names_of differs on\n%s" label
+                (Printer.stmt_to_string s);
+            incr checked)
+          () u.Ast.u_body)
+      prog
+  in
+  List.iter
+    (fun w ->
+      let prog =
+        Parser.parse_program
+          (w.Workloads.Workload.source w.Workloads.Workload.small_size)
+      in
+      check w.Workloads.Workload.name prog;
+      List.iter
+        (fun (set, opts) ->
+          check
+            (w.Workloads.Workload.name ^ " [" ^ set ^ "]")
+            (Restructurer.Driver.restructure
+               (opts Machine.Config.cedar_config1)
+               prog)
+              .Restructurer.Driver.program)
+        [
+          ("auto", Restructurer.Options.auto_1991);
+          ("advanced", Restructurer.Options.advanced);
+        ])
+    (Workloads.Linalg.all @ Workloads.Perfect.all);
+  Printf.printf "%d statements checked\n" !checked;
+  Alcotest.(check bool) "over a thousand statements checked" true
+    (!checked > 1000)
+
 (* ---------------- one-pass liveness ---------------- *)
 
 (* The driver derives liveness with one backward step per statement
@@ -811,6 +1061,10 @@ let tests =
     Alcotest.test_case "dep counters advance" `Quick
       test_depend_counters_advance;
     Alcotest.test_case "dep proof counters" `Quick test_depend_proof_counters;
+    Alcotest.test_case "dependences pinned over the corpus" `Quick
+      test_dependences_pinned;
+    Alcotest.test_case "dependences pinned over seeded references" `Quick
+      test_dependences_pinned_seeded;
     QCheck_alcotest.to_alcotest prop_dep_sound;
     Alcotest.test_case "scalar private" `Quick test_scalar_private;
     Alcotest.test_case "scalar shared" `Quick test_scalar_shared;
@@ -836,4 +1090,6 @@ let tests =
     Alcotest.test_case "runtime condition" `Quick test_runtime_condition;
     Alcotest.test_case "one-pass liveness equals per-suffix walks" `Quick
       test_liveness_one_pass;
+    Alcotest.test_case "names_of is reads_of and writes_of in one walk" `Quick
+      test_names_of_one_walk;
   ]

@@ -245,6 +245,29 @@ let prop_expr_roundtrip =
       let e2 = Parser.parse_expr_string s in
       Ast.equal_expr (norm e) (norm e2))
 
+(* The name tests answer what the set they avoid building would, on the
+   expressions above and on a section holding one as an element and as
+   a range bound. *)
+let prop_name_tests =
+  QCheck.Test.make ~name:"mentions and exists_var agree with expr_vars"
+    ~count:500
+    (QCheck.pair arbitrary_expr
+       (QCheck.make ~print:Fun.id
+          (QCheck.Gen.oneofl [ "a"; "b"; "i"; "n"; "arr"; "mat"; "f"; "s"; "x" ])))
+    (fun (e, v) ->
+      List.for_all
+        (fun e ->
+          let vars = Ast_utils.expr_vars e in
+          Ast_utils.mentions v e = Ast_utils.SSet.mem v vars
+          && List.for_all
+               (fun p -> Ast_utils.exists_var p e = Ast_utils.SSet.exists p vars)
+               [ String.equal v; (fun x -> String.length x > 1); (fun x -> x < v) ])
+        [
+          e;
+          Ast.Section
+            ("s", [ Ast.Elem e; Ast.Range (Some (Ast.Int 1), Some e, None) ]);
+        ])
+
 (* Totality: on any input the front end raises [Parser.Error] or
    returns; never another exception. *)
 let corpus_sources =
@@ -322,5 +345,6 @@ let tests =
     Alcotest.test_case "string literal with a quote round-trips" `Quick
       test_quote_roundtrip;
     QCheck_alcotest.to_alcotest prop_expr_roundtrip;
+    QCheck_alcotest.to_alcotest prop_name_tests;
     QCheck_alcotest.to_alcotest prop_front_end_total;
   ]

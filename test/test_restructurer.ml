@@ -617,9 +617,31 @@ let test_doacross_induction () =
       end
 |}
 
+(* the c(i) statement lies outside the synchronized region, which keeps
+   the DOACROSS profitable however the loop is spelled *)
+let live_index_src =
+  {|
+      program p
+      real a(40), b(40), c(40)
+      do i = 1, 40
+        a(i) = i
+        b(i) = 2*i
+      enddo
+      do 20 i = 3, 40
+        a(i) = a(i - 1) + b(i)
+        b(i) = a(i)*2.0 + b(i)*3.0 + a(i)*b(i) + b(i - 1)*a(i)
+        c(i) = a(i)*b(i) + a(i)*3.0 + b(i)*5.0
+   20 continue
+      print *, i, a(40), b(40), c(40)
+      end
+|}
+
 let test_doacross_live_index () =
-  check_doacross_exits "doacross restores a live index"
-    {|
+  check_doacross_exits "doacross restores a live index" live_index_src
+
+(* the same loop with its whole body synchronized *)
+let all_synchronized_src =
+  {|
       program p
       real a(40), b(40)
       do i = 1, 40
@@ -633,6 +655,78 @@ let test_doacross_live_index () =
       print *, i, a(40), b(40)
       end
 |}
+
+(* [DO 20 i ... 20 CONTINUE] respelled [DO i ... ENDDO] *)
+let enddo_spelling src =
+  String.split_on_char '\n' src
+  |> List.map (fun line ->
+         match String.trim line with
+         | "20 continue" -> "      enddo"
+         | t when String.length t > 6 && String.sub t 0 6 = "do 20 " ->
+             "      do " ^ String.sub t 6 (String.length t - 6)
+         | _ -> line)
+  |> String.concat "\n"
+
+(* A label and a CONTINUE are no work: both spellings of a loop get the
+   same synchronization fraction and the same decision.  The labelled
+   spelling of the fully synchronized loop used to weigh its CONTINUE and
+   label, get a fraction of 0.5 and run as a DOACROSS, while ENDDO got
+   1.0 and stayed serial. *)
+let test_doacross_spelling () =
+  List.iter
+    (fun (name, src) ->
+      let respelled = enddo_spelling src in
+      Alcotest.(check bool) (name ^ ": respelled") true (respelled <> src);
+      let body_of src =
+        match Parser.parse_program src with
+        | [ u ] -> (
+            match
+              List.filter_map
+                (function
+                  | Ast.Do (_, blk) | Ast.Labeled (_, Ast.Do (_, blk)) ->
+                      Some blk.Ast.body
+                  | _ -> None)
+                u.Ast.u_body
+            with
+            | [ _; body ] -> body
+            | _ -> Alcotest.fail "expected two loops")
+        | _ -> Alcotest.fail "expected one unit"
+      in
+      let plan =
+        {
+          Transform.Doacross.dx_first_sink = 0;
+          dx_last_source = 1;
+          dx_distance = 1;
+        }
+      in
+      Alcotest.(check (float 1e-12))
+        (name ^ ": sync fraction")
+        (Transform.Doacross.sync_fraction plan (body_of src))
+        (Transform.Doacross.sync_fraction plan (body_of respelled));
+      List.iter
+        (fun (set, opts) ->
+          let verdicts src =
+            List.filter_map
+              (fun r ->
+                if r.R.Driver.r_index = "i" then
+                  Some
+                    ( r.R.Driver.r_decision,
+                      Option.fold ~none:"-" ~some:R.Cost_model.show_mode
+                        r.R.Driver.r_mode )
+                else None)
+              (restructure opts src).R.Driver.reports
+          in
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "%s [%s]: DO i verdicts" name set)
+            (verdicts src) (verdicts respelled))
+        [ ("auto", auto); ("advanced", adv) ])
+    [
+      ("partly synchronized", live_index_src);
+      ("wholly synchronized", all_synchronized_src);
+    ];
+  Alcotest.(check string) "wholly synchronized stays serial"
+    "serial (doacross unprofitable)"
+    (decision_of (restructure auto all_synchronized_src) "i")
 
 (* ---------- an explicitly REAL I-N scalar keeps its type ---------- *)
 
@@ -1259,6 +1353,8 @@ let tests =
       test_doacross_induction;
     Alcotest.test_case "doacross restores a live index" `Quick
       test_doacross_live_index;
+    Alcotest.test_case "doacross decision does not depend on spelling" `Quick
+      test_doacross_spelling;
     Alcotest.test_case "explicit REAL I-N scalar keeps its type" `Quick
       test_real_in_scalar;
     Alcotest.test_case "output pinned per request" `Quick test_output_pinned;

@@ -7,6 +7,7 @@
    shutdown  ask the server to drain and exit
    drive     closed-loop socket load generator (Traffic over TCP)
    flood     park idle connections (the fiber gate's scaling probe)
+   cluster   members, add, remove, stats, metrics against a cedarproxy
 
    Exit status: 0 success, 1 the server answered with a failure
    (Failed/Timeout/Overloaded/TooLarge/...), 2 usage, 3 transport
@@ -212,10 +213,7 @@ let target_arg =
     value
     & opt target_conv Codegen.Target.Cedar
     & info [ "target" ] ~docv:"TARGET"
-        ~doc:
-          "codegen target: $(b,cedar) (default) or $(b,openmp); OpenMP \
-           submits ride protocol-v4 frames, Cedar submits stay \
-           byte-compatible with v1 servers")
+        ~doc:"codegen target: $(b,cedar) (default) or $(b,openmp)")
 
 let trace_id_arg =
   Arg.(
@@ -243,37 +241,57 @@ let submit_cmd =
 
 (* ---- stats / metrics / shutdown ---- *)
 
-let fetch_text what host port timeout_s =
+(* One query, one reply: [text] picks what to print out of the frame
+   that answers [req].  A typed refusal is the server's answer (exit 1);
+   only a request that got no reply at all is a transport error
+   (exit 3). *)
+let query req text host port timeout_s =
   with_client (client_cfg host port timeout_s) @@ fun c ->
-  match what c with
-  | Ok text ->
-      print_string text;
-      if String.length text > 0 && text.[String.length text - 1] <> '\n'
-      then print_newline ();
-      0
+  match Net.Client.request c req with
   | Error msg -> transport msg
+  | Ok reply -> (
+      match text reply with
+      | Some s ->
+          print_string s;
+          if String.length s > 0 && s.[String.length s - 1] <> '\n' then
+            print_newline ();
+          0
+      | None ->
+          Printf.eprintf "cedarctl: %s\n"
+            (match reply with
+            | Net.Wire.Result (Net.Wire.R_error msg) -> msg
+            | other ->
+                Printf.sprintf "unexpected %s frame"
+                  (Net.Wire.message_kind_name other));
+          1)
 
 let json_arg =
   Arg.(
     value & flag
-    & info [ "json" ]
-        ~doc:
-          "machine-readable JSON instead of the human text (protocol v2; \
-           requires a v2 server)")
+    & info [ "json" ] ~doc:"machine-readable JSON instead of the human text")
 
 let stats host port timeout_s json =
-  fetch_text
-    (if json then Net.Client.stats_json else Net.Client.stats)
-    host port timeout_s
+  if json then
+    query Net.Wire.Stats_json_req
+      (function Net.Wire.Stats_json s -> Some s | _ -> None)
+      host port timeout_s
+  else
+    query Net.Wire.Stats_req
+      (function Net.Wire.Stats_text s -> Some s | _ -> None)
+      host port timeout_s
 
 let stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"fetch the service stats summary")
     Term.(const stats $ host_arg $ port_arg $ timeout_arg $ json_arg)
 
+(* the server sends the Prometheus text; the JSON is rendered here *)
 let metrics host port timeout_s json =
-  fetch_text
-    (if json then Net.Client.metrics_json else Net.Client.metrics)
+  query Net.Wire.Metrics_req
+    (function
+      | Net.Wire.Metrics_text s ->
+          Some (if json then Obs.Metrics.json_of_dump s else s)
+      | _ -> None)
     host port timeout_s
 
 let metrics_cmd =
@@ -431,27 +449,19 @@ let flood_cmd =
 
 (* ---- cluster (against a cedarproxy) ---- *)
 
-let cluster_members host port timeout_s json =
-  fetch_text
-    (if json then Net.Client.members_json else Net.Client.members)
+let cluster_members host port timeout_s =
+  query Net.Wire.Members_req
+    (function Net.Wire.Members_json s -> Some s | _ -> None)
     host port timeout_s
-
-let members_json_arg =
-  Arg.(
-    value & flag
-    & info [ "json" ]
-        ~doc:
-          "the enriched machine-readable view (protocol v3): ring epoch, \
-           vnodes, proxy routing counters, and each live shard's state \
-           and replication counters")
 
 let cluster_members_cmd =
   Cmd.v
     (Cmd.info "members"
-       ~doc:"fetch ring membership and shard health from a cedarproxy")
-    Term.(
-      const cluster_members $ host_arg $ port_arg $ timeout_arg
-      $ members_json_arg)
+       ~doc:
+         "fetch ring membership and shard health from a cedarproxy, as \
+          JSON (the proxy's counters and each shard's replication \
+          counters are in $(b,cluster stats --json))")
+    Term.(const cluster_members $ host_arg $ port_arg $ timeout_arg)
 
 let report_ack (ack : Net.Wire.cluster_ack) =
   if ack.Net.Wire.ack_ok then begin

@@ -298,93 +298,38 @@ let fetch_from_shard t (shard : Membership.shard) st f =
     | None -> Error "unknown shard"
     | Some link -> with_client link f
 
+(* the proxy's own counts, then every shard's stats snapshot (which
+   carries its replication counters) *)
 let aggregated_stats_json t =
+  let members = Membership.snapshot t.members in
   let shards =
-    Membership.snapshot t.members
-    |> List.map (fun (shard, st, _) ->
-           let body =
-             match fetch_from_shard t shard st Net.Client.stats_json with
-             | Ok json -> json
-             | Error _ -> "null"
-           in
-           Printf.sprintf "\"%s\":%s" shard.Membership.sh_id body)
+    List.map
+      (fun (shard, st, _) ->
+        let body =
+          match fetch_from_shard t shard st Net.Client.stats_json with
+          | Ok json -> json
+          | Error _ -> "null"
+        in
+        Printf.sprintf "\"%s\":%s" shard.Membership.sh_id body)
+      members
+  in
+  let pool_idle =
+    List.map
+      (fun ((shard : Membership.shard), _, _) ->
+        Printf.sprintf "\"%s\":%d" shard.Membership.sh_id
+          (match pool_of t shard.Membership.sh_id with
+          | Some l -> Pool.idle_count l.pool
+          | None -> 0))
+      members
   in
   Printf.sprintf
-    "{\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"members\":%s},\"shards\":{%s}}"
-    (M.counter_value t.routed) (M.counter_value t.failovers) (shed_total t)
-    (Membership.members_json t.members)
-    (String.concat "," shards)
-
-(* flat-object integer extraction: enough JSON to lift the replication
-   counters out of a shard's Stats_json without a parser dependency *)
-let find_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some (i + nn)
-    else go (i + 1)
-  in
-  go 0
-
-let json_int_field body name =
-  match find_sub body (Printf.sprintf "\"%s\":" name) with
-  | None -> None
-  | Some start ->
-      let n = String.length body in
-      let stop = ref start in
-      if !stop < n && body.[!stop] = '-' then incr stop;
-      while !stop < n && body.[!stop] >= '0' && body.[!stop] <= '9' do
-        incr stop
-      done;
-      if !stop = start then None
-      else int_of_string_opt (String.sub body start (!stop - start))
-
-let replica_counter_keys =
-  [
-    "replica_admitted";
-    "replica_rejected";
-    "replicated_hits";
-    "replica_pushed";
-    "replica_skipped_down";
-  ]
-
-(* the [cedarctl cluster members --json] view: ring epoch, per-shard
-   state, and each live shard's replication counters in one object *)
-let enriched_members_json t =
-  let shards =
-    Membership.snapshot t.members
-    |> List.map (fun ((shard : Membership.shard), st, fails) ->
-           let counters =
-             match fetch_from_shard t shard st Net.Client.stats_json with
-             | Error _ -> ""
-             | Ok body ->
-                 replica_counter_keys
-                 |> List.filter_map (fun k ->
-                        Option.map
-                          (Printf.sprintf ",\"%s\":%d" k)
-                          (json_int_field body k))
-                 |> String.concat ""
-           in
-           let idle =
-             match pool_of t shard.Membership.sh_id with
-             | Some l -> Pool.idle_count l.pool
-             | None -> 0
-           in
-           Printf.sprintf
-             "{\"id\":\"%s\",\"host\":\"%s\",\"port\":%d,\"state\":\"%s\",\"fails\":%d,\"pool_idle\":%d%s}"
-             shard.Membership.sh_id shard.Membership.sh_host
-             shard.Membership.sh_port
-             (Membership.state_name st)
-             fails idle counters)
-  in
-  Printf.sprintf
-    "{\"epoch\":%d,\"vnodes\":%d,\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"stale_routes\":%d,\"read_repairs\":%d,\"topology_changes\":%d},\"shards\":[%s]}"
-    (Membership.epoch t.members)
-    (Membership.vnodes t.members)
+    "{\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"stale_routes\":%d,\"read_repairs\":%d,\"topology_changes\":%d,\"pool_idle\":{%s},\"members\":%s},\"shards\":{%s}}"
     (M.counter_value t.routed) (M.counter_value t.failovers) (shed_total t)
     (M.counter_value t.stale_routes)
     (M.counter_value t.read_repairs)
     (M.counter_value t.topo_gen)
+    (String.concat "," pool_idle)
+    (Membership.members_json t.members)
     (String.concat "," shards)
 
 let aggregated_stats_text t =
@@ -562,8 +507,6 @@ let handle t msg =
       relay t (fun () -> Net.Wire.Stats_text (aggregated_stats_text t))
   | Net.Wire.Stats_json_req ->
       relay t (fun () -> Net.Wire.Stats_json (aggregated_stats_json t))
-  | Net.Wire.Members_json_req ->
-      relay t (fun () -> Net.Wire.Members_json (enriched_members_json t))
   | Net.Wire.Cluster_add a ->
       defer ~overload:(membership_refused t) (fun () ->
           Net.Wire.Cluster_ack (handle_cluster_add t a))
@@ -572,11 +515,9 @@ let handle t msg =
           Net.Wire.Cluster_ack (handle_cluster_remove t sid))
   | Net.Wire.Metrics_req ->
       Net.Server.Reply (Net.Wire.Metrics_text (M.dump M.global))
-  | Net.Wire.Metrics_json_req ->
-      Net.Server.Reply (Net.Wire.Metrics_json (M.to_json M.global))
   | Net.Wire.Members_req ->
       Net.Server.Reply
-        (Net.Wire.Members_text (Membership.members_json t.members))
+        (Net.Wire.Members_json (Membership.members_json t.members))
   | _ ->
       (* Ping, Shutdown_req (which stops the proxy only) and reply kinds
          are answered by the front end and never reach a handler *)

@@ -27,10 +27,11 @@
     with the protocol's existing [R_overloaded].
 
     The proxy also serves cluster-wide observability: [Stats_req] /
-    [Stats_json_req] aggregate every live shard's snapshot,
-    [Members_req] reports ring membership, [Members_json_req] the
-    enriched view (ring epoch, per-shard state and replication
-    counters), [Metrics_req] dumps the proxy's own registry.
+    [Stats_json_req] aggregate every live shard's snapshot (the JSON
+    adds the proxy's routing, barrier and read-repair counts and each
+    pool's idle connections), [Members_req] reports ring membership at
+    once without dialing a shard, [Metrics_req] dumps the proxy's own
+    registry.
 
     {b Topology changes.}  [Cluster_add] / [Cluster_remove] frames
     (from [cedarctl cluster add/remove]) change the member set at

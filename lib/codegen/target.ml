@@ -16,7 +16,7 @@ let of_string s =
   | "openmp" | "omp" -> Some Openmp
   | _ -> None
 
-(** Wire encoding of a target (protocol v4 Submit frames). *)
+(** Wire encoding of a target (the byte after a Submit's trace id). *)
 let code = function Cedar -> 0 | Openmp -> 1
 
 let of_code = function 0 -> Some Cedar | 1 -> Some Openmp | _ -> None

@@ -8,8 +8,8 @@ val of_string : string -> t option
 (** Case-insensitive; accepts ["cedar"], ["openmp"] (and ["omp"]). *)
 
 val code : t -> int
-(** Wire encoding of a target (protocol v4 Submit frames): 0 = Cedar,
-    1 = OpenMP. *)
+(** Wire encoding of a target (the byte after a Submit's trace id):
+    0 = Cedar, 1 = OpenMP. *)
 
 val of_code : int -> t option
 

@@ -280,13 +280,6 @@ let stats t =
   | Ok other -> unexpected "Stats_text" other
   | Error _ as e -> e
 
-let metrics t =
-  match request t Wire.Metrics_req with
-  | Ok (Wire.Metrics_text s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Metrics_text" other
-  | Error _ as e -> e
-
 let stats_json t =
   match request t Wire.Stats_json_req with
   | Ok (Wire.Stats_json s) -> Ok s
@@ -294,22 +287,8 @@ let stats_json t =
   | Ok other -> unexpected "Stats_json" other
   | Error _ as e -> e
 
-let metrics_json t =
-  match request t Wire.Metrics_json_req with
-  | Ok (Wire.Metrics_json s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Metrics_json" other
-  | Error _ as e -> e
-
 let members t =
   match request t Wire.Members_req with
-  | Ok (Wire.Members_text s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Members_text" other
-  | Error _ as e -> e
-
-let members_json t =
-  match request t Wire.Members_json_req with
   | Ok (Wire.Members_json s) -> Ok s
   | Ok (Wire.Result (Wire.R_error m)) -> Error m
   | Ok other -> unexpected "Members_json" other

@@ -78,34 +78,27 @@ val submit :
     typed reply — including [R_overloaded] and [R_too_large]; [Error]
     means the request could not be completed at all. *)
 
+(** The typed queries below fold a typed [R_error] refusal into
+    [Error], like a transport failure; a caller that must tell the two
+    apart matches the reply of {!request} itself. *)
+
 val stats : t -> (string, string) result
 (** Fetch the human-readable {!Service.Stats} summary. *)
 
-val metrics : t -> (string, string) result
-(** Fetch the Prometheus text dump. *)
-
 val stats_json : t -> (string, string) result
-(** Fetch the machine-readable {!Service.Stats} JSON (protocol v2). *)
-
-val metrics_json : t -> (string, string) result
-(** Fetch the metrics registry as JSON (protocol v2). *)
+(** Fetch the machine-readable {!Service.Stats} JSON. *)
 
 val members : t -> (string, string) result
 (** Fetch cluster membership as JSON.  Only a proxy answers this; a
     plain shard replies with a typed error. *)
 
-val members_json : t -> (string, string) result
-(** Fetch the enriched membership view (protocol v3): ring epoch,
-    vnodes, per-shard state and replication counters.  Only a proxy
-    answers this. *)
-
 val cluster_add : t -> Wire.cluster_add -> (Wire.cluster_ack, string) result
-(** Ask a proxy to add a shard to the member set (protocol v3).  The
-    ack carries the resulting ring epoch; [ack_ok = false] means the
-    set was left unchanged and [ack_msg] says why. *)
+(** Ask a proxy to add a shard to the member set.  The ack carries the
+    resulting ring epoch; [ack_ok = false] means the set was left
+    unchanged and [ack_msg] says why. *)
 
 val cluster_remove : t -> string -> (Wire.cluster_ack, string) result
-(** Ask a proxy to remove a shard from the member set (protocol v3). *)
+(** Ask a proxy to remove a shard from the member set. *)
 
 val cache_push : t -> Wire.cache_push -> (bool, string) result
 (** Offer a completed full-rung cache entry to the peer (warm-cache

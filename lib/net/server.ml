@@ -347,8 +347,7 @@ let dispatch t conn ~id msg =
       `Close
   | Wire.Pong | Wire.Result _ | Wire.Stats_text _ | Wire.Metrics_text _
   | Wire.Shutdown_ack | Wire.Cache_ack _ | Wire.Stats_json _
-  | Wire.Metrics_json _ | Wire.Members_text _ | Wire.Cluster_ack _
-  | Wire.Members_json _ ->
+  | Wire.Members_json _ | Wire.Cluster_ack _ ->
       send t conn ~id
         (Wire.Result
            (Wire.R_error
@@ -356,8 +355,8 @@ let dispatch t conn ~id msg =
                  (Wire.message_kind_name msg))));
       `Close
   | Wire.Submit _ | Wire.Stats_req | Wire.Metrics_req | Wire.Stats_json_req
-  | Wire.Metrics_json_req | Wire.Cache_push _ | Wire.Members_req
-  | Wire.Members_json_req | Wire.Cluster_add _ | Wire.Cluster_remove _ ->
+  | Wire.Cache_push _ | Wire.Members_req | Wire.Cluster_add _
+  | Wire.Cluster_remove _ ->
       (match msg with Wire.Submit _ -> M.incr m_requests | _ -> ());
       (match t.handle msg with
       | Reply m -> send t conn ~id m
@@ -648,7 +647,6 @@ let handle_service ?on_cluster_change cfg svc msg =
   | Wire.Stats_json_req ->
       Reply
         (Wire.Stats_json (Service.Stats.to_json (Service.Server.stats svc)))
-  | Wire.Metrics_json_req -> Reply (Wire.Metrics_json (M.to_json M.global))
   | Wire.Cache_push p ->
       (* warm-cache replication from a ring peer: verify + admit, then
          ack with the verdict.  The payload is rebuilt exactly as the
@@ -668,7 +666,7 @@ let handle_service ?on_cluster_change cfg svc msg =
         (Wire.Cache_ack
            (Service.Server.admit_replica svc ~key:p.Wire.cp_key
               ~digest:p.Wire.cp_digest payload))
-  | Wire.Members_req | Wire.Members_json_req ->
+  | Wire.Members_req ->
       (* membership lives in the proxy; a plain shard has no view *)
       Reply (Wire.Result (Wire.R_error "not a cluster proxy: no membership view"))
   | Wire.Cluster_add a ->

@@ -81,8 +81,8 @@ val serve : ?fault:Service.Fault.t -> cfg -> (Wire.message -> action) -> t
     itself.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
-(** A topology change pushed down from the cluster proxy over the wire
-    (protocol v3): [`Add (id, host, port)] or [`Remove id]. *)
+(** A topology change pushed down from the cluster proxy over the wire:
+    [`Add (id, host, port)] or [`Remove id]. *)
 type cluster_change = [ `Add of string * string * int | `Remove of string ]
 
 val create :

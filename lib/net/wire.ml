@@ -6,8 +6,7 @@
    frame must never raise out of [decode] or [Stream.next]. *)
 
 let magic = "CDRN"
-let version = 4
-let min_version = 1
+let version = 5
 let header_bytes = 20
 let hard_max_payload = 1 lsl 26 (* 64 MiB *)
 
@@ -44,9 +43,9 @@ type submit = {
   sub_trace : int;
 }
 
-(* Warm-cache replication (protocol v2): a shard pushes a completed
-   full-rung cache entry to its ring successor.  The rung is implicit —
-   only full-rung results are ever cached, so only they replicate. *)
+(* Warm-cache replication: a shard pushes a completed full-rung cache
+   entry to its ring successor.  The rung is implicit — only full-rung
+   results are ever cached, so only they replicate. *)
 type cache_push = {
   cp_key : string;  (* content address minted on the origin shard *)
   cp_digest : string;  (* digest of [cp_text] at fill time *)
@@ -57,9 +56,9 @@ type cache_push = {
   cp_notes : note list;
 }
 
-(* Dynamic membership (protocol v3): an operator adds or removes a
-   shard from a running proxy's member set.  The ack echoes the ring
-   epoch the change produced, so a caller can assert convergence. *)
+(* Dynamic membership: an operator adds or removes a shard from a
+   running proxy's member set.  The ack echoes the ring epoch the change
+   produced, so a caller can assert convergence. *)
 type cluster_add = { ca_id : string; ca_host : string; ca_port : int }
 type cluster_ack = { ack_ok : bool; ack_epoch : int; ack_msg : string }
 
@@ -91,32 +90,20 @@ type message =
   | Metrics_text of string
   | Shutdown_req
   | Shutdown_ack
-  (* protocol v2 *)
   | Cache_push of cache_push
   | Cache_ack of bool
   | Stats_json_req
   | Stats_json of string
-  | Metrics_json_req
-  | Metrics_json of string
   | Members_req
-  | Members_text of string
-  (* protocol v3 *)
+  | Members_json of string
   | Cluster_add of cluster_add
   | Cluster_remove of string
   | Cluster_ack of cluster_ack
-  | Members_json_req
-  | Members_json of string
 
 let kind_code = function
   | Ping -> 1
   | Pong -> 2
-  (* a Submit for the default Cedar target keeps its original v1 kind
-     (and byte layout), so new clients stay wire-compatible with old
-     servers for everything old servers can do; only a non-default
-     target needs the v4 kind *)
-  | Submit s when s.sub_options.Restructurer.Options.target = Codegen.Target.Cedar
-    -> 3
-  | Submit _ -> 24
+  | Submit _ -> 3
   | Result _ -> 4
   | Stats_req -> 5
   | Stats_text _ -> 6
@@ -128,23 +115,11 @@ let kind_code = function
   | Cache_ack _ -> 12
   | Stats_json_req -> 13
   | Stats_json _ -> 14
-  | Metrics_json_req -> 15
-  | Metrics_json _ -> 16
   | Members_req -> 17
-  | Members_text _ -> 18
+  | Members_json _ -> 18
   | Cluster_add _ -> 19
   | Cluster_remove _ -> 20
   | Cluster_ack _ -> 21
-  | Members_json_req -> 22
-  | Members_json _ -> 23
-
-(* Frames carrying a v1 kind are stamped version 1, so a new peer stays
-   wire-compatible with an old one for the whole original protocol; the
-   v2 kinds are stamped 2, the v3 kinds 3 and the v4 kinds 4, so an old
-   decoder rejects exactly (and only) the messages it cannot understand
-   with a typed [Bad_version]. *)
-let version_for_kind k =
-  if k >= 24 then 4 else if k >= 19 then 3 else if k >= 11 then 2 else 1
 
 let message_kind_name = function
   | Ping -> "ping"
@@ -161,15 +136,11 @@ let message_kind_name = function
   | Cache_ack _ -> "cache-ack"
   | Stats_json_req -> "stats-json-req"
   | Stats_json _ -> "stats-json"
-  | Metrics_json_req -> "metrics-json-req"
-  | Metrics_json _ -> "metrics-json"
   | Members_req -> "members-req"
-  | Members_text _ -> "members"
+  | Members_json _ -> "members-json"
   | Cluster_add _ -> "cluster-add"
   | Cluster_remove _ -> "cluster-remove"
   | Cluster_ack _ -> "cluster-ack"
-  | Members_json_req -> "members-json-req"
-  | Members_json _ -> "members-json"
 
 (* conversions between the wire [note] and the driver's loop report,
    shared by every front-end that carries reports across the wire *)
@@ -398,21 +369,16 @@ let put_reply b = function
 
 let put_payload b = function
   | Ping | Pong | Stats_req | Metrics_req | Shutdown_req | Shutdown_ack
-  | Stats_json_req | Metrics_json_req | Members_req | Members_json_req ->
+  | Stats_json_req | Members_req ->
       ()
-  | Stats_text s | Metrics_text s | Stats_json s | Metrics_json s
-  | Members_text s | Members_json s ->
+  | Stats_text s | Metrics_text s | Stats_json s | Members_json s ->
       put_raw b s
-  | Submit s -> (
+  | Submit s ->
       put_string b s.sub_name;
       put_string b s.sub_source;
       put_options b s.sub_options;
       put_int b s.sub_trace;
-      (* the v4 Submit (kind 24) appends the target byte; a Cedar-target
-         Submit travels as the byte-identical v1 kind 3 frame *)
-      match s.sub_options.Restructurer.Options.target with
-      | Codegen.Target.Cedar -> ()
-      | t -> put_u8 b (Codegen.Target.code t))
+      put_u8 b (Codegen.Target.code s.sub_options.Restructurer.Options.target)
   | Result r -> put_reply b r
   | Cache_push p ->
       put_string b p.cp_key;
@@ -436,10 +402,9 @@ let put_payload b = function
 (* the length field is meaningless on the dry run, which only counts
    it; on the real run the buffer is exactly the frame *)
 let put_frame b ~id msg =
-  let kind = kind_code msg in
   put_raw b magic;
-  put_u8 b (version_for_kind kind);
-  put_u8 b kind;
+  put_u8 b version;
+  put_u8 b (kind_code msg);
   put_u16 b 0;
   put_int b id;
   put_i32 b (Bytes.length b.buf - header_bytes);
@@ -604,7 +569,8 @@ let get_options c : Restructurer.Options.t =
     placement_default;
     assumed_trip;
     validate;
-    (* the v1 options block has no target field; kind 24 overrides *)
+    (* the options block has no target field: the Submit's target byte
+       follows its trace id, and [get_submit] sets it *)
     target = Codegen.Target.Cedar;
   }
 
@@ -650,9 +616,19 @@ let get_reply c =
 let get_submit c =
   let sub_name = get_string c in
   let sub_source = get_string c in
-  let sub_options = get_options c in
+  let options = get_options c in
   let sub_trace = get_int c in
-  { sub_name; sub_source; sub_options; sub_trace }
+  let target =
+    match Codegen.Target.of_code (get_u8 c) with
+    | Some t -> t
+    | None -> raise (Err (Malformed "unknown codegen target"))
+  in
+  {
+    sub_name;
+    sub_source;
+    sub_options = { options with Restructurer.Options.target };
+    sub_trace;
+  }
 
 let get_cache_push c =
   let cp_key = get_string c in
@@ -697,10 +673,8 @@ let decode_payload_at kind src ~pos ~len =
     | 12 -> Cache_ack (get_bool c)
     | 13 -> empty Stats_json_req
     | 14 -> Stats_json (text ())
-    | 15 -> empty Metrics_json_req
-    | 16 -> Metrics_json (text ())
     | 17 -> empty Members_req
-    | 18 -> Members_text (text ())
+    | 18 -> Members_json (text ())
     | 19 ->
         let ca_id = get_string c in
         let ca_host = get_string c in
@@ -712,20 +686,6 @@ let decode_payload_at kind src ~pos ~len =
         let ack_epoch = get_int c in
         let ack_msg = get_string c in
         Cluster_ack { ack_ok; ack_epoch; ack_msg }
-    | 22 -> empty Members_json_req
-    | 23 -> Members_json (text ())
-    | 24 ->
-        let s = get_submit c in
-        let target =
-          match Codegen.Target.of_code (get_u8 c) with
-          | Some t -> t
-          | None -> raise (Err (Malformed "unknown codegen target"))
-        in
-        Submit
-          {
-            s with
-            sub_options = { s.sub_options with Restructurer.Options.target };
-          }
     | k -> raise (Err (Bad_kind k))
   in
   if c.pos <> c.limit then raise (Err (Malformed "trailing payload bytes"));
@@ -744,7 +704,7 @@ let decode_header_at src ~pos ~len =
   else if not (magic_at src pos) then Error Bad_magic
   else
     let v = Char.code (Bytes.get src (pos + 4)) in
-    if v < min_version || v > version then Error (Bad_version v)
+    if v <> version then Error (Bad_version v)
     else
       let kind = Char.code (Bytes.get src (pos + 5)) in
       let id = Int64.to_int (Bytes.get_int64_be src (pos + 8)) in

@@ -5,7 +5,7 @@
     {v
     offset  size  field
     0       4     magic "CDRN"
-    4       1     protocol version (1–4; see {!version_for_kind})
+    4       1     protocol version ({!version})
     5       1     message kind
     6       2     flags (reserved, 0) — big-endian
     8       8     request id          — big-endian
@@ -23,28 +23,18 @@
     to a typed {!error} — it never raises.  A {!Submit} carries the full
     {!Restructurer.Options.t} (technique set, machine configuration,
     limits) field by field, so a restructure requested over the wire is
-    byte-identical to one run in process.  A Submit for the default
-    Cedar codegen target travels as the original v1 kind-3 frame; a
-    Submit for any other target uses the v4 kind 24, which appends a
-    target byte ({!Codegen.Target.code}) after the v1 fields. *)
+    byte-identical to one run in process; its codegen target
+    ({!Codegen.Target.code}) is the byte after its trace id.
+
+    The kinds are 1–14 and 17–21; kinds 15, 16 and 22–24 are retired
+    and decode as {!Bad_kind}. *)
 
 val magic : string
 (** ["CDRN"], the 4 frame magic bytes. *)
 
 val version : int
-(** Newest protocol version this peer speaks (4). *)
-
-val min_version : int
-(** Oldest protocol version this peer still accepts (1). *)
-
-val version_for_kind : int -> int
-(** The version byte stamped on frames of a given kind.  Kinds from the
-    original protocol keep version 1 — a v4 peer stays fully
-    interoperable with a v1 peer for everything v1 could say — while the
-    cluster kinds (11–18) are stamped 2, the dynamic-membership kinds
-    (19–23) are stamped 3 and the targeted-submit kind (24) is stamped
-    4, so an old decoder rejects exactly those with a typed
-    {!Bad_version} instead of misparsing them. *)
+(** The protocol version (5), stamped on every frame.  A header with
+    any other version byte is a {!Bad_version}: a fleet runs one build. *)
 
 val header_bytes : int
 (** Fixed header size: 20. *)
@@ -80,10 +70,10 @@ type submit = {
   sub_trace : int;  (** caller's {!Obs.Trace} id; 0 = let the server mint *)
 }
 
-(** Warm-cache replication (protocol v2): a completed full-rung cache
-    entry pushed from the shard that computed it to its ring successor,
-    so a shard death loses at most one replica's worth of warm cache.
-    Only full-rung results are ever cached, so the rung is implicit. *)
+(** Warm-cache replication: a completed full-rung cache entry pushed
+    from the shard that computed it to its ring successor, so a shard
+    death loses at most one replica's worth of warm cache.  Only
+    full-rung results are ever cached, so the rung is implicit. *)
 type cache_push = {
   cp_key : string;  (** content address minted on the origin shard *)
   cp_digest : string;  (** digest of [cp_text] at fill time; the
@@ -95,8 +85,8 @@ type cache_push = {
   cp_notes : note list;
 }
 
-(** Dynamic membership (protocol v3): an operator-initiated change to a
-    running proxy's member set. *)
+(** Dynamic membership: an operator-initiated change to a running
+    proxy's member set. *)
 type cluster_add = {
   ca_id : string;  (** shard id to join the ring under *)
   ca_host : string;
@@ -141,23 +131,17 @@ type message =
   | Metrics_text of string  (** Prometheus text dump *)
   | Shutdown_req
   | Shutdown_ack
-  (* protocol v2 (cluster) *)
   | Cache_push of cache_push
   | Cache_ack of bool  (** [true] iff the receiver admitted the entry *)
   | Stats_json_req
   | Stats_json of string  (** machine-readable {!Service.Stats} *)
-  | Metrics_json_req
-  | Metrics_json of string  (** JSON metrics dump *)
   | Members_req
-  | Members_text of string  (** cluster membership as JSON (proxy only) *)
-  (* protocol v3 (dynamic membership) *)
+  | Members_json of string
+      (** cluster membership as JSON: ring epoch, vnode count, each
+          shard's address, state and failure count (proxy only) *)
   | Cluster_add of cluster_add
   | Cluster_remove of string  (** shard id to take out of the ring *)
   | Cluster_ack of cluster_ack
-  | Members_json_req
-  | Members_json of string
-      (** enriched membership view: ring epoch, vnode count, per-shard
-          state and replica admission counters (proxy only) *)
 
 val message_kind_name : message -> string
 

@@ -197,35 +197,39 @@ let dump t =
     (sorted t);
   Buffer.contents b
 
-let to_json t =
-  let item m =
-    match m with
-    | Counter c ->
-        Printf.sprintf {|"%s":{"type":"counter","value":%d}|} c.c_name
-          (Atomic.get c.c_cell)
-    | Gauge g ->
-        Printf.sprintf {|"%s":{"type":"gauge","value":%s}|} g.g_name
-          (fstr (Atomic.get g.g_cell))
-    | Histogram h ->
-        Mutex.lock h.h_mx;
-        let buckets =
-          String.concat ","
-            (Array.to_list
-               (Array.mapi
-                  (fun i bound ->
-                    Printf.sprintf {|{"le":%s,"n":%d}|} (fstr bound)
-                      h.h_counts.(i))
-                  h.h_bounds))
-        in
-        let s =
-          Printf.sprintf
-            {|"%s":{"type":"histogram","count":%d,"sum":%s,"buckets":[%s]}|}
-            h.h_name h.h_count (fstr h.h_sum) buckets
-        in
-        Mutex.unlock h.h_mx;
-        s
-  in
-  "{" ^ String.concat "," (List.map item (sorted t)) ^ "}"
+(* [dump]'s text as JSON: a [# TYPE] line opens an instrument and its
+   samples follow.  A histogram's cumulative bucket counts become
+   per-bucket counts again, and its [+Inf] bucket is its count. *)
+let json_of_dump text =
+  let items = ref [] and name = ref "" and kind = ref "" in
+  let buckets = ref [] and cum = ref 0 and sum = ref "" in
+  let item fmt = Printf.ksprintf (fun s -> items := s :: !items) fmt in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "#"; "TYPE"; n; k ] ->
+          name := n;
+          kind := k;
+          buckets := [];
+          cum := 0
+      | [ sample; v ] when sample = !name ->
+          item {|"%s":{"type":"%s","value":%s}|} !name !kind v
+      | [ sample; v ] when sample = !name ^ "_sum" -> sum := v
+      | [ sample; v ] when sample = !name ^ "_count" ->
+          item {|"%s":{"type":"histogram","count":%s,"sum":%s,"buckets":[%s]}|}
+            !name v !sum
+            (String.concat "," (List.rev !buckets))
+      | [ sample; v ] -> (
+          let le = Scanf.sscanf_opt sample "%_s@{le=%S}%!" Fun.id in
+          match (le, int_of_string_opt v) with
+          | Some le, Some n when le <> "+Inf" ->
+              let bucket = Printf.sprintf {|{"le":%s,"n":%d}|} le (n - !cum) in
+              buckets := bucket :: !buckets;
+              cum := n
+          | _ -> ())
+      | _ -> ())
+    (String.split_on_char '\n' text);
+  "{" ^ String.concat "," (List.rev !items) ^ "}"
 
 let reset t =
   with_lock t (fun () ->

@@ -1,5 +1,5 @@
 (** Process-wide metrics registry: named counters, gauges and histograms
-    with a [/metrics]-style text dump and a JSON export.
+    with a [/metrics]-style text dump, which renders as JSON.
 
     Counters and gauges are atomics, so increments from concurrent worker
     domains merge without locks; histograms take a short per-histogram
@@ -30,7 +30,7 @@ val child : counter -> counter
     it is a child).  A service instance counts into children of the
     registry's totals, so it reads its own count with {!counter_value}
     while the registry's total is, by construction, the sum over every
-    instance.  {!find}, {!dump} and {!to_json} see only [total];
+    instance.  {!find} and {!dump} see only [total];
     {!reset} leaves children untouched. *)
 
 val incr : ?by:int -> counter -> unit
@@ -61,8 +61,12 @@ val dump : t -> string
     the samples), names sorted — the [/metrics] page of a service that
     has no HTTP listener. *)
 
-val to_json : t -> string
-(** The same data as one JSON object keyed by instrument name. *)
+val json_of_dump : string -> string
+(** A {!dump} text as one JSON object keyed by instrument name:
+    [{"type":"counter","value":N}], [{"type":"gauge","value":V}] or
+    [{"type":"histogram","count":N,"sum":S,"buckets":[{"le":B,"n":N},...]}]
+    with per-bucket counts and no [+Inf] bucket.  Numbers are copied
+    from the text, so a client renders the JSON of a dump it fetched. *)
 
 val reset : t -> unit
 (** Zero every instrument (tests); instruments stay registered. *)

@@ -99,3 +99,8 @@ val flush : t -> unit
 val find_spans : (tree -> bool) -> tree list -> tree list
 (** All spans (at any depth) of the given forests satisfying the
     predicate, preorder. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal for [s]: quote, backslash and
+    control characters escaped.  The one escaper of the Chrome export
+    and the service's stats JSON. *)

@@ -105,22 +105,6 @@ let to_string s =
 
 (* hand-rolled JSON: the only strings that ride in are shard ids and
    breaker states, but escape them anyway so the emitter is total *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json s =
   let i name v = Printf.sprintf "\"%s\":%d" name v in
   let f name v =
@@ -128,7 +112,9 @@ let to_json s =
        for rates and millisecond latencies *)
     Printf.sprintf "\"%s\":%.6g" name v
   in
-  let str name v = Printf.sprintf "\"%s\":\"%s\"" name (json_escape v) in
+  let str name v =
+    Printf.sprintf "\"%s\":\"%s\"" name (Obs.Trace.json_escape v)
+  in
   let fields =
     [
       str "shard_id" s.shard_id;

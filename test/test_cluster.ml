@@ -379,54 +379,48 @@ let test_wire_v2_roundtrip () =
       (3, W.Cache_ack false);
       (4, W.Stats_json_req);
       (5, W.Stats_json "{\"submitted\":3}");
-      (6, W.Metrics_json_req);
-      (7, W.Metrics_json "{}");
-      (8, W.Members_req);
-      (9, W.Members_text "{\"shards\":[]}");
-      (10, W.Cluster_add
-             { W.ca_id = "s3"; ca_host = "127.0.0.1"; ca_port = 7513 });
-      (11, W.Cluster_remove "s3");
-      (12, W.Cluster_ack
+      (6, W.Members_req);
+      (7, W.Members_json "{\"epoch\":1,\"shards\":[]}");
+      (8, W.Cluster_add
+            { W.ca_id = "s3"; ca_host = "127.0.0.1"; ca_port = 7513 });
+      (9, W.Cluster_remove "s3");
+      (10, W.Cluster_ack
              { W.ack_ok = true; ack_epoch = 7; ack_msg = "removed s3" });
-      (13, W.Cluster_ack
+      (11, W.Cluster_ack
              { W.ack_ok = false; ack_epoch = 1; ack_msg = "" });
-      (14, W.Members_json_req);
-      (15, W.Members_json "{\"epoch\":1,\"shards\":[]}");
     ]
 
 let test_wire_version_stamps () =
-  (* v2 kinds are stamped 2; the legacy surface keeps stamping 1, so a
-     mixed-version fleet interoperates on everything but the new kinds *)
+  (* every kind, cluster kinds and the original surface alike, is
+     stamped the one version, and a frame stamped with an earlier one
+     is refused typed *)
   let byte4 msg = Char.code (W.encode ~id:1 msg).[4] in
-  Alcotest.(check int) "Cache_push is v2" 2 (byte4 (W.Cache_push sample_push));
-  Alcotest.(check int) "Stats_json_req is v2" 2 (byte4 W.Stats_json_req);
-  Alcotest.(check int) "Cluster_add is v3" 3
-    (byte4
-       (W.Cluster_add { W.ca_id = "x"; ca_host = "h"; ca_port = 1 }));
-  Alcotest.(check int) "Members_json_req is v3" 3 (byte4 W.Members_json_req);
-  Alcotest.(check int) "Ping still v1" 1 (byte4 W.Ping);
-  Alcotest.(check int) "Submit still v1" 1
-    (byte4
-       (W.Submit
-          { W.sub_name = "x"; sub_source = "      END\n"; sub_options = opts;
-            sub_trace = 0 }));
-  (* a v2 decoder accepts both versions... *)
-  let ping_v2 = Bytes.of_string (W.encode ~id:1 W.Ping) in
-  Bytes.set ping_v2 4 '\002';
-  (match W.decode (Bytes.to_string ping_v2) with
-  | Ok (1, W.Ping) -> ()
-  | _ -> Alcotest.fail "v2 stamp on a legacy kind must decode");
-  (* ...and a v1 decoder sees exactly Bad_version 2 on a v2 frame —
-     the typed rejection the protocol bump promises old nodes *)
-  let push = W.encode ~id:1 (W.Cache_push sample_push) in
-  Alcotest.(check int) "old min would see version 2" 2
-    (Char.code push.[4]);
-  Alcotest.(check bool) "future version still rejected typed" true
-    (let bad = Bytes.of_string push in
-     Bytes.set bad 4 '\009';
-     match W.decode (Bytes.to_string bad) with
-     | Error (W.Bad_version 9) -> true
-     | _ -> false)
+  List.iter
+    (fun msg ->
+      Alcotest.(check int)
+        (W.message_kind_name msg ^ " is v" ^ string_of_int W.version)
+        W.version (byte4 msg))
+    [
+      W.Ping;
+      W.Submit
+        { W.sub_name = "x"; sub_source = "      END\n"; sub_options = opts;
+          sub_trace = 0 };
+      W.Cache_push sample_push;
+      W.Stats_json_req;
+      W.Members_req;
+      W.Cluster_add { W.ca_id = "x"; ca_host = "h"; ca_port = 1 };
+    ];
+  List.iter
+    (fun v ->
+      let push = Bytes.of_string (W.encode ~id:1 (W.Cache_push sample_push)) in
+      Bytes.set push 4 (Char.chr v);
+      Alcotest.(check bool)
+        (Printf.sprintf "version %d rejected typed" v)
+        true
+        (match W.decode (Bytes.to_string push) with
+        | Error (W.Bad_version v') -> v' = v
+        | _ -> false))
+    [ 1; 2; 3; 4; 9 ]
 
 (* ------------------------------------------------------------------ *)
 (* Membership health                                                   *)
@@ -1141,8 +1135,8 @@ let with_extra_shard id f =
 
 let test_proxy_cluster_add_remove () =
   (* runtime membership through the front door: cedarctl's frames, the
-     ring-epoch contract, the enriched members view, and correct
-     routing on the changed ring *)
+     ring-epoch contract, the cluster stats view, and correct routing
+     on the changed ring *)
   with_cluster @@ fun proxy _handles ->
   with_extra_shard "s3" @@ fun extra ->
   with_proxy_client proxy @@ fun client ->
@@ -1170,20 +1164,25 @@ let test_proxy_cluster_add_remove () =
   | Ok ack -> Alcotest.(check bool) "bad shard id refused" false ack.W.ack_ok
   | Error e -> Alcotest.failf "cluster_add x\"y: %s" e);
   Alcotest.(check int) "refused id does not bump" 2 (Cluster.Proxy.epoch proxy);
-  (match Net.Client.members_json client with
+  (match Net.Client.stats_json client with
   | Ok json ->
       Alcotest.(check bool) "refused id left out of the view" false
         (contains json "x\"y");
-      Alcotest.(check bool) "enriched view carries the epoch" true
+      Alcotest.(check bool) "stats view carries the epoch" true
         (contains json "\"epoch\":2");
-      Alcotest.(check bool) "enriched view carries the joiner" true
+      Alcotest.(check bool) "stats view carries the joiner" true
         (contains json "\"s3\"");
-      Alcotest.(check bool) "enriched view carries replication counters"
+      Alcotest.(check bool) "stats view carries replication counters"
         true
         (contains json "\"replica_admitted\"");
-      Alcotest.(check bool) "enriched view carries proxy counters" true
-        (contains json "\"proxy\"")
-  | Error e -> Alcotest.failf "members_json: %s" e);
+      Alcotest.(check bool) "stats view carries proxy counters" true
+        (contains json "\"proxy\"");
+      Alcotest.(check bool) "stats view carries the barrier counts" true
+        (contains json "\"stale_routes\":0"
+        && contains json "\"topology_changes\":1");
+      Alcotest.(check bool) "stats view carries read-repairs and pools" true
+        (contains json "\"read_repairs\":" && contains json "\"pool_idle\":{")
+  | Error e -> Alcotest.failf "stats_json: %s" e);
   (* the cluster answers correctly on the four-shard ring *)
   List.iteri
     (fun i source ->
@@ -1211,11 +1210,11 @@ let test_proxy_cluster_add_remove () =
   | Ok ack ->
       Alcotest.(check bool) "unknown remove refused" false ack.W.ack_ok
   | Error e -> Alcotest.failf "cluster_remove ghost: %s" e);
-  (match Net.Client.members_json client with
+  (match Net.Client.stats_json client with
   | Ok json ->
       Alcotest.(check bool) "removed shard left the view" false
         (contains json "\"s3\"")
-  | Error e -> Alcotest.failf "members_json after remove: %s" e);
+  | Error e -> Alcotest.failf "stats_json after remove: %s" e);
   Alcotest.(check int) "exactly the applied changes counted" 2
     (Cluster.Proxy.topology_changes_total proxy);
   Alcotest.(check int) "no stale routes" 0
@@ -1487,7 +1486,7 @@ let test_parse_shards () =
     ]
 
 let test_proxy_budget_refusals_counted () =
-  (* with no in-flight budget, each of the seven relayed kinds is
+  (* with no in-flight budget, each of the six relayed kinds is
      refused at the front door with its own typed reply — and every
      refusal is counted in shed_total *)
   with_svc @@ fun svc ->
@@ -1533,7 +1532,6 @@ let test_proxy_budget_refusals_counted () =
       (W.Cache_push push, W.Cache_ack false);
       (W.Stats_req, overloaded);
       (W.Stats_json_req, overloaded);
-      (W.Members_json_req, overloaded);
       ( W.Cluster_add { W.ca_id = "x"; ca_host = "127.0.0.1"; ca_port = 1 },
         membership_refused );
       (W.Cluster_remove "s0", membership_refused);
@@ -1650,7 +1648,7 @@ let tests =
       `Quick test_backoff_jitter;
     Alcotest.test_case "wire: v2 cluster frames roundtrip" `Quick
       test_wire_v2_roundtrip;
-    Alcotest.test_case "wire: per-kind version stamps interoperate" `Quick
+    Alcotest.test_case "wire: every kind stamped one version" `Quick
       test_wire_version_stamps;
     Alcotest.test_case "membership: probe and data-path transitions" `Quick
       test_membership_transitions;

@@ -139,6 +139,28 @@ let gen_reply =
       (1, map (fun m -> W.R_error m) gen_string);
     ]
 
+let gen_cache_push =
+  let open G in
+  let* cp_key = gen_string in
+  let* cp_digest = gen_string in
+  let* cp_name = gen_string in
+  let* cp_text = string_size ~gen:char (int_bound 5000) in
+  let* cp_cycles = gen_opt_float in
+  let* cp_global_words = gen_opt_float in
+  let* cp_notes = list_size (int_bound 6) gen_note in
+  return
+    (W.Cache_push
+       {
+         W.cp_key;
+         cp_digest;
+         cp_name;
+         cp_text;
+         cp_cycles;
+         cp_global_words;
+         cp_notes;
+       })
+
+(* every one of the wire's 19 kinds *)
 let gen_message =
   let open G in
   frequency
@@ -153,6 +175,23 @@ let gen_message =
       (1, map (fun s -> W.Metrics_text s) gen_string);
       (1, return W.Shutdown_req);
       (1, return W.Shutdown_ack);
+      (2, gen_cache_push);
+      (1, map (fun b -> W.Cache_ack b) bool);
+      (1, return W.Stats_json_req);
+      (1, map (fun s -> W.Stats_json s) gen_string);
+      (1, return W.Members_req);
+      (1, map (fun s -> W.Members_json s) gen_string);
+      ( 1,
+        let* ca_id = gen_string in
+        let* ca_host = gen_string in
+        let* ca_port = int_bound 65535 in
+        return (W.Cluster_add { W.ca_id; ca_host; ca_port }) );
+      (1, map (fun id -> W.Cluster_remove id) gen_string);
+      ( 1,
+        let* ack_ok = bool in
+        let* ack_epoch = int_bound 1000 in
+        let* ack_msg = gen_string in
+        return (W.Cluster_ack { W.ack_ok; ack_epoch; ack_msg }) );
     ]
 
 let arbitrary_frame =
@@ -184,7 +223,7 @@ let prop_corrupt_payload =
   QCheck.Test.make ~name:"wire: one-byte payload corruption fails typed"
     ~count:300 ~long_factor:20
     (QCheck.make
-       G.(triple (int_bound 1000) gen_submit (int_bound 10_000)))
+       G.(triple (int_bound 1000) gen_message (int_bound 10_000)))
     (fun (id, msg, at) ->
       let frame = Bytes.of_string (W.encode ~id msg) in
       if Bytes.length frame <= W.header_bytes then true
@@ -268,18 +307,26 @@ let test_decoder_adversarial () =
   (match W.decode bad_magic with
   | Error W.Bad_magic -> ()
   | _ -> Alcotest.fail "bad magic: expected Bad_magic");
-  (* wrong version *)
-  let bad_version = Bytes.of_string ping in
-  Bytes.set bad_version 4 (Char.chr 9);
-  (match W.decode (Bytes.to_string bad_version) with
-  | Error (W.Bad_version 9) -> ()
-  | _ -> Alcotest.fail "version 9: expected Bad_version 9");
-  (* unknown kind *)
-  let bad_kind = Bytes.of_string ping in
-  Bytes.set bad_kind 5 (Char.chr 99);
-  (match W.decode (Bytes.to_string bad_kind) with
-  | Error (W.Bad_kind 99) -> ()
-  | _ -> Alcotest.fail "kind 99: expected Bad_kind 99");
+  let with_byte at v =
+    let b = Bytes.of_string ping in
+    Bytes.set b at (Char.chr v);
+    W.decode (Bytes.to_string b)
+  in
+  (* every version byte but the one version fails at the header *)
+  Alcotest.(check int) "the protocol version" 5 W.version;
+  for v = 0 to 255 do
+    match with_byte 4 v with
+    | Ok (7, W.Ping) when v = W.version -> ()
+    | Error (W.Bad_version v') when v' = v && v <> W.version -> ()
+    | _ -> Alcotest.failf "version byte %d" v
+  done;
+  (* unknown kinds, the retired kind numbers among them *)
+  List.iter
+    (fun k ->
+      match with_byte 5 k with
+      | Error (W.Bad_kind k') when k' = k -> ()
+      | _ -> Alcotest.failf "kind %d: expected Bad_kind %d" k k)
+    [ 15; 16; 22; 23; 24; 99 ];
   (* truncated payload *)
   let submit =
     W.encode ~id:1
@@ -310,9 +357,8 @@ let test_decoder_adversarial () =
     (W.decode (ping ^ "x"))
 
 let test_submit_target_bytes () =
-  (* Cedar submits must stay byte-compatible with v1 peers: same kind,
-     same version, no trailing target byte.  OpenMP submits ride the v4
-     frame (kind 24) that a v<=3 decoder rejects with Bad_version. *)
+  (* one Submit layout for every target: kind 3, version 5, and the
+     target byte right after the trace id, the payload's last byte *)
   let mk target =
     W.Submit
       {
@@ -326,27 +372,29 @@ let test_submit_target_bytes () =
   in
   let ced = W.encode ~id:7 (mk Codegen.Target.Cedar) in
   let omp = W.encode ~id:7 (mk Codegen.Target.Openmp) in
-  Alcotest.(check int) "cedar submit is version 1" 1 (Char.code ced.[4]);
+  let last s = Char.code s.[String.length s - 1] in
+  Alcotest.(check int) "cedar submit is version 5" 5 (Char.code ced.[4]);
   Alcotest.(check int) "cedar submit is kind 3" 3 (Char.code ced.[5]);
-  Alcotest.(check int) "openmp submit is version 4" 4 (Char.code omp.[4]);
-  Alcotest.(check int) "openmp submit is kind 24" 24 (Char.code omp.[5]);
-  Alcotest.(check int) "version_for_kind pins 24 to v4" 4
-    (W.version_for_kind 24);
-  (* the v4 payload is the v1 payload plus exactly one target byte *)
-  Alcotest.(check int) "one trailing target byte"
-    (String.length ced + 1) (String.length omp);
-  (match W.decode omp with
-  | Ok (7, W.Submit s) ->
-      Alcotest.(check bool) "target survives the roundtrip" true
-        (s.W.sub_options.Restructurer.Options.target = Codegen.Target.Openmp)
-  | Ok _ -> Alcotest.fail "openmp submit decoded to the wrong frame"
-  | Error e -> Alcotest.failf "openmp submit: %s" (W.error_to_string e));
-  (match W.decode ced with
-  | Ok (7, W.Submit s) ->
-      Alcotest.(check bool) "cedar default decodes from the v1 frame" true
-        (s.W.sub_options.Restructurer.Options.target = Codegen.Target.Cedar)
-  | Ok _ -> Alcotest.fail "cedar submit decoded to the wrong frame"
-  | Error e -> Alcotest.failf "cedar submit: %s" (W.error_to_string e));
+  Alcotest.(check int) "openmp submit is version 5" 5 (Char.code omp.[4]);
+  Alcotest.(check int) "openmp submit is kind 3" 3 (Char.code omp.[5]);
+  Alcotest.(check int) "cedar target byte" 0 (last ced);
+  Alcotest.(check int) "openmp target byte" 1 (last omp);
+  (* the two frames differ in the target byte alone *)
+  let n = String.length ced in
+  Alcotest.(check int) "same length" n (String.length omp);
+  Alcotest.(check string) "same bytes before the target byte"
+    (String.sub ced 0 (n - 1)) (String.sub omp 0 (n - 1));
+  List.iter
+    (fun (frame, target) ->
+      match W.decode frame with
+      | Ok (7, W.Submit s) ->
+          Alcotest.(check bool)
+            (Codegen.Target.to_string target ^ " survives the roundtrip")
+            true
+            (s.W.sub_options.Restructurer.Options.target = target)
+      | Ok _ -> Alcotest.fail "submit decoded to the wrong frame"
+      | Error e -> Alcotest.failf "submit: %s" (W.error_to_string e))
+    [ (ced, Codegen.Target.Cedar); (omp, Codegen.Target.Openmp) ];
   (* an unknown target byte is a typed decode error, not a crash *)
   let bad = Bytes.of_string omp in
   Bytes.set bad (Bytes.length bad - 1) (Char.chr 9);
@@ -354,14 +402,13 @@ let test_submit_target_bytes () =
   | Error (W.Malformed _) -> ()
   | Ok _ -> Alcotest.fail "target byte 9 decoded"
   | Error e -> Alcotest.failf "target byte 9: %s" (W.error_to_string e));
-  (* what an old peer sees: its decoder caps at its own version, so the
-     frame dies in the header with Bad_version before payload parsing —
-     the same path our decoder takes for versions above 4 *)
-  let future = Bytes.of_string omp in
-  Bytes.set future 4 (Char.chr 5);
-  match W.decode (Bytes.to_string future) with
-  | Error (W.Bad_version 5) -> ()
-  | _ -> Alcotest.fail "version 5: expected Bad_version 5"
+  (* a frame stamped with another version dies in the header, before
+     payload parsing *)
+  let other = Bytes.of_string omp in
+  Bytes.set other 4 (Char.chr 4);
+  match W.decode (Bytes.to_string other) with
+  | Error (W.Bad_version 4) -> ()
+  | _ -> Alcotest.fail "version 4: expected Bad_version 4"
 
 let test_roundtrip_huge_payload () =
   (* multi-MB frame regression: a 3 MiB source survives the codec *)
@@ -420,9 +467,9 @@ let test_roundtrip_empty_options () =
   | Ok _ -> Alcotest.fail "wrong id"
   | Error e -> Alcotest.failf "decode: %s" (W.error_to_string e)
 
-(* One message of every kind (both Submit layouts, every reply), with
-   the MD5 of its frame as the encoder wrote it before frames were built
-   in one buffer: any change to a byte on the wire shows up here. *)
+(* One message of every kind (a Submit for each target, every reply),
+   with the MD5 of its frame: any change to a byte on the wire shows up
+   here. *)
 let pinned_frames =
   let note depth techniques =
     {
@@ -448,14 +495,14 @@ let pinned_frames =
       }
   in
   [
-    ("ping", W.Ping, "796adfa74363815fc0e6c98d00cc903a");
-    ("pong", W.Pong, "074db0392713f9739c84ff6638fa9632");
+    ("ping", W.Ping, "7ffff1db1dfcf52d793099c4aac1f49a");
+    ("pong", W.Pong, "3f02a7333a9089ba557ae45331c0733d");
     ( "submit cedar",
       submit Codegen.Target.Cedar,
-      "a4f85794ddc4142f07f06470716c1ac1" );
+      "5580914ec9542cfcdea179586f2e9709" );
     ( "submit openmp",
       submit Codegen.Target.Openmp,
-      "69ec70caab1c19143e436b2fece8d5a5" );
+      "45fb0f7c57cd2ff81dfd2e245fdec8ff" );
     ( "done with notes",
       W.Result
         (W.R_done
@@ -468,29 +515,29 @@ let pinned_frames =
              r_notes = notes;
              r_trace = 99;
            }),
-      "9d24b7e238ea5d66ea3d6b139f73c37e" );
+      "5e07bb386c9903dc90a2d9952f94bb1f" );
     ( "failed",
       W.Result (W.R_failed "parse error, line 3"),
-      "64abe887bcf4c22c4781ba0eb8b61706" );
-    ("timeout", W.Result W.R_timeout, "daa1c81be215f3aecb50a1f883b781b9");
-    ("cancelled", W.Result W.R_cancelled, "6ae8fffb1ef0df105fc63ad073ad608f");
-    ("overloaded", W.Result W.R_overloaded, "b6277dc1f3419907d1f3806fb69ebdc3");
+      "a7ee62941528ddf0e886dd105152a2df" );
+    ("timeout", W.Result W.R_timeout, "8896b4d2c6147303c6398cea7206b1fc");
+    ("cancelled", W.Result W.R_cancelled, "6a35fa6a507b45bd55f4951e7954bc40");
+    ("overloaded", W.Result W.R_overloaded, "e79a7e38e15f4aa2ecbc3255a75711a3");
     ( "too large",
       W.Result (W.R_too_large { limit = 4096; got = 5000 }),
-      "bb54536b2c4d7f383e3bf4b0d6fdbc0a" );
+      "769ecd3ff1c7e3108a715d036fc2d690" );
     ( "error",
       W.Result (W.R_error "unexpected pong frame"),
-      "28209c0ba933e8d7676ec1fa2b10d01e" );
-    ("stats req", W.Stats_req, "cf4526fa1068627b3374931f550ae6ff");
+      "d53e01c46d5d3abda0789810537251c1" );
+    ("stats req", W.Stats_req, "0f3044a724517dc32b99e65e22690aa8");
     ( "stats text",
       W.Stats_text "jobs: 3 submitted",
-      "bb458257ceee7d560305ba9c9781eb3b" );
-    ("metrics req", W.Metrics_req, "1ede74558662f116a975d358d610abcd");
+      "6ec66dc0a107861d336666b85b34f862" );
+    ("metrics req", W.Metrics_req, "c5653523cacfeba5b31961018fc81688");
     ( "metrics text",
       W.Metrics_text "net_requests_total 3\n",
-      "4be9bb0f8ea76e53341a0fcccea1ca38" );
-    ("shutdown req", W.Shutdown_req, "84be19d65b7aa23e43da0b9dc4afc288");
-    ("shutdown ack", W.Shutdown_ack, "b7ed400cb7e52cfa612dd42b1e83efa4");
+      "6905e153b417a424fac30e05156f9ccb" );
+    ("shutdown req", W.Shutdown_req, "d963817f8581fbf15b863c96cc02215e");
+    ("shutdown ack", W.Shutdown_ack, "24bb3470e56505f7c754b3f2250fb012");
     ( "cache push",
       W.Cache_push
         {
@@ -502,34 +549,24 @@ let pinned_frames =
           cp_global_words = Some 8.0;
           cp_notes = notes;
         },
-      "62be3495390a2c0f2d49606a6af300f5" );
-    ("cache ack", W.Cache_ack true, "c6d85a7dafa7260f848a16c3619d1e1a");
-    ("stats json req", W.Stats_json_req, "91423a0a05c959c9ca4b93e61e357190");
+      "e122310a396d71f622280cf4cc21efb2" );
+    ("cache ack", W.Cache_ack true, "bf7fb2d2bac89295570650ae74ecf0fb");
+    ("stats json req", W.Stats_json_req, "4b8afef92d56f53eb1c54f9c2ad38dc4");
     ( "stats json",
       W.Stats_json "{\"submitted\":3}",
-      "c2052872eacf0661b70b3807c26d33c4" );
-    ( "metrics json req",
-      W.Metrics_json_req,
-      "9979dca8fce1bac609835a0281724f81" );
-    ("metrics json", W.Metrics_json "{}", "c3d4961406951c21256686fd413423ac");
-    ("members req", W.Members_req, "0dc65d0207c9c6f5f7823484ad12d429");
-    ("members text", W.Members_text "[]", "dcf1954abf23563d4cfbcc6221c24af8");
+      "084b3f41a81a21a2500d032429bc22d7" );
+    ("members req", W.Members_req, "852732842f31279f73518622d5736a25");
+    ("members json", W.Members_json "[]", "37df260b57a8ce085b90196738e9ec19");
     ( "cluster add",
       W.Cluster_add { W.ca_id = "s2"; ca_host = "127.0.0.1"; ca_port = 7551 },
-      "b51de015ee72e0c42c3b8ff0349f27aa" );
+      "aa6a0594e0b85f447413694b007c9433" );
     ( "cluster remove",
       W.Cluster_remove "s2",
-      "4125ac18c8c018444053dc94f9fbd97a" );
+      "8a3bb9d33be388b7bd9923eca13d1dd5" );
     ( "cluster ack",
       W.Cluster_ack
         { W.ack_ok = false; ack_epoch = 4; ack_msg = "unknown shard" },
-      "1910d7e9176481cae3066e13daaf148f" );
-    ( "members json req",
-      W.Members_json_req,
-      "cad277e7b173a4ed1360be3beb8c904f" );
-    ( "members json",
-      W.Members_json "{\"epoch\":4}",
-      "58388c2829cc399f6a976b9faaf639fc" );
+      "b06cdb99f01c00364020ccc02bc85143" );
   ]
 
 let test_frames_pinned () =
@@ -1375,7 +1412,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_stream_corruption_total;
     Alcotest.test_case "decoder: adversarial inputs fail typed" `Quick
       test_decoder_adversarial;
-    Alcotest.test_case "codec: submit target byte (v4) and v1 compat"
+    Alcotest.test_case "codec: one Submit layout, target byte last"
       `Quick test_submit_target_bytes;
     Alcotest.test_case "codec: multi-MB payload roundtrip" `Quick
       test_roundtrip_huge_payload;

@@ -594,8 +594,8 @@ let test_metrics_json_roundtrip () =
   M.set_gauge (M.gauge r "queue_depth") 2.0;
   M.observe (M.histogram ~buckets:[ 1.0 ] r "seconds") 0.5;
   let j =
-    try parse_json (M.to_json r)
-    with Bad_json m -> Alcotest.failf "to_json output invalid: %s" m
+    try parse_json (M.json_of_dump (M.dump r))
+    with Bad_json m -> Alcotest.failf "json_of_dump output invalid: %s" m
   in
   (match obj_field "jobs_total" j with
   | Some o ->
@@ -622,6 +622,21 @@ let test_metrics_json_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Driver decisions vs. spans                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* every instrument kind, with HELP lines (left out of the JSON) and a
+   histogram whose cumulative and per-bucket counts differ *)
+let test_metrics_json_pinned () =
+  let r = M.create () in
+  M.incr ~by:3 (M.counter ~help:"jobs run" r "jobs_total");
+  M.set_gauge (M.gauge ~help:"jobs waiting" r "queue_depth") 2.5;
+  let h = M.histogram ~help:"job latency" ~buckets:[ 0.1; 1.0 ] r "seconds" in
+  List.iter (M.observe h) [ 0.05; 0.5; 0.75; 3.0 ];
+  Alcotest.(check string) "json_of_dump (dump r)"
+    ({|{"jobs_total":{"type":"counter","value":3},|}
+    ^ {|"queue_depth":{"type":"gauge","value":2.5},|}
+    ^ {|"seconds":{"type":"histogram","count":4,"sum":4.3,|}
+    ^ {|"buckets":[{"le":0.1,"n":1},{"le":1,"n":2}]}}|})
+    (M.json_of_dump (M.dump r))
 
 let interesting decision =
   decision = "parallelized"
@@ -742,8 +757,10 @@ let tests =
     Alcotest.test_case "metrics: find and reset" `Quick test_find_and_reset;
     Alcotest.test_case "metrics: dump is sorted with help lines" `Quick
       test_dump_sorted_with_help;
-    Alcotest.test_case "metrics: to_json reparses" `Quick
+    Alcotest.test_case "metrics: json_of_dump reparses" `Quick
       test_metrics_json_roundtrip;
+    Alcotest.test_case "metrics: json_of_dump pinned" `Quick
+      test_metrics_json_pinned;
     Alcotest.test_case "metrics: children count into their parent" `Quick
       test_counter_children;
     QCheck_alcotest.to_alcotest prop_decisions_have_spans;

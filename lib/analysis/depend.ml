@@ -394,9 +394,3 @@ let dependences ?(injective = Ast_utils.SSet.empty) ?(disequal = [])
 
 (** Dependences that prevent running the tested loop as a DOALL. *)
 let carried (deps : dep list) = List.filter (fun d -> d.d_carried) deps
-
-(** Summarize the reasons blocking parallelization (for reporting and for
-    the run-time-test transformation). *)
-let blocking_reasons deps =
-  carried deps |> List.map (fun d -> (d.d_array, d.d_reason))
-  |> List.sort_uniq compare

@@ -52,5 +52,3 @@ val dependences :
 
 val carried : dep list -> dep list
 (** Dependences that prevent DOALL execution of the tested loop. *)
-
-val blocking_reasons : dep list -> (string * reason) list

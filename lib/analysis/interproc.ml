@@ -43,8 +43,6 @@ let direct_summary (u : Ast.punit) (syms : Symbols.t) : summary =
     | Ast.Subroutine ps | Ast.Function (_, ps) -> ps
   in
   let nf = List.length formals in
-  let fpos = Hashtbl.create 8 in
-  List.iteri (fun i f -> Hashtbl.replace fpos f i) formals;
   let commons =
     SMap.fold
       (fun name s acc ->

@@ -36,11 +36,6 @@ let trip_count_const (l : level) =
       Some (max 0 (((hi - lo) / st) + 1))
   | _ -> None
 
-(** A variable is invariant in the body if it is never written there and is
-    not a loop index of the body’s own loops. *)
-let invariant_vars (body : Ast.stmt list) : SSet.t -> SSet.t =
- fun candidates -> SSet.diff candidates (Ast_utils.writes_of body)
-
 (** Does [e] read nothing the body writes?  The body's write set is
     built once per partial application [is_invariant_expr body]. *)
 let is_invariant_expr (body : Ast.stmt list) : Ast.expr -> bool =

@@ -14,9 +14,6 @@ val level_of_header : Fortran.Ast.do_header -> level
 val indices : nest -> string list
 val trip_count_const : level -> int option
 
-val invariant_vars :
-  Fortran.Ast.stmt list -> Fortran.Ast_utils.SSet.t -> Fortran.Ast_utils.SSet.t
-
 val is_invariant_expr : Fortran.Ast.stmt list -> Fortran.Ast.expr -> bool
 (** True when the expression reads nothing the body writes. *)
 

@@ -354,13 +354,3 @@ let blockers (r : result) =
     (fun v c acc -> match c with Shared_dep -> v :: acc | _ -> acc)
     r.classes []
   |> List.rev
-
-(** Privatizable scalars needing a last-value copy-out. *)
-let needs_last_value (r : result) (body : Ast.stmt list) =
-  SMap.fold
-    (fun v c acc ->
-      match c with
-      | Privatizable { live_out = true } ->
-          (v, last_write_unconditional v body) :: acc
-      | _ -> acc)
-    r.classes []

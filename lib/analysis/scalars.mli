@@ -52,4 +52,3 @@ val classify :
 (** Classify every scalar written in the loop body. *)
 
 val blockers : result -> string list
-val needs_last_value : result -> Fortran.Ast.stmt list -> (string * bool) list

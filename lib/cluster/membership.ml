@@ -277,9 +277,6 @@ let remove_shard t id =
         Ok t.epoch
       end)
 
-let shard_of_id t id =
-  match find t id with None -> None | Some tr -> Some tr.shard
-
 let snapshot t =
   with_lock t (fun () ->
       List.map (fun tr -> (tr.shard, tr.st, tr.fails)) t.tracked)

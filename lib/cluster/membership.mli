@@ -88,8 +88,6 @@ val remove_shard : t -> string -> (int, string) result
 (** Remove a member at runtime.  Returns the new epoch, or an error
     when the id is unknown or is the last member. *)
 
-val shard_of_id : t -> string -> shard option
-
 val snapshot : t -> (shard * state * int) list
 (** Every shard with its state and consecutive-failure count. *)
 

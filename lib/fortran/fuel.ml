@@ -9,15 +9,6 @@ type state = { mutable countdown : int; mutable hook : (unit -> unit) option }
 let key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { countdown = interval; hook = None })
 
-let set_hook f =
-  let s = Domain.DLS.get key in
-  s.hook <- Some f;
-  s.countdown <- interval
-
-let clear_hook () =
-  let s = Domain.DLS.get key in
-  s.hook <- None
-
 let with_hook f body =
   let s = Domain.DLS.get key in
   let saved = s.hook in

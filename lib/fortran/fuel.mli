@@ -16,12 +16,6 @@
 val interval : int
 (** Ticks between hook invocations (1024). *)
 
-val set_hook : (unit -> unit) -> unit
-(** Install the current domain's poll hook and reset the countdown. *)
-
-val clear_hook : unit -> unit
-(** Remove the current domain's poll hook. *)
-
 val with_hook : (unit -> unit) -> (unit -> 'a) -> 'a
 (** [with_hook f body]: run [body] with [f] installed, restoring the
     previously installed hook (if any) on exit — exception-safe. *)

@@ -31,12 +31,10 @@ type t = {
   cfg : cfg;
   instance : int;  (* decorrelates jitter streams across clients *)
   buf : Bytes.t;  (* read buffer, fed into the connection's stream *)
+  out : Wire.buffer;  (* each request is encoded here *)
   mutable conn : conn option;
   mutable next_id : int;
 }
-
-let m_bytes_read = M.counter M.global "net_bytes_read_total"
-let m_bytes_written = M.counter M.global "net_bytes_written_total"
 
 (* ------------------------------------------------------------------ *)
 (* Jittered backoff                                                    *)
@@ -144,7 +142,14 @@ let connect cfg =
   match connect_with_backoff ~instance cfg with
   | Ok c ->
       Ok
-        { cfg; instance; buf = Bytes.create 16384; conn = Some c; next_id = 1 }
+        {
+          cfg;
+          instance;
+          buf = Bytes.create 16384;
+          out = Wire.create_buffer ();
+          conn = Some c;
+          next_id = 1;
+        }
   | Error _ as e -> e
 
 let close t =
@@ -189,12 +194,18 @@ let attempt t c ~id msg =
     `Fatal
       (Printf.sprintf "request timed out after %.1fs" t.cfg.request_timeout_s)
   in
-  let frame = Bytes.unsafe_of_string (Wire.encode ~id msg) in
-  match Aio.write_all ?deadline c.fd frame 0 (Bytes.length frame) with
+  (* emptied before the frame as well as after it: a cancelled fiber
+     raises out of the write and skips the clear after it *)
+  Wire.clear t.out;
+  Wire.append t.out ~id msg;
+  let len = Wire.buffer_length t.out in
+  let sent = Aio.write_all ?deadline c.fd (Wire.buffer_bytes t.out) 0 len in
+  Wire.clear t.out;
+  match sent with
   | `Closed -> `Retry "send: connection closed"
   | `Deadline -> timed_out ()
   | `Ok ->
-      M.incr ~by:(Bytes.length frame) m_bytes_written;
+      M.incr ~by:len Wire.bytes_written;
       let rec await () =
         match Wire.Stream.next c.stream with
         | `Frame (rid, reply) when rid = id || rid = 0 -> `Ok reply
@@ -205,7 +216,7 @@ let attempt t c ~id msg =
         | `Need_more -> (
             match Aio.read ?deadline c.fd t.buf 0 (Bytes.length t.buf) with
             | `Data n ->
-                M.incr ~by:n m_bytes_read;
+                M.incr ~by:n Wire.bytes_read;
                 Wire.Stream.feed c.stream t.buf 0 n;
                 await ()
             | `Eof ->

@@ -90,7 +90,7 @@ type pending = {
 
 (* what the writer fiber is asked to put on the wire *)
 type out_item =
-  | O_frame of string  (* a complete encoded frame *)
+  | O_reply of int * Wire.message  (* a frame to encode, with its id *)
   | O_kill of string
       (* chaos: write these raw bytes (possibly a truncated or garbage
          frame), then drop the connection *)
@@ -160,10 +160,6 @@ let m_request_seconds =
   M.histogram M.global ~help:"wire request latency, admit to reply written"
     "net_request_seconds"
 
-(* get-or-create: shared with the instruments in wire.ml *)
-let m_bytes_read = M.counter M.global "net_bytes_read_total"
-let m_bytes_written = M.counter M.global "net_bytes_written_total"
-
 let m_flushes =
   M.counter M.global ~help:"batched socket flushes (one write per batch)"
     "net_flushes_total"
@@ -197,7 +193,7 @@ let send t conn ~id msg =
       ignore
         (Aio.Mailbox.put conn.c_out
            (O_kill (String.make Wire.header_bytes '\xa5')))
-    else ignore (Aio.Mailbox.put conn.c_out (O_frame (Wire.encode ~id msg)))
+    else ignore (Aio.Mailbox.put conn.c_out (O_reply (id, msg)))
 
 (* forward-declared so the three connection fibers can share it *)
 let conn_finished t conn =
@@ -208,61 +204,44 @@ let conn_finished t conn =
     t.conns <- List.filter (fun c -> not (c == conn)) t.conns
   end
 
-(* cap on one corked batch: a pipelined burst of multi-MB results still
-   flushes in bounded contiguous memory *)
-let max_batch_bytes = 256 * 1024
-
 (* The writer corks: a blocking take yields the first item, then
    everything already queued behind it in the same scheduler pass is
-   drained with [take_opt] and the whole batch goes out in ONE write —
-   N pipelined replies cost one syscall, not N.  A chaos [O_kill] ends
-   the batch: the frames queued before it flush (in order, in the same
-   write), its raw bytes go last, and the connection drops. *)
+   drained with [take_opt], each reply encoded straight after the one
+   before into the connection's one buffer, and the batch goes out in
+   ONE write — N pipelined replies cost one syscall, not N.  A batch
+   stops taking replies at [Wire.max_batch_bytes], so a pipelined burst
+   of multi-MB results still flushes in bounded contiguous memory.  A
+   chaos [O_kill] ends the batch: the frames queued before it flush (in
+   order, in the same write), its raw bytes go last, and the connection
+   drops. *)
 let writer t conn =
+  let out = Wire.create_buffer () in
   let rec loop () =
     match Aio.Mailbox.take conn.c_out with
     | None -> ()
     | Some first ->
         if conn.c_dead then loop ()
         else begin
-          let kill = ref None in
-          let frames = ref [] and bytes = ref 0 in
-          let add s =
-            frames := s :: !frames;
-            bytes := !bytes + String.length s
+          let frames = ref 0 and kill = ref false in
+          let add = function
+            | O_reply (id, msg) ->
+                Wire.append out ~id msg;
+                incr frames
+            | O_kill s ->
+                Wire.append_raw out s;
+                kill := true
           in
-          (match first with O_frame s -> add s | O_kill s -> kill := Some s);
+          add first;
           let rec drain () =
-            if !kill = None && !bytes < max_batch_bytes then
+            if (not !kill) && Wire.buffer_length out < Wire.max_batch_bytes
+            then
               match Aio.Mailbox.take_opt conn.c_out with
               | None -> ()
-              | Some (O_frame s) ->
-                  add s;
+              | Some item ->
+                  add item;
                   drain ()
-              | Some (O_kill s) -> kill := Some s
           in
           drain ();
-          let frames = List.rev !frames in
-          let payload =
-            match (frames, !kill) with
-            | [ s ], None -> Bytes.unsafe_of_string s (* sound: write-only *)
-            | fs, k ->
-                let tail =
-                  match k with Some s -> String.length s | None -> 0
-                in
-                let b = Bytes.create (!bytes + tail) in
-                let off =
-                  List.fold_left
-                    (fun off s ->
-                      Bytes.blit_string s 0 b off (String.length s);
-                      off + String.length s)
-                    0 fs
-                in
-                (match k with
-                | Some s -> Bytes.blit_string s 0 b off (String.length s)
-                | None -> ());
-                b
-          in
           let deadline =
             if t.cfg.write_timeout_s > 0.0 then
               Some (Aio.now () +. t.cfg.write_timeout_s)
@@ -271,13 +250,15 @@ let writer t conn =
           (* counted before the write so a client that has read the
              whole batch is guaranteed to observe the flush *)
           M.incr m_flushes;
-          M.incr ~by:(List.length frames) m_flushed_frames;
+          M.incr ~by:!frames m_flushed_frames;
+          let len = Wire.buffer_length out in
           (match
-             Aio.write_all ?deadline conn.c_fd payload 0 (Bytes.length payload)
+             Aio.write_all ?deadline conn.c_fd (Wire.buffer_bytes out) 0 len
            with
-          | `Ok -> M.incr ~by:(Bytes.length payload) m_bytes_written
+          | `Ok -> M.incr ~by:len Wire.bytes_written
           | `Deadline | `Closed -> kill_conn conn);
-          (match !kill with Some _ -> kill_conn conn | None -> ());
+          Wire.clear out;
+          if !kill then kill_conn conn;
           loop ()
         end
   in
@@ -417,7 +398,7 @@ let reader t conn =
               (Bytes.length t.scratch)
           with
           | `Data n ->
-              M.incr ~by:n m_bytes_read;
+              M.incr ~by:n Wire.bytes_read;
               Wire.Stream.feed stream t.scratch 0 n;
               loop ()
           | `Eof -> ()

@@ -172,40 +172,67 @@ let report_of_note (n : note) : Restructurer.Driver.loop_report =
 (* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A frame is written twice by the same encoder: a dry run over
-   [Bytes.empty] only advances [pos], which sizes the frame exactly, then
-   the real run fills one [Bytes.t] of that size, header first.  The
-   payload is never built apart from its frame, and nothing grows. *)
-type writer = { buf : Bytes.t; mutable pos : int }
+(* A frame is written once, in order, into a buffer its caller owns and
+   reuses: header, then payload, growing the storage when a field does
+   not fit, and the length field filled in last.  [Stream] keeps its
+   bytes in one too. *)
+type buffer = { mutable buf : Bytes.t; mutable pos : int }
 
-let sizing b = Bytes.length b.buf = 0
+(* the server writer's cap on one corked batch, and the capacity past
+   which a buffer gives its storage back once it is empty *)
+let max_batch_bytes = 256 * 1024
+let base_bytes = 4096
+let create_buffer () = { buf = Bytes.create base_bytes; pos = 0 }
+let buffer_bytes b = b.buf
+let buffer_length b = b.pos
+
+let clear b =
+  b.pos <- 0;
+  if Bytes.length b.buf > max_batch_bytes then b.buf <- Bytes.create base_bytes
+
+(* room for [n] more bytes, doubling the capacity until they fit *)
+let reserve b n =
+  if b.pos + n > Bytes.length b.buf then begin
+    let cap = ref (Bytes.length b.buf) in
+    while b.pos + n > !cap do
+      cap := !cap * 2
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit b.buf 0 buf 0 b.pos;
+    b.buf <- buf
+  end
 
 let put_u8 b v =
-  if not (sizing b) then Bytes.set_uint8 b.buf b.pos (v land 0xff);
+  reserve b 1;
+  Bytes.set_uint8 b.buf b.pos (v land 0xff);
   b.pos <- b.pos + 1
 
 let put_bool b v = put_u8 b (if v then 1 else 0)
 
 let put_u16 b v =
-  if not (sizing b) then Bytes.set_uint16_be b.buf b.pos v;
+  reserve b 2;
+  Bytes.set_uint16_be b.buf b.pos v;
   b.pos <- b.pos + 2
 
 let put_i32 b v =
-  if not (sizing b) then Bytes.set_int32_be b.buf b.pos (Int32.of_int v);
+  reserve b 4;
+  Bytes.set_int32_be b.buf b.pos (Int32.of_int v);
   b.pos <- b.pos + 4
 
 let put_int b v =
-  if not (sizing b) then Bytes.set_int64_be b.buf b.pos (Int64.of_int v);
+  reserve b 8;
+  Bytes.set_int64_be b.buf b.pos (Int64.of_int v);
   b.pos <- b.pos + 8
 
 let put_f64 b v =
-  if not (sizing b) then
-    Bytes.set_int64_be b.buf b.pos (Int64.bits_of_float v);
+  reserve b 8;
+  Bytes.set_int64_be b.buf b.pos (Int64.bits_of_float v);
   b.pos <- b.pos + 8
 
 let put_raw b s =
   let n = String.length s in
-  if not (sizing b) then Bytes.blit_string s 0 b.buf b.pos n;
+  reserve b n;
+  Bytes.blit_string s 0 b.buf b.pos n;
   b.pos <- b.pos + n
 
 let put_string b s =
@@ -218,7 +245,7 @@ let put_opt_f64 b = function
       put_u8 b 1;
       put_f64 b v
 
-(* [List.iter (put b)] would allocate a closure per list, on both runs *)
+(* [List.iter (put b)] would allocate a closure per list *)
 let rec put_each put b = function
   | [] -> ()
   | x :: rest ->
@@ -399,23 +426,26 @@ let put_payload b = function
       put_int b a.ack_epoch;
       put_string b a.ack_msg
 
-(* the length field is meaningless on the dry run, which only counts
-   it; on the real run the buffer is exactly the frame *)
-let put_frame b ~id msg =
+(* the length field goes out as 0 and is filled in once the payload's
+   end is known *)
+let append b ~id msg =
+  let start = b.pos in
   put_raw b magic;
   put_u8 b version;
   put_u8 b (kind_code msg);
   put_u16 b 0;
   put_int b id;
-  put_i32 b (Bytes.length b.buf - header_bytes);
-  put_payload b msg
+  put_i32 b 0;
+  put_payload b msg;
+  Bytes.set_int32_be b.buf (start + 16)
+    (Int32.of_int (b.pos - start - header_bytes))
+
+let append_raw = put_raw
 
 let encode ~id msg =
-  let dry = { buf = Bytes.empty; pos = 0 } in
-  put_frame dry ~id msg;
-  let b = { buf = Bytes.create dry.pos; pos = 0 } in
-  put_frame b ~id msg;
-  Bytes.unsafe_to_string b.buf
+  let b = create_buffer () in
+  append b ~id msg;
+  Bytes.sub_string b.buf 0 b.pos
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -733,7 +763,11 @@ let decode s =
         | exception Err e -> Error e
       end
 
-let m_bytes_written =
+let bytes_read =
+  Obs.Metrics.counter Obs.Metrics.global ~help:"cedarnet bytes read"
+    "net_bytes_read_total"
+
+let bytes_written =
   Obs.Metrics.counter Obs.Metrics.global ~help:"cedarnet bytes written"
     "net_bytes_written_total"
 
@@ -756,50 +790,43 @@ module Stream = struct
 
   type t = {
     st_max : int;
-    mutable st_data : Bytes.t;  (* window [st_pos, st_pos + st_len) *)
+    st_in : buffer;  (* the window [st_pos, st_in.pos) is unconsumed *)
     mutable st_pos : int;
-    mutable st_len : int;
     mutable st_state : state;
   }
 
   let create ?(max_payload = hard_max_payload) () =
     {
       st_max = max_payload;
-      st_data = Bytes.create 4096;
+      st_in = create_buffer ();
       st_pos = 0;
-      st_len = 0;
       st_state = S_header;
     }
 
-  let buffered st = st.st_len
+  let buffered st = st.st_in.pos - st.st_pos
 
   let feed st src off len =
     if off < 0 || len < 0 || off + len > Bytes.length src then
       invalid_arg "Wire.Stream.feed";
-    let cap = Bytes.length st.st_data in
-    if st.st_pos + st.st_len + len > cap then begin
-      (* compact, then grow if the window still does not fit *)
-      if st.st_pos > 0 then begin
-        Bytes.blit st.st_data st.st_pos st.st_data 0 st.st_len;
-        st.st_pos <- 0
-      end;
-      if st.st_len + len > cap then begin
-        let cap' = ref (max 4096 cap) in
-        while st.st_len + len > !cap' do
-          cap' := !cap' * 2
-        done;
-        let data' = Bytes.create !cap' in
-        Bytes.blit st.st_data 0 data' 0 st.st_len;
-        st.st_data <- data'
-      end
+    let b = st.st_in in
+    if b.pos + len > Bytes.length b.buf && st.st_pos > 0 then begin
+      (* compact before growing *)
+      Bytes.blit b.buf st.st_pos b.buf 0 (b.pos - st.st_pos);
+      b.pos <- b.pos - st.st_pos;
+      st.st_pos <- 0
     end;
-    Bytes.blit src off st.st_data (st.st_pos + st.st_len) len;
-    st.st_len <- st.st_len + len
+    reserve b len;
+    Bytes.blit src off b.buf b.pos len;
+    b.pos <- b.pos + len
 
+  (* an emptied window starts over at offset 0, in storage no larger
+     than [max_batch_bytes] *)
   let consume st n =
     st.st_pos <- st.st_pos + n;
-    st.st_len <- st.st_len - n;
-    if st.st_len = 0 then st.st_pos <- 0
+    if st.st_pos = st.st_in.pos then begin
+      st.st_pos <- 0;
+      clear st.st_in
+    end
 
   (* headers and payloads decode in place at the window offset — the
      warm path never materializes a payload-sized copy; only the field
@@ -808,7 +835,7 @@ module Stream = struct
     match st.st_state with
     | S_fail e -> `Fail e
     | S_drain d ->
-        let take = min st.st_len d.d_left in
+        let take = min (buffered st) d.d_left in
         consume st take;
         d.d_left <- d.d_left - take;
         if d.d_left = 0 then begin
@@ -817,9 +844,11 @@ module Stream = struct
         end
         else `Need_more
     | S_header ->
-        if st.st_len < header_bytes then `Need_more
+        if buffered st < header_bytes then `Need_more
         else begin
-          match decode_header_at st.st_data ~pos:st.st_pos ~len:st.st_len with
+          match
+            decode_header_at st.st_in.buf ~pos:st.st_pos ~len:(buffered st)
+          with
           | Error e ->
               st.st_state <- S_fail e;
               `Fail e
@@ -836,10 +865,10 @@ module Stream = struct
               end
         end
     | S_payload h ->
-        if st.st_len < h.h_len then `Need_more
+        if buffered st < h.h_len then `Need_more
         else begin
           match
-            decode_payload_at h.h_kind st.st_data ~pos:st.st_pos ~len:h.h_len
+            decode_payload_at h.h_kind st.st_in.buf ~pos:st.st_pos ~len:h.h_len
           with
           | msg ->
               consume st h.h_len;
@@ -856,7 +885,7 @@ module Stream = struct
   let midframe st =
     match st.st_state with
     | S_payload _ | S_drain _ -> true
-    | S_header -> st.st_len > 0
+    | S_header -> buffered st > 0
     | S_fail _ -> false
 end
 
@@ -867,7 +896,7 @@ let write_raw fd s =
     if len > 0 then begin
       match Unix.write fd b off len with
       | n ->
-          Obs.Metrics.incr ~by:n m_bytes_written;
+          Obs.Metrics.incr ~by:n bytes_written;
           go (off + n) (len - n)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
     end

@@ -152,8 +152,47 @@ val report_of_note : note -> Restructurer.Driver.loop_report
 (** Rebuild a loop report from a wire note; the fields that never
     crossed the wire (mode, blockers, version count) come back empty. *)
 
+(* ------------------------------------------------------------------ *)
+(* Encoding                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type buffer
+(** A growable byte buffer that frames are appended to; its bytes are
+    [0, buffer_length).  A connection keeps one and reuses it for every
+    frame it sends, so a warm reply or request costs no frame-sized
+    allocation. *)
+
+val max_batch_bytes : int
+(** 256 KiB.  [Net.Server]'s writer stops adding frames to a corked
+    batch at this size.  A {!buffer} (or a {!Stream}) that grew past it
+    returns to its 4 KiB base once it is empty, so a connection that
+    once carried a large frame does not keep its storage while idle. *)
+
+val create_buffer : unit -> buffer
+(** An empty buffer with 4 KiB of storage. *)
+
+val append : buffer -> id:int -> message -> unit
+(** The one encoder: append the complete frame for [message] in a single
+    pass — header, then payload, growing the buffer when a field does
+    not fit — and fill in the length field last. *)
+
+val append_raw : buffer -> string -> unit
+(** Append arbitrary bytes (chaos injection: a truncated or garbage
+    frame after a batch). *)
+
+val buffer_bytes : buffer -> Bytes.t
+(** The storage holding the bytes [0, buffer_length b); valid until
+    the next append or {!clear}. *)
+
+val buffer_length : buffer -> int
+
+val clear : buffer -> unit
+(** Empty the buffer.  Storage that grew past {!max_batch_bytes} goes
+    back to the 4 KiB base. *)
+
 val encode : id:int -> message -> string
-(** The complete frame (header + payload) for [message]. *)
+(** The complete frame for [message]: {!append} into a fresh buffer,
+    copied out. *)
 
 val decode : string -> (int * message, error) result
 (** Decode one complete frame; the [int] is the request id.  Total:
@@ -186,7 +225,10 @@ module Stream : sig
       reported [`Oversized] with the stream still synchronized. *)
 
   val feed : t -> bytes -> int -> int -> unit
-  (** [feed t buf off len] appends bytes as they arrive off the wire. *)
+  (** [feed t buf off len] appends bytes as they arrive off the wire.
+      The stream keeps them in a {!buffer}, which returns to its 4 KiB
+      base once every fed byte has been consumed, if it grew past
+      {!max_batch_bytes}. *)
 
   val next :
     t ->
@@ -205,6 +247,13 @@ module Stream : sig
   val buffered : t -> int
   (** Bytes fed and not yet consumed. *)
 end
+
+val bytes_read : Obs.Metrics.counter
+(** [net_bytes_read_total]: bytes read off cedarnet sockets, counted by
+    servers and clients alike. *)
+
+val bytes_written : Obs.Metrics.counter
+(** [net_bytes_written_total]: bytes written to cedarnet sockets. *)
 
 val write_frame : Unix.file_descr -> id:int -> message -> unit
 (** Write one frame, looping over partial writes.

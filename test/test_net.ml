@@ -283,6 +283,61 @@ let prop_stream_corruption_total =
       in
       pump 8)
 
+(* the one encoder, [append], into buffers the caller keeps *)
+let contents b = Bytes.sub_string (W.buffer_bytes b) 0 (W.buffer_length b)
+
+let prop_append_is_encode =
+  QCheck.Test.make ~name:"wire: append m = encode m" ~count:500
+    ~long_factor:20 arbitrary_frame (fun (id, msg) ->
+      let b = W.create_buffer () in
+      W.append b ~id msg;
+      contents b = W.encode ~id msg)
+
+let prop_appended_frames_stream_in_order =
+  QCheck.Test.make ~name:"wire: frames appended back to back stream in order"
+    ~count:200 ~long_factor:20
+    (QCheck.make
+       G.(list_size (int_range 1 8) (pair (int_bound max_int) gen_message))
+       ~print:(fun fs ->
+         String.concat " "
+           (List.map
+              (fun (id, m) -> Printf.sprintf "%d:%s" id (W.message_kind_name m))
+              fs)))
+    (fun frames ->
+      let b = W.create_buffer () in
+      List.iter (fun (id, msg) -> W.append b ~id msg) frames;
+      let st = W.Stream.create () in
+      W.Stream.feed st (W.buffer_bytes b) 0 (W.buffer_length b);
+      List.for_all
+        (fun (id, msg) ->
+          match W.Stream.next st with
+          | `Frame (id', msg') -> id' = id && msg' = msg
+          | _ -> false)
+        frames
+      && W.Stream.next st = `Need_more
+      && W.Stream.buffered st = 0)
+
+let prop_reused_buffer_encodes_fresh =
+  (* the buffer first holds a larger frame (sometimes past the 256 KiB
+     mark, so [clear] swaps its storage), then the frame under test *)
+  QCheck.Test.make ~name:"wire: a reused buffer encodes as a fresh one"
+    ~count:300 ~long_factor:20
+    (QCheck.make
+       G.(
+         triple (int_bound max_int) gen_message
+           (frequency [ (4, int_bound 4096); (1, int_range 200_000 300_000) ]))
+       ~print:(fun (id, m, extra) ->
+         Printf.sprintf "id=%d kind=%s extra=%d" id (W.message_kind_name m)
+           extra))
+    (fun (id, msg, extra) ->
+      let want = W.encode ~id msg in
+      let b = W.create_buffer () in
+      W.append b ~id:1
+        (W.Metrics_text (String.make (String.length want + extra) '\xa5'));
+      W.clear b;
+      W.append b ~id msg;
+      contents b = want)
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial decoder unit tests                                      *)
 (* ------------------------------------------------------------------ *)
@@ -575,6 +630,34 @@ let test_frames_pinned () =
       Alcotest.(check string) label want
         (Digest.to_hex (Digest.string (W.encode ~id:7 msg))))
     pinned_frames
+
+(* the pins again through [append]: one buffer reused for every frame,
+   then all 26 frames back to back, each at its own offset *)
+let test_append_pinned () =
+  let b = W.create_buffer () in
+  List.iter
+    (fun (label, msg, want) ->
+      W.clear b;
+      W.append b ~id:7 msg;
+      Alcotest.(check string) label want
+        (Digest.to_hex (Digest.string (contents b))))
+    pinned_frames;
+  W.clear b;
+  let ends =
+    List.map
+      (fun (_, msg, _) ->
+        W.append b ~id:7 msg;
+        W.buffer_length b)
+      pinned_frames
+  in
+  ignore
+    (List.fold_left2
+       (fun start (label, _, want) stop ->
+         let frame = String.sub (contents b) start (stop - start) in
+         Alcotest.(check string) (label ^ ", back to back") want
+           (Digest.to_hex (Digest.string frame));
+         stop)
+       0 pinned_frames ends)
 
 (* ------------------------------------------------------------------ *)
 (* Socket helpers                                                      *)
@@ -1403,6 +1486,75 @@ let test_client_deadline_bounds_trickle () =
         (Printf.sprintf "failed after %.2fs, within 1.5 s" dt)
         true (dt < 1.5)
 
+(* a connection that once carried a large frame gives its storage back
+   once the frame has gone: the stream and an output buffer alike *)
+let test_buffers_shrink () =
+  let frame =
+    W.encode ~id:1 (submit_msg ~source:(String.make (1 lsl 20) 'x') ())
+  in
+  let st = W.Stream.create () in
+  W.Stream.feed st (Bytes.unsafe_of_string frame) 0 (String.length frame);
+  (match W.Stream.next st with
+  | `Frame (1, W.Submit _) -> ()
+  | _ -> Alcotest.fail "expected the 1 MiB Submit");
+  let words = Obj.reachable_words (Obj.repr st) in
+  if words >= 1024 then
+    Alcotest.failf "a drained stream keeps %d words (want < 1024)" words;
+  let b = W.create_buffer () in
+  W.append_raw b frame;
+  W.clear b;
+  let words = Obj.reachable_words (Obj.repr b) in
+  if words >= 1024 then
+    Alcotest.failf "a cleared buffer keeps %d words (want < 1024)" words;
+  (* a frame at the cap keeps its storage: no churn below it *)
+  W.append_raw b (String.make W.max_batch_bytes 'y');
+  W.clear b;
+  Alcotest.(check bool) "storage at the cap is kept" true
+    (Obj.reachable_words (Obj.repr b) > W.max_batch_bytes / 8)
+
+(* The warm path's allocation: a cache hit over a socket to an
+   in-process Net.Server allocates its request and reply frames in
+   buffers each connection reuses, so what goes straight to the major
+   heap per hit is the decoded source on the server and the decoded
+   text on the client (about 1.2K words for these requests, against
+   about 2.8K when each frame was a fresh string). *)
+let test_hit_major_budget () =
+  let reqs =
+    Array.init 16 (fun i ->
+        Service.Traffic.nth_request ~seed:7 ~size_jitter:4 ~batch:4 i)
+  in
+  with_net @@ fun _svc _net port ->
+  match Net.Client.connect (Net.Client.default_cfg ~port) with
+  | Error msg -> Alcotest.failf "connect: %s" msg
+  | Ok client ->
+      Fun.protect ~finally:(fun () -> Net.Client.close client) @@ fun () ->
+      let hit (r : Service.Server.request) =
+        match
+          Net.Client.submit client ~name:r.req_name ~options:r.req_options
+            r.req_source
+        with
+        | Ok (W.R_done { r_cached; _ }) -> r_cached
+        | Ok _ | Error _ -> Alcotest.failf "%s: not done" r.req_name
+      in
+      (* fill the cache, then let every buffer grow to its frames *)
+      Array.iter (fun r -> ignore (hit r)) reqs;
+      Array.iter (fun r -> ignore (hit r)) reqs;
+      let n = 500 in
+      let g0 = Gc.quick_stat () in
+      let misses = ref 0 in
+      for i = 0 to n - 1 do
+        if not (hit reqs.(i mod Array.length reqs)) then incr misses
+      done;
+      let g1 = Gc.quick_stat () in
+      Alcotest.(check int) "every request a hit" 0 !misses;
+      let direct =
+        g1.Gc.major_words -. g0.Gc.major_words
+        -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+      in
+      let per_hit = direct /. float_of_int n in
+      if per_hit > 1600.0 then
+        Alcotest.failf "%.0f direct-major words per hit (budget 1600)" per_hit
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -1468,4 +1620,13 @@ let tests =
       (test_garbage_frame_from_client Proxy);
     Alcotest.test_case "codec: every frame kind byte-identical" `Quick
       test_frames_pinned;
+    QCheck_alcotest.to_alcotest prop_append_is_encode;
+    QCheck_alcotest.to_alcotest prop_appended_frames_stream_in_order;
+    QCheck_alcotest.to_alcotest prop_reused_buffer_encodes_fresh;
+    Alcotest.test_case "codec: append reproduces every pinned frame" `Quick
+      test_append_pinned;
+    Alcotest.test_case "memory: drained buffers return to their base" `Quick
+      test_buffers_shrink;
+    Alcotest.test_case "budget: a warm hit's direct-major words" `Quick
+      test_hit_major_budget;
   ]

@@ -865,6 +865,8 @@ let service_bench () =
   let warm_phases = phase_delta snap2 snap3 in
   let effective = Service.Server.effective_workers server in
   let stats = Service.Server.shutdown server in
+  (* the one server so far: the registry holds its counts alone *)
+  let dump = Obs.Metrics.dump Obs.Metrics.global in
   (* chaos pass on a fresh pool: every fault site at 10%, fixed seed —
      measures the survival overhead of the self-healing machinery *)
   let fault =
@@ -885,9 +887,17 @@ let service_bench () =
   print_endline ("chaos: " ^ Service.Traffic.summary_to_string chaos);
   phase_line "cold" cold_phases;
   phase_line "warm" warm_phases;
-  print_endline (Service.Stats.to_string stats);
+  print_endline (Service.Stats.render dump);
   print_endline "--- chaos pass (service sites at 10%) ---";
-  print_endline (Service.Stats.to_string chaos_stats);
+  Printf.printf
+    "rungs full %d  conservative %d  passthrough %d  (retries %d)  respawns \
+     %d  degraded %d  corrupt-dropped %d  faults injected %d\n"
+    chaos_stats.Service.Stats.rung_full
+    chaos_stats.Service.Stats.rung_conservative
+    chaos_stats.Service.Stats.rung_passthrough chaos_stats.Service.Stats.retries
+    chaos_stats.Service.Stats.respawns chaos_stats.Service.Stats.degraded
+    chaos_stats.Service.Stats.corrupt_dropped
+    chaos_stats.Service.Stats.faults_injected;
   print_endline "--- memo pass (nest-level memoization A/B) ---";
   let memo_json = memo_pass () in
   print_endline "--- codegen pass (cedar vs openmp emission A/B) ---";
@@ -954,7 +964,7 @@ let service_bench () =
        else 0.0)
       (phase_json cold_phases) (phase_json warm_phases)
       warm.Service.Traffic.s_cached stats.Service.Stats.cache_hit_rate
-      stats.Service.Stats.p50_latency_ms stats.Service.Stats.p95_latency_ms
+      (Service.Stats.latency_ms dump 50) (Service.Stats.latency_ms dump 95)
       stats.Service.Stats.wall_s
       (cold.Service.Traffic.s_failed + warm.Service.Traffic.s_failed)
       (cold.Service.Traffic.s_timeout + warm.Service.Traffic.s_timeout)

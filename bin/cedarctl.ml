@@ -2,7 +2,7 @@
 
    ping      round-trip a Ping frame (repeatable, prints RTT)
    submit    restructure a fortran77 file over the wire
-   stats     fetch the human-readable service stats
+   stats     render the service stats from the Prometheus text dump
    metrics   fetch the Prometheus text dump
    shutdown  ask the server to drain and exit
    drive     closed-loop socket load generator (Traffic over TCP)
@@ -270,22 +270,22 @@ let json_arg =
     value & flag
     & info [ "json" ] ~doc:"machine-readable JSON instead of the human text")
 
+(* the server sends the Prometheus text; every view is rendered here *)
 let stats host port timeout_s json =
-  if json then
-    query Net.Wire.Stats_json_req
-      (function Net.Wire.Stats_json s -> Some s | _ -> None)
-      host port timeout_s
-  else
-    query Net.Wire.Stats_req
-      (function Net.Wire.Stats_text s -> Some s | _ -> None)
-      host port timeout_s
+  query Net.Wire.Metrics_req
+    (function
+      | Net.Wire.Metrics_text s -> Some (Service.Stats.render ~json s)
+      | _ -> None)
+    host port timeout_s
 
 let stats_cmd =
   Cmd.v
-    (Cmd.info "stats" ~doc:"fetch the service stats summary")
+    (Cmd.info "stats"
+       ~doc:
+         "render the service stats (a cedarproxy's: the cluster view) from \
+          the metrics dump; latency percentiles are within 9.1% of exact")
     Term.(const stats $ host_arg $ port_arg $ timeout_arg $ json_arg)
 
-(* the server sends the Prometheus text; the JSON is rendered here *)
 let metrics host port timeout_s json =
   query Net.Wire.Metrics_req
     (function
@@ -531,13 +531,16 @@ let cluster_stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "fetch the cluster-wide aggregated stats (proxy counters plus \
-          every live shard's snapshot)")
+         "render the proxy's merged metrics dump as its counters and \
+          member view, then every live shard's stats")
     Term.(const stats $ host_arg $ port_arg $ timeout_arg $ json_arg)
 
 let cluster_metrics_cmd =
   Cmd.v
-    (Cmd.info "metrics" ~doc:"fetch the proxy's metrics registry")
+    (Cmd.info "metrics"
+       ~doc:
+         "fetch the proxy's registry merged with every live shard's \
+          (their samples labelled shard=ID)")
     Term.(const metrics $ host_arg $ port_arg $ timeout_arg $ json_arg)
 
 let cluster_cmd =

@@ -5,8 +5,8 @@
    from the workloads corpus by a seeded RNG (--seed, --clients
    outstanding at a time), then replays request #0 once more to
    demonstrate the content-addressed cache short-circuit, and prints the
-   Service.Stats summary on shutdown.  Exit status 1 if any job failed,
-   timed out, or was cancelled. *)
+   stats summary, rendered from the metrics dump, on shutdown.  Exit
+   status 1 if any job failed, timed out, or was cancelled. *)
 
 open Cmdliner
 
@@ -116,14 +116,14 @@ let serve server fault ?on_cluster_change ~host ~port ~max_conns
   Net.Server.wait_stop net;
   Printf.printf "cedard: draining...\n%!";
   Net.Server.drain net;
-  let stats = Service.Server.shutdown server in
+  ignore (Service.Server.shutdown server);
   Printf.printf
     "cedard: served %d connection(s), in-flight high water %d, shed %d\n"
     (Net.Server.connections_seen net)
     (Net.Server.inflight_high_water net)
     (Net.Server.shed_total net);
   print_endline "--- service stats ---";
-  print_endline (Service.Stats.to_string stats);
+  print_endline (Service.Stats.render (Obs.Metrics.dump Obs.Metrics.global));
   if metrics then begin
     print_endline "--- metrics ---";
     print_string (Obs.Metrics.dump Obs.Metrics.global)
@@ -197,18 +197,14 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
       ?on_cache_fill ()
   in
   (* topology plumbing: re-replication on membership changes pulls the
-     resident cache back through the replicator, and outbound counters
-     land in this shard's stats *)
+     resident cache back through the replicator *)
   (match replicator with
   | None -> ()
   | Some r ->
       Cluster.Replicator.set_export r (fun () ->
           Service.Server.export_cache server);
       Cluster.Replicator.set_gc r (fun ~keep ->
-          Service.Server.gc_replicas server ~keep);
-      Service.Server.set_replication_source server (fun () ->
-          let c = Cluster.Replicator.counts r in
-          (c.Cluster.Replicator.pushed, c.Cluster.Replicator.skipped_down)));
+          Service.Server.gc_replicas server ~keep));
   (* the shard's member view lives in its replicator, mutated by the
      Cluster_add/Cluster_remove frames the proxy broadcasts after an
      applied topology change *)
@@ -314,10 +310,10 @@ let run workers cache_size memo_capacity timeout_ms requests clients seed
     end
     else true
   in
-  let stats = Service.Server.shutdown server in
+  ignore (Service.Server.shutdown server);
   stop_replicator ();
   print_endline "--- service stats ---";
-  print_endline (Service.Stats.to_string stats);
+  print_endline (Service.Stats.render (Obs.Metrics.dump Obs.Metrics.global));
   (match tracer with
   | Some tr ->
       Obs.Trace.flush tr;

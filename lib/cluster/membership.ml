@@ -96,6 +96,10 @@ let m_down =
 let m_epoch =
   M.gauge M.global ~help:"current ring epoch" "cluster_ring_epoch"
 
+let m_vnodes =
+  M.gauge M.global ~help:"virtual nodes per shard on the ring"
+    "cluster_ring_vnodes"
+
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
@@ -236,6 +240,7 @@ let create ?(vnodes = 64) ?(probe_ms = 500.0) ?(down_after = 2)
     }
   in
   M.set_gauge m_epoch 1.0;
+  M.set_gauge m_vnodes (float_of_int vnodes);
   t
 
 let ring t = with_lock t (fun () -> t.live_ring)

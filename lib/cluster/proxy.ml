@@ -289,70 +289,45 @@ let relay_cache_push t (p : Net.Wire.cache_push) =
 (* Cluster-wide observability                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* per-shard fetch for the aggregated views; Down shards are reported
-   as unreachable without being dialed *)
-let fetch_from_shard t (shard : Membership.shard) st f =
-  if st = Membership.Down then Error "down"
-  else
-    match pool_of t shard.Membership.sh_id with
-    | None -> Error "unknown shard"
-    | Some link -> with_client link f
-
-(* the proxy's own counts, then every shard's stats snapshot (which
-   carries its replication counters) *)
-let aggregated_stats_json t =
+(* The cluster's dump: the proxy's own registry, unlabelled; its view
+   of each member as [member]-labelled gauges (address and state ride as
+   labels on the consecutive-failure count); then the dump of every
+   live member, each sample labelled [shard="<id>"].  A Down member is
+   in the view and is not dialed. *)
+let cluster_dump t =
   let members = Membership.snapshot t.members in
-  let shards =
-    List.map
-      (fun (shard, st, _) ->
-        let body =
-          match fetch_from_shard t shard st Net.Client.stats_json with
-          | Ok json -> json
-          | Error _ -> "null"
-        in
-        Printf.sprintf "\"%s\":%s" shard.Membership.sh_id body)
-      members
+  let gauge name help sample =
+    let sample (shard, st, fails) =
+      let labels, value = sample shard st fails in
+      { M.metric = name; labels = ("member", shard.Membership.sh_id) :: labels; value }
+    in
+    { M.name; kind = "gauge"; help; samples = List.map sample members }
   in
-  let pool_idle =
-    List.map
-      (fun ((shard : Membership.shard), _, _) ->
-        Printf.sprintf "\"%s\":%d" shard.Membership.sh_id
-          (match pool_of t shard.Membership.sh_id with
-          | Some l -> Pool.idle_count l.pool
-          | None -> 0))
-      members
+  let idle id = match pool_of t id with Some l -> Pool.idle_count l.pool | None -> 0 in
+  let view =
+    [
+      gauge "cluster_member_fails" "consecutive failed probes, by member"
+        (fun (s : Membership.shard) st fails ->
+          ( [ ("host", s.sh_host); ("port", string_of_int s.sh_port);
+              ("state", Membership.state_name st) ],
+            string_of_int fails ));
+      gauge "cluster_pool_idle" "idle pooled connections, by member"
+        (fun s _ _ -> ([], string_of_int (idle s.Membership.sh_id)));
+    ]
   in
-  Printf.sprintf
-    "{\"proxy\":{\"routed\":%d,\"failovers\":%d,\"shed\":%d,\"stale_routes\":%d,\"read_repairs\":%d,\"topology_changes\":%d,\"pool_idle\":{%s},\"members\":%s},\"shards\":{%s}}"
-    (M.counter_value t.routed) (M.counter_value t.failovers) (shed_total t)
-    (M.counter_value t.stale_routes)
-    (M.counter_value t.read_repairs)
-    (M.counter_value t.topo_gen)
-    (String.concat "," pool_idle)
-    (Membership.members_json t.members)
-    (String.concat "," shards)
-
-let aggregated_stats_text t =
-  let header =
-    Printf.sprintf "cluster     routed %d  failovers %d  shed %d"
-      (M.counter_value t.routed) (M.counter_value t.failovers) (shed_total t)
+  let relabel id (f : M.family) =
+    let sample (x : M.sample) = { x with labels = ("shard", id) :: x.labels } in
+    { f with samples = List.map sample f.samples }
   in
-  let sections =
-    Membership.snapshot t.members
-    |> List.map (fun (shard, st, fails) ->
-           let title =
-             Printf.sprintf "--- shard %s (%s:%d) %s, %d consecutive fails ---"
-               shard.Membership.sh_id shard.Membership.sh_host
-               shard.Membership.sh_port (Membership.state_name st) fails
-           in
-           let body =
-             match fetch_from_shard t shard st Net.Client.stats with
-             | Ok text -> text
-             | Error msg -> "unreachable: " ^ msg
-           in
-           title ^ "\n" ^ body)
+  let shard ((s : Membership.shard), st, _) =
+    match pool_of t s.sh_id with
+    | Some link when st <> Membership.Down -> (
+        match with_client link Net.Client.metrics with
+        | Ok text -> List.map (relabel s.sh_id) (M.parse text)
+        | Error _ -> [])
+    | _ -> []
   in
-  String.concat "\n" (header :: sections)
+  M.print (M.families M.global @ view @ List.concat_map shard members)
 
 (* ------------------------------------------------------------------ *)
 (* Topology changes                                                    *)
@@ -503,18 +478,14 @@ let handle t msg =
   | Net.Wire.Cache_push p ->
       relay t ~overload:(Net.Wire.Cache_ack false) (fun () ->
           Net.Wire.Cache_ack (relay_cache_push t p))
-  | Net.Wire.Stats_req ->
-      relay t (fun () -> Net.Wire.Stats_text (aggregated_stats_text t))
-  | Net.Wire.Stats_json_req ->
-      relay t (fun () -> Net.Wire.Stats_json (aggregated_stats_json t))
+  | Net.Wire.Metrics_req ->
+      relay t (fun () -> Net.Wire.Metrics_text (cluster_dump t))
   | Net.Wire.Cluster_add a ->
       defer ~overload:(membership_refused t) (fun () ->
           Net.Wire.Cluster_ack (handle_cluster_add t a))
   | Net.Wire.Cluster_remove sid ->
       defer ~overload:(membership_refused t) (fun () ->
           Net.Wire.Cluster_ack (handle_cluster_remove t sid))
-  | Net.Wire.Metrics_req ->
-      Net.Server.Reply (Net.Wire.Metrics_text (M.dump M.global))
   | Net.Wire.Members_req ->
       Net.Server.Reply
         (Net.Wire.Members_json (Membership.members_json t.members))

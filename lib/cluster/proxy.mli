@@ -26,12 +26,13 @@
     when every candidate is unreachable or saturated the proxy sheds
     with the protocol's existing [R_overloaded].
 
-    The proxy also serves cluster-wide observability: [Stats_req] /
-    [Stats_json_req] aggregate every live shard's snapshot (the JSON
-    adds the proxy's routing, barrier and read-repair counts and each
-    pool's idle connections), [Members_req] reports ring membership at
-    once without dialing a shard, [Metrics_req] dumps the proxy's own
-    registry.
+    The proxy also serves cluster-wide observability: [Metrics_req]
+    answers with its own registry, its member view ([member]-labelled
+    [cluster_member_fails] and [cluster_pool_idle]) and every live
+    member's dump relabelled [shard="<id>"] (a Down one is not dialed),
+    which {!Service.Stats.render} turns into the cluster view;
+    [Members_req] reports ring membership at once without dialing a
+    shard.
 
     {b Topology changes.}  [Cluster_add] / [Cluster_remove] frames
     (from [cedarctl cluster add/remove]) change the member set at

@@ -284,18 +284,11 @@ let submit ?(trace = 0) t ~name ~options source =
   | Ok other -> unexpected "Result" other
   | Error _ as e -> e
 
-let stats t =
-  match request t Wire.Stats_req with
-  | Ok (Wire.Stats_text s) -> Ok s
+let metrics t =
+  match request t Wire.Metrics_req with
+  | Ok (Wire.Metrics_text s) -> Ok s
   | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Stats_text" other
-  | Error _ as e -> e
-
-let stats_json t =
-  match request t Wire.Stats_json_req with
-  | Ok (Wire.Stats_json s) -> Ok s
-  | Ok (Wire.Result (Wire.R_error m)) -> Error m
-  | Ok other -> unexpected "Stats_json" other
+  | Ok other -> unexpected "Metrics_text" other
   | Error _ as e -> e
 
 let members t =

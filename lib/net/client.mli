@@ -82,11 +82,10 @@ val submit :
     [Error], like a transport failure; a caller that must tell the two
     apart matches the reply of {!request} itself. *)
 
-val stats : t -> (string, string) result
-(** Fetch the human-readable {!Service.Stats} summary. *)
-
-val stats_json : t -> (string, string) result
-(** Fetch the machine-readable {!Service.Stats} JSON. *)
+val metrics : t -> (string, string) result
+(** Fetch the server's metrics dump: a cedard's registry, or a proxy's
+    merged with its live shards' ({!Service.Stats.render} turns either
+    into the stats view). *)
 
 val members : t -> (string, string) result
 (** Fetch cluster membership as JSON.  Only a proxy answers this; a

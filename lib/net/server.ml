@@ -326,18 +326,16 @@ let dispatch t conn ~id msg =
          stop the spawned loops *)
       cancel_fibers t;
       `Close
-  | Wire.Pong | Wire.Result _ | Wire.Stats_text _ | Wire.Metrics_text _
-  | Wire.Shutdown_ack | Wire.Cache_ack _ | Wire.Stats_json _
-  | Wire.Members_json _ | Wire.Cluster_ack _ ->
+  | Wire.Pong | Wire.Result _ | Wire.Metrics_text _ | Wire.Shutdown_ack
+  | Wire.Cache_ack _ | Wire.Members_json _ | Wire.Cluster_ack _ ->
       send t conn ~id
         (Wire.Result
            (Wire.R_error
               (Printf.sprintf "unexpected %s frame from a client"
                  (Wire.message_kind_name msg))));
       `Close
-  | Wire.Submit _ | Wire.Stats_req | Wire.Metrics_req | Wire.Stats_json_req
-  | Wire.Cache_push _ | Wire.Members_req | Wire.Cluster_add _
-  | Wire.Cluster_remove _ ->
+  | Wire.Submit _ | Wire.Metrics_req | Wire.Cache_push _ | Wire.Members_req
+  | Wire.Cluster_add _ | Wire.Cluster_remove _ ->
       (match msg with Wire.Submit _ -> M.incr m_requests | _ -> ());
       (match t.handle msg with
       | Reply m -> send t conn ~id m
@@ -621,13 +619,7 @@ let cluster_ack on_cluster_change change =
 let handle_service ?on_cluster_change cfg svc msg =
   match msg with
   | Wire.Submit s -> submit cfg svc s
-  | Wire.Stats_req ->
-      Reply
-        (Wire.Stats_text (Service.Stats.to_string (Service.Server.stats svc)))
   | Wire.Metrics_req -> Reply (Wire.Metrics_text (M.dump M.global))
-  | Wire.Stats_json_req ->
-      Reply
-        (Wire.Stats_json (Service.Stats.to_json (Service.Server.stats svc)))
   | Wire.Cache_push p ->
       (* warm-cache replication from a ring peer: verify + admit, then
          ack with the verdict.  The payload is rebuilt exactly as the

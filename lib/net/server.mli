@@ -92,8 +92,9 @@ val create :
   Service.Server.t ->
   t
 (** {!serve} with cedard's handler: submits enter the service pool
-    (size cap, queue admission, trace ids), stats and metrics are
-    answered at once, [Cache_push] frames are verified and admitted.
+    (size cap, queue admission, trace ids), [Metrics_req] is answered
+    at once with the process registry's dump, [Cache_push] frames are
+    verified and admitted.
     The service pool is {e not} owned: shutting it down is the caller's
     job (after {!drain}).
 

@@ -84,16 +84,12 @@ type message =
   | Pong
   | Submit of submit
   | Result of reply
-  | Stats_req
-  | Stats_text of string
   | Metrics_req
   | Metrics_text of string
   | Shutdown_req
   | Shutdown_ack
   | Cache_push of cache_push
   | Cache_ack of bool
-  | Stats_json_req
-  | Stats_json of string
   | Members_req
   | Members_json of string
   | Cluster_add of cluster_add
@@ -105,16 +101,12 @@ let kind_code = function
   | Pong -> 2
   | Submit _ -> 3
   | Result _ -> 4
-  | Stats_req -> 5
-  | Stats_text _ -> 6
   | Metrics_req -> 7
   | Metrics_text _ -> 8
   | Shutdown_req -> 9
   | Shutdown_ack -> 10
   | Cache_push _ -> 11
   | Cache_ack _ -> 12
-  | Stats_json_req -> 13
-  | Stats_json _ -> 14
   | Members_req -> 17
   | Members_json _ -> 18
   | Cluster_add _ -> 19
@@ -126,16 +118,12 @@ let message_kind_name = function
   | Pong -> "pong"
   | Submit _ -> "submit"
   | Result _ -> "result"
-  | Stats_req -> "stats-req"
-  | Stats_text _ -> "stats"
   | Metrics_req -> "metrics-req"
   | Metrics_text _ -> "metrics"
   | Shutdown_req -> "shutdown-req"
   | Shutdown_ack -> "shutdown-ack"
   | Cache_push _ -> "cache-push"
   | Cache_ack _ -> "cache-ack"
-  | Stats_json_req -> "stats-json-req"
-  | Stats_json _ -> "stats-json"
   | Members_req -> "members-req"
   | Members_json _ -> "members-json"
   | Cluster_add _ -> "cluster-add"
@@ -395,11 +383,8 @@ let put_reply b = function
       put_string b msg
 
 let put_payload b = function
-  | Ping | Pong | Stats_req | Metrics_req | Shutdown_req | Shutdown_ack
-  | Stats_json_req | Members_req ->
-      ()
-  | Stats_text s | Metrics_text s | Stats_json s | Members_json s ->
-      put_raw b s
+  | Ping | Pong | Metrics_req | Shutdown_req | Shutdown_ack | Members_req -> ()
+  | Metrics_text s | Members_json s -> put_raw b s
   | Submit s ->
       put_string b s.sub_name;
       put_string b s.sub_source;
@@ -693,16 +678,12 @@ let decode_payload_at kind src ~pos ~len =
     | 2 -> empty Pong
     | 3 -> Submit (get_submit c)
     | 4 -> Result (get_reply c)
-    | 5 -> empty Stats_req
-    | 6 -> Stats_text (text ())
     | 7 -> empty Metrics_req
     | 8 -> Metrics_text (text ())
     | 9 -> empty Shutdown_req
     | 10 -> empty Shutdown_ack
     | 11 -> Cache_push (get_cache_push c)
     | 12 -> Cache_ack (get_bool c)
-    | 13 -> empty Stats_json_req
-    | 14 -> Stats_json (text ())
     | 17 -> empty Members_req
     | 18 -> Members_json (text ())
     | 19 ->

@@ -26,8 +26,8 @@
     byte-identical to one run in process; its codegen target
     ({!Codegen.Target.code}) is the byte after its trace id.
 
-    The kinds are 1–14 and 17–21; kinds 15, 16 and 22–24 are retired
-    and decode as {!Bad_kind}. *)
+    The 15 kinds are 1–4, 7–12 and 17–21; kinds 5, 6, 13–16 and 22–24
+    are retired and decode as {!Bad_kind}. *)
 
 val magic : string
 (** ["CDRN"], the 4 frame magic bytes. *)
@@ -125,16 +125,15 @@ type message =
   | Pong
   | Submit of submit
   | Result of reply
-  | Stats_req
-  | Stats_text of string  (** human-readable {!Service.Stats} summary *)
   | Metrics_req
-  | Metrics_text of string  (** Prometheus text dump *)
+  | Metrics_text of string
+      (** Prometheus text dump: a cedard's registry, or a proxy's merged
+          with its live shards' (every [cedarctl stats] view is rendered
+          from it on the client) *)
   | Shutdown_req
   | Shutdown_ack
   | Cache_push of cache_push
   | Cache_ack of bool  (** [true] iff the receiver admitted the entry *)
-  | Stats_json_req
-  | Stats_json of string  (** machine-readable {!Service.Stats} *)
   | Members_req
   | Members_json of string
       (** cluster membership as JSON: ring epoch, vnode count, each

@@ -453,6 +453,10 @@ let m_evictions = counter "memo_evictions_total" "memo LRU evictions"
 let m_corruptions =
   counter "memo_corruptions_total" "memo entries dropped on checksum mismatch"
 
+let m_entries =
+  Obs.Metrics.gauge Obs.Metrics.global ~help:"nests resident in the memo"
+    "memo_entries"
+
 (** Build the lookup key for one nest, or [None] (bypass) when the nest
     is too large to be worth caching. *)
 let prepare ~(syms : Symbols.t) ~(interproc : Analysis.Interproc.t)
@@ -587,6 +591,8 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
+let resident t = Obs.Metrics.set_gauge m_entries (float_of_int (Lru.length t.lru))
+
 let size t = locked t (fun () -> Lru.length t.lru)
 
 type stats = {
@@ -634,6 +640,7 @@ let find (t : 'r t) (prep : prep) : 'r entry option =
          && checksum (e.e_stmts, e.e_reports, e.e_fresh) <> Lazy.force e.e_sum ->
       (* bit-rot defense, mirroring the result cache's checksum *)
       Lru.remove t.lru prep.p_key;
+      resident t;
       Obs.Metrics.incr t.corruptions;
       miss ()
   | Some e ->
@@ -697,7 +704,8 @@ let store (t : 'r t) (prep : prep) ~(stmts : Ast.stmt list)
     }
   in
   locked t @@ fun () ->
-  if Lru.add t.lru prep.p_key e then Obs.Metrics.incr t.evictions
+  if Lru.add t.lru prep.p_key e then Obs.Metrics.incr t.evictions;
+  resident t
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)

@@ -26,6 +26,10 @@ let m_evictions =
     ~help:"entries evicted to stay under capacity"
     "service_cache_evictions_total"
 
+let m_entries =
+  Obs.Metrics.gauge Obs.Metrics.global ~help:"entries resident in the cache"
+    "service_cache_entries"
+
 let create ~capacity =
   {
     lru = Lru.create ~capacity;
@@ -51,13 +55,19 @@ let find c key =
           Obs.Metrics.incr c.misses;
           None)
 
+let resident c = Obs.Metrics.set_gauge m_entries (float_of_int (Lru.length c.lru))
+
 let add c key value =
   with_lock c (fun () ->
-      if Lru.add c.lru key value then Obs.Metrics.incr c.evictions)
+      if Lru.add c.lru key value then Obs.Metrics.incr c.evictions;
+      resident c)
 
 (* not counted as an eviction: the caller dropped it deliberately, e.g.
    on a checksum mismatch *)
-let remove c key = with_lock c (fun () -> Lru.remove c.lru key)
+let remove c key =
+  with_lock c (fun () ->
+      Lru.remove c.lru key;
+      resident c)
 
 let export c =
   with_lock c (fun () ->

@@ -80,7 +80,8 @@ let service_sites =
 let net_sites = [ Accept_drop; Read_stall; Trunc_write; Garbage_frame ]
 
 (* injection activity is also visible through the metrics registry; the
-   handles are resolved once (fire runs on every attempt's hot path) *)
+   handles are resolved once (fire runs on every attempt's hot path).  A
+   metric name takes no '-', so a site's dashes become underscores. *)
 let m_draws =
   Obs.Metrics.counter Obs.Metrics.global
     ~help:"fault-site decisions drawn" "service_fault_draws_total"
@@ -91,7 +92,8 @@ let m_fired_by_site =
        (fun s ->
          Obs.Metrics.counter Obs.Metrics.global
            ~help:"injected faults fired, by site"
-           (Printf.sprintf "service_fault_fired_%s_total" (site_name s)))
+           (Printf.sprintf "service_fault_fired_%s_total"
+              (String.map (function '-' -> '_' | c -> c) (site_name s))))
        all_sites)
 
 type t = {

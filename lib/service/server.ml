@@ -4,9 +4,8 @@
    Bounded_queue of tickets; each ticket carries its own mutex/condition
    pair for the await rendezvous; each job count is a lock-free child of
    its registry total (Obs.Metrics.child), so the registry sums every
-   server in the process; one stats mutex guards the latency reservoir
-   and the breaker state; the worker slots and orphan list live behind a
-   pool mutex.
+   server in the process; one stats mutex guards the breaker state; the
+   worker slots and orphan list live behind a pool mutex.
 
    Robustness structure (inside-out):
    - every job attempt runs under an exception barrier, so an
@@ -106,7 +105,6 @@ type t = {
           for one request is replayed for every later request containing
           an equivalent nest, whatever its symbol names. *)
   fault : Fault.t;
-  shard_id : string;  (** "" when not part of a cluster *)
   on_cache_fill : (key:string -> digest:string -> payload -> unit) option;
       (** fired after a fresh full-rung result lands in the cache; the
           cluster replicator hangs off this.  Never fired for admitted
@@ -143,14 +141,10 @@ type t = {
   replica_rejected : M.counter;  (* checksum mismatch or rung/capacity *)
   replicated_hits : M.counter;  (* cache hits served from a replica *)
   replica_gc : M.counter;  (* replicas dropped because ownership moved *)
-  mutable replication_source : (unit -> int * int) option;
-      (* outbound replication counters (pushed, skipped_down), wired by
-         cedard when a replicator is attached — stats-only *)
-  (* under stat_mutex: the breaker and the latency reservoir *)
+  (* under stat_mutex: the breaker *)
   mutable br_state : breaker_state;
   mutable br_failures : int;  (* consecutive real restructure failures *)
   mutable br_opened_at : float;
-  latencies : Reservoir.t;
 }
 
 (* MD5 over (MD5 of the source || the options marshalled).  The source
@@ -249,13 +243,26 @@ let m_breaker_state =
 let m_queue_depth =
   M.gauge M.global ~help:"tickets waiting in the queue" "service_queue_depth"
 
+let m_queue_high_water =
+  M.gauge M.global ~help:"most tickets ever waiting in the queue"
+    "service_queue_high_water"
+
+let m_shard =
+  M.info M.global ~help:"the server's cluster shard id, empty if standalone"
+    "service_shard_info" ~key:"id"
+
+(* whole milliseconds: an integral gauge dumps every digit *)
+let m_start_time =
+  M.gauge M.global ~help:"when the server started, in Unix milliseconds"
+    "service_start_time_ms"
+
 let m_workers_busy =
   M.gauge M.global ~help:"worker domains currently running a job"
     "service_workers_busy"
 
 let m_job_seconds =
   M.histogram M.global ~help:"job latency, submit to resolve"
-    "service_job_seconds"
+    ~buckets:Stats.latency_buckets "service_job_seconds"
 
 let m_phase_parse =
   M.histogram M.global ~help:"parse phase duration"
@@ -272,6 +279,13 @@ let m_phase_validate =
 let m_phase_perfmodel =
   M.histogram M.global ~help:"performance-model phase duration"
     "service_phase_perfmodel_seconds"
+
+(* after a push: the live depth, and the high water; every pusher raises
+   the gauge to at least what it read, so it ends exact *)
+let note_queue t =
+  M.set_gauge m_queue_depth (float_of_int (Bounded_queue.length t.queue));
+  M.raise_gauge m_queue_high_water
+    (float_of_int (Bounded_queue.high_water t.queue))
 
 let breaker_gauge_value = function
   | Br_closed -> 0.0
@@ -306,7 +320,6 @@ let resolve t ticket outcome =
      scheduler) and must not be able to deadlock against [await] *)
   List.iter (fun w -> w outcome) (List.rev watchers);
   if won then begin
-    let latency_ms = (now () -. ticket.tk_submitted) *. 1000.0 in
     M.incr
       (match outcome with
       | Done { payload; _ } -> (
@@ -318,8 +331,7 @@ let resolve t ticket outcome =
       | Failed _ -> t.failed
       | Timeout -> t.timed_out
       | Cancelled -> t.cancelled);
-    M.observe m_job_seconds (latency_ms /. 1000.0);
-    with_lock t.stat_mutex (fun () -> Reservoir.add t.latencies latency_ms)
+    M.observe m_job_seconds (now () -. ticket.tk_submitted)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -753,8 +765,8 @@ let salvage_ticket t (ws : wstate) =
         (* never block a dying worker on backpressure; requeued at the
            head, the job still runs before every job submitted after it,
            which keeps a single-worker pool's order deterministic *)
-        if not (Bounded_queue.try_push_front t.queue ticket) then
-          resolve t ticket died
+        if Bounded_queue.try_push_front t.queue ticket then note_queue t
+        else resolve t ticket died
       end
       else resolve t ticket died
 
@@ -827,7 +839,7 @@ let watchdog_loop t =
 let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
     ?(fault = Fault.none) ?(retry_base_ms = 1.0) ?(breaker_threshold = 5)
     ?(breaker_cooldown_ms = 250.0) ?(wedge_after_ms = 0.0)
-    ?(latency_reservoir = 1024) ?(max_source_bytes = 0) ?(shard_id = "")
+    ?(max_source_bytes = 0) ?(shard_id = "")
     ?(memo_capacity = 1024) ?on_cache_fill ~workers ~cache_capacity () =
   Printexc.record_backtrace true;
   let workers =
@@ -846,7 +858,6 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
                 ~corrupt:(fun () -> Fault.fire fault Fault.Memo_corrupt)
                 ()));
       fault;
-      shard_id;
       on_cache_fill;
       max_source_bytes = max 0 max_source_bytes;
       timeout_s =
@@ -881,13 +892,13 @@ let create ?(queue_capacity = 64) ?(timeout_ms = 0.0) ?(oversubscribe = false)
       replica_rejected = M.child m_replica_rejected;
       replicated_hits = M.child m_replicated_hits;
       replica_gc = M.child m_replica_gc;
-      replication_source = None;
       br_state = Br_closed;
       br_failures = 0;
       br_opened_at = 0.0;
-      latencies = Reservoir.create ~capacity:(max 1 latency_reservoir) ();
     }
   in
+  M.set_info m_shard shard_id;
+  M.set_gauge m_start_time (Float.round (t.started_at *. 1000.0));
   with_lock t.pool_mutex (fun () ->
       t.slots <-
         Array.init workers (fun _ ->
@@ -940,7 +951,7 @@ let submit ?trace t request =
   else if not (Bounded_queue.push t.queue ticket) then
     resolve t ticket Cancelled
   else
-    M.set_gauge m_queue_depth (float_of_int (Bounded_queue.length t.queue));
+    note_queue t;
   ticket
 
 (* Non-blocking admission for front-ends that must shed load instead of
@@ -958,7 +969,7 @@ let try_submit ?trace t request =
     if not (Bounded_queue.try_push t.queue ticket) then None
     else begin
       M.incr t.submitted;
-      M.set_gauge m_queue_depth (float_of_int (Bounded_queue.length t.queue));
+      note_queue t;
       Some ticket
     end
   end
@@ -1000,8 +1011,6 @@ let breaker_state_name t =
   | Br_open -> "open"
   | Br_half_open -> "half-open"
 
-let set_replication_source t f = t.replication_source <- Some f
-
 (* every resident cache entry as (key, digest, payload): what the
    replicator re-pushes when the ring changes.  Rides [Cache.export],
    so recency is untouched. *)
@@ -1032,32 +1041,19 @@ let gc_replicas t ~keep =
 let memo_stats t = Option.map Restructurer.Driver.memo_stats t.memo
 
 (* a view over the counts: none of them is copied or guarded, so only
-   the reservoir and the breaker state are read under the stats mutex *)
+   the breaker state is read under the stats mutex *)
 let stats t =
-  let replica_pushed, replica_skipped_down =
-    match t.replication_source with Some f -> f () | None -> (0, 0)
-  in
-  let memo_hits, memo_misses, memo_entries =
+  let memo_hits, memo_misses =
     match memo_stats t with
-    | None -> (0, 0, 0)
-    | Some m ->
-        (m.Restructurer.Memo.st_hits, m.Restructurer.Memo.st_misses,
-         m.Restructurer.Memo.st_size)
+    | None -> (0, 0)
+    | Some m -> (m.Restructurer.Memo.st_hits, m.Restructurer.Memo.st_misses)
   in
-  let latencies, latency_count, max_latency_ms, breaker_state =
-    with_lock t.stat_mutex (fun () ->
-        ( Reservoir.sample t.latencies,
-          Reservoir.count t.latencies,
-          Reservoir.max_value t.latencies,
-          breaker_state_name t ))
-  in
+  let breaker_state = with_lock t.stat_mutex (fun () -> breaker_state_name t) in
   let v = M.counter_value in
-  let cache = Cache.stats t.cache and completed = v t.completed in
-  let wall_s = now () -. t.started_at in
+  let cache = Cache.stats t.cache in
   {
-    Stats.shard_id = t.shard_id;
-    submitted = v t.submitted;
-    completed;
+    Stats.submitted = v t.submitted;
+    completed = v t.completed;
     failed = v t.failed;
     timed_out = v t.timed_out;
     cancelled = v t.cancelled;
@@ -1072,24 +1068,15 @@ let stats t =
     replica_admitted = v t.replica_admitted;
     replica_rejected = v t.replica_rejected;
     replicated_hits = v t.replicated_hits;
-    replica_pushed;
-    replica_skipped_down;
     replica_gc = v t.replica_gc;
     memo_hits;
     memo_misses;
-    memo_entries;
     breaker_state;
     faults_injected = Fault.total_fired t.fault;
     queue_high_water = Bounded_queue.high_water t.queue;
     cache;
     cache_hit_rate = Cache.hit_rate cache;
-    p50_latency_ms = Stats.percentile 50.0 latencies;
-    p95_latency_ms = Stats.percentile 95.0 latencies;
-    max_latency_ms;
-    latency_count;
-    wall_s;
-    throughput =
-      (if wall_s > 0.0 then float_of_int completed /. wall_s else 0.0);
+    wall_s = now () -. t.started_at;
   }
 
 (* Deterministic drain, reused verbatim by the SIGINT/SIGTERM path of

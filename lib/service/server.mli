@@ -104,7 +104,6 @@ val create :
   ?breaker_threshold:int ->
   ?breaker_cooldown_ms:float ->
   ?wedge_after_ms:float ->
-  ?latency_reservoir:int ->
   ?max_source_bytes:int ->
   ?shard_id:string ->
   ?memo_capacity:int ->
@@ -128,8 +127,7 @@ val create :
     [breaker_cooldown_ms] (default 250) is the open-to-half-open timer.
     [wedge_after_ms > 0] starts one watchdog thread that checks worker
     heartbeats every 2 ms; [<= 0] (the default) disables wedge
-    detection and starts no thread.  [latency_reservoir] (default 1024)
-    bounds the latency sample size.  [max_source_bytes > 0] rejects any
+    detection and starts no thread.  [max_source_bytes > 0] rejects any
     request whose source exceeds the cap — resolved [Failed] with a
     typed message before the text ever reaches a parser ([0], the
     default, means unlimited).
@@ -142,8 +140,8 @@ val create :
     stored; poisoned output is caught by the validator gate when
     [validate] is on and demoted down the ladder, never cached.
 
-    [shard_id] names this server inside a cluster (shows up in
-    {!Stats.t}; default [""] = standalone).  [on_cache_fill] fires after
+    [shard_id] names this server inside a cluster (the registry's
+    [service_shard_info]; default [""] = standalone).  [on_cache_fill] fires after
     each {e fresh} full-rung result is cached, with the content key, the
     payload-text digest, and the clean payload — the cluster replicator
     hangs off this.  It never fires for entries admitted via
@@ -175,10 +173,6 @@ val export_cache : t -> (string * string * payload) list
 (** Every resident cache entry as [(key, digest, payload)], recency
     untouched — what the cluster replicator re-pushes when the ring
     changes so placement converges without recomputation. *)
-
-val set_replication_source : t -> (unit -> int * int) -> unit
-(** Wire the outbound-replication counters [(pushed, skipped_down)]
-    into {!stats} (cedard calls this when a replicator is attached). *)
 
 val effective_workers : t -> int
 (** Worker slots in the pool (after the oversubscription cap). *)

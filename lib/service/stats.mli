@@ -1,9 +1,10 @@
-(** A snapshot of one server's statistics, taken at any time: a view
-    over the server's counters ({!Server.stats} fills it, [cedarctl stats]
-    serves it live, and {!Server.shutdown} returns the final one). *)
+(** A server's statistics.  {!t} is one server's in-process snapshot
+    ({!Server.stats}, {!Server.shutdown}); every printed view — cedard's
+    shutdown summary, [cedarctl stats] and [cedarctl cluster stats],
+    text or JSON — is {!render}ed from an {!Obs.Metrics.dump}, so a view
+    reads the same registry a scrape does. *)
 
 type t = {
-  shard_id : string;  (** cluster shard identity; [""] outside a cluster *)
   submitted : int;
   completed : int;  (** finished with a result (fresh or cached) *)
   failed : int;  (** parse/restructure/model errors, after the ladder *)
@@ -20,40 +21,38 @@ type t = {
   replica_admitted : int;  (** warm-cache pushes admitted from ring peers *)
   replica_rejected : int;  (** pushes rejected (checksum mismatch or rung) *)
   replicated_hits : int;  (** cache hits served from a replicated entry *)
-  replica_pushed : int;  (** warm-cache entries this shard pushed to peers *)
-  replica_skipped_down : int;
-      (** outbound pushes skipped because the target was held down *)
   replica_gc : int;
       (** replicated entries dropped because ring ownership moved away *)
   memo_hits : int;  (** restructurer nest-memo hits, all jobs *)
   memo_misses : int;  (** restructurer nest-memo misses, all jobs *)
-  memo_entries : int;  (** nests resident in the memo at snapshot *)
   breaker_state : string;  (** "closed" / "open" / "half-open" at snapshot *)
   faults_injected : int;  (** total chaos faults fired, all sites *)
   queue_high_water : int;
   cache : Cache.stats;
   cache_hit_rate : float;  (** hits over lookups, in [0,1] *)
-  p50_latency_ms : float;
-      (** submit-to-result, all outcomes; estimated from a fixed-size
-          reservoir sample, so memory stays bounded at any job count *)
-  p95_latency_ms : float;
-  max_latency_ms : float;  (** exact (tracked outside the sample) *)
-  latency_count : int;  (** exact number of latencies observed *)
   wall_s : float;  (** service lifetime, create to snapshot *)
-  throughput : float;  (** completed jobs per wall-clock second *)
 }
 
-val percentile : float -> float list -> float
-(** [percentile p xs]: the [p]-th percentile ([0..100]) of [xs] by
-    nearest-rank; 0 on the empty list. *)
+val latency_buckets : float list
+(** The bounds of [service_job_seconds] (submit to resolve): log-spaced,
+    4 per octave, from 2{^-20} s (about 1 µs) to 2{^7} s. *)
 
-val to_string : t -> string
-(** Multi-line human-readable summary, printed on shutdown.  A
-    "survival" line is appended only when faults were injected or any
-    self-healing machinery engaged; shard/replication lines only when
-    clustered. *)
+val latency_error : float
+(** 2{^1/8} − 1 ≈ 9.05%: a percentile read from those buckets is within
+    this relative error of the exact nearest-rank value inside the
+    bounds; below the lowest it reads as the lowest, above the highest
+    as the highest. *)
 
-val to_json : t -> string
-(** The same snapshot as one flat JSON object, for [cedarctl --json]
-    and the proxy's cluster-wide aggregation.  Self-contained emitter
-    (no JSON library); strings are escaped. *)
+val latency_ms : string -> int -> float
+(** [latency_ms dump p]: that estimate, in ms, of the [p]-th percentile
+    ([1..100]; 100 is the max) of a dump's unlabelled
+    [service_job_seconds]; 0 when it counted nothing. *)
+
+val render : ?json:bool -> string -> string
+(** A dump as the stats view: lines of text, or one flat JSON object
+    with [~json:true], every value read from its samples (wall time and
+    throughput run from [service_start_time_ms] to the local clock).  A
+    proxy's merged dump, which carries its member view
+    ([cluster_member_fails]), renders as the cluster view: the proxy's
+    own counters, then each member's view from its [shard]-labelled
+    samples ("unreachable", or null in JSON, without them). *)

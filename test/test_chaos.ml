@@ -153,7 +153,8 @@ let test_fault_metrics_track_ledger () =
     | _ -> 0
   in
   let site_counter s =
-    Printf.sprintf "service_fault_fired_%s_total" (Fault.site_name s)
+    Printf.sprintf "service_fault_fired_%s_total"
+      (String.map (function '-' -> '_' | c -> c) (Fault.site_name s))
   in
   let draws0 = read "service_fault_draws_total" in
   let fired0 = List.map (fun s -> read (site_counter s)) Fault.all_sites in

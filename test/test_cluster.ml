@@ -377,8 +377,8 @@ let test_wire_v2_roundtrip () =
       (1, W.Cache_push sample_push);
       (2, W.Cache_ack true);
       (3, W.Cache_ack false);
-      (4, W.Stats_json_req);
-      (5, W.Stats_json "{\"submitted\":3}");
+      (4, W.Metrics_req);
+      (5, W.Metrics_text "cluster_ring_epoch 1\n");
       (6, W.Members_req);
       (7, W.Members_json "{\"epoch\":1,\"shards\":[]}");
       (8, W.Cluster_add
@@ -406,7 +406,7 @@ let test_wire_version_stamps () =
         { W.sub_name = "x"; sub_source = "      END\n"; sub_options = opts;
           sub_trace = 0 };
       W.Cache_push sample_push;
-      W.Stats_json_req;
+      W.Metrics_req;
       W.Members_req;
       W.Cluster_add { W.ca_id = "x"; ca_host = "h"; ca_port = 1 };
     ];
@@ -905,6 +905,19 @@ let with_proxy_client proxy f =
       Fun.protect ~finally:(fun () -> Net.Client.close client) (fun () ->
           f client)
 
+(* the cluster stats view, rendered from the proxy's merged dump as
+   [cedarctl cluster stats --json] does *)
+let cluster_view client =
+  Result.map (Service.Stats.render ~json:true) (Net.Client.metrics client)
+
+let json_int = Test_net.json_int
+
+let registry name =
+  match Obs.Metrics.find Obs.Metrics.global name with
+  | `Counter n -> n
+  | `Gauge v -> int_of_float v
+  | `None -> 0
+
 let test_proxy_e2e_corpus_byte_identical () =
   (* the acceptance bar: the whole corpus through 3 shards behind the
      proxy, byte-identical to the in-process driver *)
@@ -928,7 +941,7 @@ let test_proxy_e2e_corpus_byte_identical () =
       | Error msg -> Alcotest.failf "%s: %s" w.Workloads.Workload.name msg)
     (Service.Traffic.corpus ());
   (* cluster-wide observability answers through the same socket *)
-  (match Net.Client.stats_json client with
+  (match cluster_view client with
   | Ok json ->
       Alcotest.(check bool) "aggregated stats name every shard" true
         (let has needle =
@@ -939,7 +952,7 @@ let test_proxy_e2e_corpus_byte_identical () =
            go 0
          in
          has "\"proxy\"" && has "\"s0\"" && has "\"s1\"" && has "\"s2\"")
-  | Error e -> Alcotest.failf "stats_json via proxy: %s" e);
+  | Error e -> Alcotest.failf "cluster view via proxy: %s" e);
   match Net.Client.members client with
   | Ok json ->
       Alcotest.(check bool) "membership served" true
@@ -1141,6 +1154,9 @@ let test_proxy_cluster_add_remove () =
   with_extra_shard "s3" @@ fun extra ->
   with_proxy_client proxy @@ fun client ->
   Alcotest.(check int) "epoch starts at 1" 1 (Cluster.Proxy.epoch proxy);
+  (* the process's proxies share one registry: the view's counts are
+     its totals, so they are checked against the registry's *)
+  let topology0 = registry "cluster_topology_changes_total" in
   let spec =
     { W.ca_id = "s3"; ca_host = "127.0.0.1";
       ca_port = Net.Server.port extra.h_net }
@@ -1164,12 +1180,12 @@ let test_proxy_cluster_add_remove () =
   | Ok ack -> Alcotest.(check bool) "bad shard id refused" false ack.W.ack_ok
   | Error e -> Alcotest.failf "cluster_add x\"y: %s" e);
   Alcotest.(check int) "refused id does not bump" 2 (Cluster.Proxy.epoch proxy);
-  (match Net.Client.stats_json client with
+  (match cluster_view client with
   | Ok json ->
       Alcotest.(check bool) "refused id left out of the view" false
         (contains json "x\"y");
-      Alcotest.(check bool) "stats view carries the epoch" true
-        (contains json "\"epoch\":2");
+      Alcotest.(check int) "stats view carries the epoch"
+        (registry "cluster_ring_epoch") (json_int json "epoch");
       Alcotest.(check bool) "stats view carries the joiner" true
         (contains json "\"s3\"");
       Alcotest.(check bool) "stats view carries replication counters"
@@ -1177,12 +1193,16 @@ let test_proxy_cluster_add_remove () =
         (contains json "\"replica_admitted\"");
       Alcotest.(check bool) "stats view carries proxy counters" true
         (contains json "\"proxy\"");
-      Alcotest.(check bool) "stats view carries the barrier counts" true
-        (contains json "\"stale_routes\":0"
-        && contains json "\"topology_changes\":1");
+      Alcotest.(check int) "stats view carries the stale routes"
+        (registry "cluster_proxy_stale_routes_total")
+        (json_int json "stale_routes");
+      Alcotest.(check int) "stats view counts the one change"
+        (topology0 + 1)
+        (json_int json "topology_changes");
       Alcotest.(check bool) "stats view carries read-repairs and pools" true
         (contains json "\"read_repairs\":" && contains json "\"pool_idle\":{")
-  | Error e -> Alcotest.failf "stats_json: %s" e);
+  | Error e -> Alcotest.failf "cluster view: %s" e);
+  Alcotest.(check int) "this proxy's epoch" 2 (Cluster.Proxy.epoch proxy);
   (* the cluster answers correctly on the four-shard ring *)
   List.iteri
     (fun i source ->
@@ -1210,11 +1230,14 @@ let test_proxy_cluster_add_remove () =
   | Ok ack ->
       Alcotest.(check bool) "unknown remove refused" false ack.W.ack_ok
   | Error e -> Alcotest.failf "cluster_remove ghost: %s" e);
-  (match Net.Client.stats_json client with
+  (* a shard's own view may still name s3 (in this process every shard
+     reads the one registry, whose shard id the last server set), so the
+     check is on s3's member entry, pool entry and shard section *)
+  (match cluster_view client with
   | Ok json ->
       Alcotest.(check bool) "removed shard left the view" false
-        (contains json "\"s3\"")
-  | Error e -> Alcotest.failf "stats_json after remove: %s" e);
+        (contains json "\"id\":\"s3\"" || contains json "\"s3\":")
+  | Error e -> Alcotest.failf "cluster view after remove: %s" e);
   Alcotest.(check int) "exactly the applied changes counted" 2
     (Cluster.Proxy.topology_changes_total proxy);
   Alcotest.(check int) "no stale routes" 0
@@ -1486,7 +1509,7 @@ let test_parse_shards () =
     ]
 
 let test_proxy_budget_refusals_counted () =
-  (* with no in-flight budget, each of the six relayed kinds is
+  (* with no in-flight budget, each of the five relayed kinds is
      refused at the front door with its own typed reply — and every
      refusal is counted in shed_total *)
   with_svc @@ fun svc ->
@@ -1530,8 +1553,7 @@ let test_proxy_budget_refusals_counted () =
             sub_trace = 0 },
         overloaded );
       (W.Cache_push push, W.Cache_ack false);
-      (W.Stats_req, overloaded);
-      (W.Stats_json_req, overloaded);
+      (W.Metrics_req, overloaded);
       ( W.Cluster_add { W.ca_id = "x"; ca_host = "127.0.0.1"; ca_port = 1 },
         membership_refused );
       (W.Cluster_remove "s0", membership_refused);
@@ -1551,6 +1573,102 @@ let test_proxy_budget_refusals_counted () =
     kinds;
   Alcotest.(check int) "every refusal counted" (List.length kinds)
     (Cluster.Proxy.shed_total proxy)
+
+(* A proxy answers Metrics_req with the cluster's dump: its own samples
+   bare, each live shard's labelled with the shard's id, and a Down
+   member in the member view, never dialed.  The labels survive into
+   the JSON that [cedarctl metrics --json] prints. *)
+let test_proxy_merged_dump () =
+  with_svc @@ fun svc ->
+  let net = Net.Server.create Net.Server.default_cfg svc in
+  Fun.protect ~finally:(fun () -> Net.Server.drain net) @@ fun () ->
+  (* s2 listens and never answers: each dial waits in its backlog *)
+  let silent = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close silent) @@ fun () ->
+  Unix.bind silent (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen silent 16;
+  Unix.set_nonblock silent;
+  let dials () =
+    let rec go n =
+      match Unix.accept silent with
+      | fd, _ ->
+          Unix.close fd;
+          go (n + 1)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> n
+    in
+    go 0
+  in
+  let silent_port =
+    match Unix.getsockname silent with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let port = Net.Server.port net in
+  let proxy =
+    Cluster.Proxy.create ~probe_ms:60_000.0 ~down_after:1
+      [ mk_shard "s0" port; mk_shard "s1" port; mk_shard "s2" silent_port ]
+  in
+  Fun.protect ~finally:(fun () -> Cluster.Proxy.drain proxy) @@ fun () ->
+  (* the prober's first round finds s2 silent and marks it Down (its
+     dials are accepted and dropped meanwhile); the next round is at
+     least 30 s away *)
+  let down () =
+    List.exists
+      (fun ((s : Cluster.Membership.shard), st, _) ->
+        s.sh_id = "s2" && st = Cluster.Membership.Down)
+      (Cluster.Membership.snapshot (Cluster.Proxy.membership proxy))
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (down ())) && Unix.gettimeofday () < deadline do
+    ignore (dials ());
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "the prober marked s2 Down" true (down ());
+  ignore (dials ());
+  with_proxy_client proxy @@ fun client ->
+  let dump =
+    match Net.Client.metrics client with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "metrics via proxy: %s" e
+  in
+  Alcotest.(check int) "the Down member was not dialed" 0 (dials ());
+  let samples =
+    List.concat_map (fun (f : Obs.Metrics.family) -> f.samples)
+      (Obs.Metrics.parse dump)
+  in
+  let has metric labels =
+    List.exists
+      (fun (s : Obs.Metrics.sample) -> s.metric = metric && s.labels = labels)
+      samples
+  in
+  let from id =
+    List.exists
+      (fun (s : Obs.Metrics.sample) -> List.assoc_opt "shard" s.labels = Some id)
+      samples
+  in
+  Alcotest.(check bool) "the proxy's own samples are bare" true
+    (has "cluster_proxy_routed_total" []);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ "'s samples labelled") true
+        (has "service_jobs_submitted_total" [ ("shard", id) ]))
+    [ "s0"; "s1" ];
+  Alcotest.(check bool) "no sample from the Down member" false (from "s2");
+  Alcotest.(check bool) "the Down member is in the view" true
+    (has "cluster_member_fails"
+       [ ("member", "s2"); ("host", "127.0.0.1");
+         ("port", string_of_int silent_port); ("state", "down") ]);
+  Alcotest.(check int) "one TYPE line per family" 1
+    (List.length
+       (List.filter
+          (String.equal "# TYPE service_jobs_submitted_total counter")
+          (String.split_on_char '\n' dump)));
+  Test_obs.check_exposition_names "the merged dump" dump;
+  Alcotest.(check bool) "labelled samples kept in the JSON" true
+    (contains (Obs.Metrics.json_of_dump dump) {|{"labels":{"shard":"s0"}|});
+  let view = Service.Stats.render ~json:true dump in
+  Alcotest.(check bool) "the view reports the Down member" true
+    (contains view {|"s2":null|} && contains view {|"state":"down"|})
 
 (* a shard's member view takes the proxy's checks: a malformed add is
    refused and applies nothing, and a valid add or remove acks with the
@@ -1692,4 +1810,6 @@ let tests =
       test_shard_checks_cluster_add;
     Alcotest.test_case "proxy: prober and metrics endpoint start no thread"
       `Quick test_proxy_starts_one_thread;
+    Alcotest.test_case "proxy: merged dump labels live shards only" `Quick
+      test_proxy_merged_dump;
   ]

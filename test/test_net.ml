@@ -160,7 +160,7 @@ let gen_cache_push =
          cp_notes;
        })
 
-(* every one of the wire's 19 kinds *)
+(* every one of the wire's 15 kinds *)
 let gen_message =
   let open G in
   frequency
@@ -169,16 +169,12 @@ let gen_message =
       (1, return W.Pong);
       (4, gen_submit);
       (4, map (fun r -> W.Result r) gen_reply);
-      (1, return W.Stats_req);
-      (1, map (fun s -> W.Stats_text s) gen_string);
       (1, return W.Metrics_req);
       (1, map (fun s -> W.Metrics_text s) gen_string);
       (1, return W.Shutdown_req);
       (1, return W.Shutdown_ack);
       (2, gen_cache_push);
       (1, map (fun b -> W.Cache_ack b) bool);
-      (1, return W.Stats_json_req);
-      (1, map (fun s -> W.Stats_json s) gen_string);
       (1, return W.Members_req);
       (1, map (fun s -> W.Members_json s) gen_string);
       ( 1,
@@ -381,7 +377,7 @@ let test_decoder_adversarial () =
       match with_byte 5 k with
       | Error (W.Bad_kind k') when k' = k -> ()
       | _ -> Alcotest.failf "kind %d: expected Bad_kind %d" k k)
-    [ 15; 16; 22; 23; 24; 99 ];
+    [ 5; 6; 13; 14; 15; 16; 22; 23; 24; 99 ];
   (* truncated payload *)
   let submit =
     W.encode ~id:1
@@ -583,10 +579,6 @@ let pinned_frames =
     ( "error",
       W.Result (W.R_error "unexpected pong frame"),
       "d53e01c46d5d3abda0789810537251c1" );
-    ("stats req", W.Stats_req, "0f3044a724517dc32b99e65e22690aa8");
-    ( "stats text",
-      W.Stats_text "jobs: 3 submitted",
-      "6ec66dc0a107861d336666b85b34f862" );
     ("metrics req", W.Metrics_req, "c5653523cacfeba5b31961018fc81688");
     ( "metrics text",
       W.Metrics_text "net_requests_total 3\n",
@@ -606,10 +598,6 @@ let pinned_frames =
         },
       "e122310a396d71f622280cf4cc21efb2" );
     ("cache ack", W.Cache_ack true, "bf7fb2d2bac89295570650ae74ecf0fb");
-    ("stats json req", W.Stats_json_req, "4b8afef92d56f53eb1c54f9c2ad38dc4");
-    ( "stats json",
-      W.Stats_json "{\"submitted\":3}",
-      "084b3f41a81a21a2500d032429bc22d7" );
     ("members req", W.Members_req, "852732842f31279f73518622d5736a25");
     ("members json", W.Members_json "[]", "37df260b57a8ce085b90196738e9ec19");
     ( "cluster add",
@@ -632,7 +620,7 @@ let test_frames_pinned () =
     pinned_frames
 
 (* the pins again through [append]: one buffer reused for every frame,
-   then all 26 frames back to back, each at its own offset *)
+   then all 22 frames back to back, each at its own offset *)
 let test_append_pinned () =
   let b = W.create_buffer () in
   List.iter
@@ -1128,12 +1116,12 @@ let test_stream_decoder () =
     (W.Stream.midframe st);
   (* two pipelined frames in one feed come out in order *)
   let st = W.Stream.create () in
-  feed_str st (W.encode ~id:1 W.Ping ^ W.encode ~id:2 W.Stats_req);
+  feed_str st (W.encode ~id:1 W.Ping ^ W.encode ~id:2 W.Metrics_req);
   (match W.Stream.next st with
   | `Frame (1, W.Ping) -> ()
   | _ -> Alcotest.fail "first pipelined frame");
   (match W.Stream.next st with
-  | `Frame (2, W.Stats_req) -> ()
+  | `Frame (2, W.Metrics_req) -> ()
   | _ -> Alcotest.fail "second pipelined frame");
   (* an over-cap payload drains in constant memory and resynchronizes *)
   let st = W.Stream.create ~max_payload:64 () in
@@ -1555,6 +1543,71 @@ let test_hit_major_budget () =
       if per_hit > 1600.0 then
         Alcotest.failf "%.0f direct-major words per hit (budget 1600)" per_hit
 
+(* the integer after ["key":] in a rendered view *)
+let json_int json key =
+  let needle = Printf.sprintf "\"%s\":" key in
+  let n = String.length needle in
+  let rec find i =
+    if i + n > String.length json then Alcotest.failf "no %s in %s" key json
+    else if String.sub json i n = needle then i + n
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < String.length json && json.[!stop] >= '0' && json.[!stop] <= '9' do
+    incr stop
+  done;
+  int_of_string (String.sub json start (!stop - start))
+
+(* every stats view is rendered from the metrics dump: the view's counts
+   are that dump's counters, and the text keeps every summary line *)
+let test_stats_view_reads_the_dump () =
+  with_net @@ fun _svc _net port ->
+  match Net.Client.connect (Net.Client.default_cfg ~port) with
+  | Error e -> Alcotest.failf "connect: %s" e
+  | Ok c ->
+      Fun.protect ~finally:(fun () -> Net.Client.close c) @@ fun () ->
+      (* a miss, then a hit *)
+      for _ = 1 to 2 do
+        match
+          Net.Client.submit c ~name:"saxpy"
+            ~options:(Restructurer.Options.auto_1991 cedar) saxpy_source
+        with
+        | Ok (W.R_done _) -> ()
+        | _ -> Alcotest.fail "saxpy did not complete"
+      done;
+      let dump =
+        match Net.Client.metrics c with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "metrics: %s" e
+      in
+      let scraped metric =
+        List.find_map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ m; v ] when m = metric -> int_of_string_opt v
+            | _ -> None)
+          (String.split_on_char '\n' dump)
+        |> Option.get
+      in
+      let json = Service.Stats.render ~json:true dump in
+      List.iter
+        (fun (field, metric) ->
+          Alcotest.(check int) field (scraped metric) (json_int json field))
+        [
+          ("submitted", "service_jobs_submitted_total");
+          ("completed", "service_jobs_completed_total");
+          ("cache_hits", "service_cache_hits_total");
+          ("cache_misses", "service_cache_misses_total");
+        ];
+      let lines = String.split_on_char '\n' (Service.Stats.render dump) in
+      List.iter
+        (fun prefix ->
+          Alcotest.(check bool) (prefix ^ "line printed") true
+            (List.exists (String.starts_with ~prefix) lines))
+        [ "jobs "; "rungs "; "queue "; "cache "; "memo "; "latency ";
+          "throughput " ]
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
@@ -1629,4 +1682,6 @@ let tests =
       test_buffers_shrink;
     Alcotest.test_case "budget: a warm hit's direct-major words" `Quick
       test_hit_major_budget;
+    Alcotest.test_case "stats: the view reads the dump's counters" `Quick
+      test_stats_view_reads_the_dump;
   ]

@@ -457,7 +457,11 @@ let test_gauge_ops () =
   M.set_gauge g 4.0;
   M.add_gauge g 1.5;
   M.add_gauge g (-2.0);
-  Alcotest.(check (float 1e-9)) "set/add" 3.5 (M.gauge_value g)
+  Alcotest.(check (float 1e-9)) "set/add" 3.5 (M.gauge_value g);
+  M.raise_gauge g 2.0;
+  Alcotest.(check (float 1e-9)) "raise keeps the larger" 3.5 (M.gauge_value g);
+  M.raise_gauge g 7.0;
+  Alcotest.(check (float 1e-9)) "raise to a new high" 7.0 (M.gauge_value g)
 
 let test_histogram_buckets () =
   let r = M.create () in
@@ -638,6 +642,92 @@ let test_metrics_json_pinned () =
     ^ {|"buckets":[{"le":0.1,"n":1},{"le":1,"n":2}]}}|})
     (M.json_of_dump (M.dump r))
 
+(* a labelled set of samples is kept, as one entry of the family's
+   "series" *)
+let test_metrics_json_series () =
+  let text =
+    "# TYPE jobs_total counter\njobs_total 3\njobs_total{shard=\"a\"} 5\n\
+     # TYPE secs histogram\nsecs_bucket{shard=\"a\",le=\"1\"} 1\n\
+     secs_bucket{shard=\"a\",le=\"+Inf\"} 2\nsecs_sum{shard=\"a\"} 2.5\n\
+     secs_count{shard=\"a\"} 2\n"
+  in
+  Alcotest.(check string) "json_of_dump with labels"
+    ({|{"jobs_total":{"type":"counter","value":3,|}
+    ^ {|"series":[{"labels":{"shard":"a"},"value":5}]},|}
+    ^ {|"secs":{"type":"histogram","series":[{"labels":{"shard":"a"},|}
+    ^ {|"count":2,"sum":2.5,"buckets":[{"le":1,"n":1}]}]}}|})
+    (M.json_of_dump text)
+
+(* an info dumps as a one-label gauge; its value is escaped in the text
+   and [parse] gives it back, so [print (parse d) = d] *)
+let test_info_parse_roundtrip () =
+  let r = M.create () in
+  M.set_info (M.info ~help:"who" r "svc_info" ~key:"id") "a\"b\\c";
+  M.observe (M.histogram ~buckets:[ 0.5 ] r "secs") 0.25;
+  let d = M.dump r in
+  Alcotest.(check bool) "info sample escaped" true
+    (String.starts_with d
+       ~prefix:"# TYPE secs histogram\nsecs_bucket{le=\"0.5\"} 1\n");
+  Alcotest.(check bool) "info line" true
+    (List.mem {|svc_info{id="a\"b\\c"} 1|} (String.split_on_char '\n' d));
+  Alcotest.(check string) "print (parse d) = d" d (M.print (M.parse d));
+  match List.rev (M.parse d) with
+  | { M.name = "svc_info"; samples = [ s ]; _ } :: _ ->
+      Alcotest.(check (list (pair string string))) "label unescaped"
+        [ ("id", "a\"b\\c") ] s.M.labels
+  | _ -> Alcotest.fail "expected the info family last"
+
+(* any label value survives print and parse: quotes, backslashes,
+   newlines, braces, commas and spaces included *)
+let prop_labels_roundtrip =
+  QCheck.Test.make ~name:"metrics: label values survive print and parse"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(1 -- 4)
+        (string_gen_of_size Gen.(0 -- 12)
+           Gen.(oneofl [ 'a'; '"'; '\\'; '\n'; '{'; '}'; ','; ' '; '='; '\t' ])))
+    (fun values ->
+      let samples =
+        List.mapi
+          (fun i v -> { M.metric = "x"; labels = [ ("k", v); ("i", string_of_int i) ]; value = "1" })
+          values
+      in
+      let fams = [ { M.name = "x"; kind = "gauge"; help = ""; samples } ] in
+      M.parse (M.print fams) = fams)
+
+(* The exposition grammar: a family name is [a-zA-Z_:][a-zA-Z0-9_:]*, a
+   label name [a-zA-Z_][a-zA-Z0-9_]*.  A scraper refuses a whole page
+   over one malformed name. *)
+let check_exposition_names what text =
+  let valid ~colon name =
+    name <> ""
+    && (not (name.[0] >= '0' && name.[0] <= '9'))
+    && String.for_all
+         (function
+           | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
+           | ':' -> colon
+           | _ -> false)
+         name
+  in
+  let fams = M.parse text in
+  Alcotest.(check bool) (what ^ " has families") true (fams <> []);
+  List.iter
+    (fun (f : M.family) ->
+      if not (valid ~colon:true f.M.name) then
+        Alcotest.failf "%s: family name %S" what f.M.name;
+      List.iter
+        (fun (s : M.sample) ->
+          List.iter
+            (fun (k, _) ->
+              if not (valid ~colon:false k) then
+                Alcotest.failf "%s: label %S of %s" what k s.M.metric)
+            s.M.labels)
+        f.M.samples)
+    fams
+
+let test_global_names_valid () =
+  check_exposition_names "the global dump" (M.dump M.global)
+
 let interesting decision =
   decision = "parallelized"
   || String.length decision >= 7
@@ -764,4 +854,11 @@ let tests =
     Alcotest.test_case "metrics: children count into their parent" `Quick
       test_counter_children;
     QCheck_alcotest.to_alcotest prop_decisions_have_spans;
+    Alcotest.test_case "metrics: json_of_dump keeps labelled series" `Quick
+      test_metrics_json_series;
+    Alcotest.test_case "metrics: info dumps and parses back" `Quick
+      test_info_parse_roundtrip;
+    Alcotest.test_case "metrics: every global name is valid exposition"
+      `Quick test_global_names_valid;
+    QCheck_alcotest.to_alcotest prop_labels_roundtrip;
   ]

@@ -144,64 +144,61 @@ let test_cache_lru_order_after_many_hits () =
     [ ("k1", 1); ("k2", 2); ("k4", 4) ]
 
 (* ------------------------------------------------------------------ *)
-(* Stats                                                               *)
+(* Latency percentiles from the job histogram                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_percentiles () =
-  let xs = List.init 100 (fun i -> float_of_int (i + 1)) in
-  Alcotest.(check (float 1e-9)) "p50" 50.0 (Stats.percentile 50.0 xs);
-  Alcotest.(check (float 1e-9)) "p95" 95.0 (Stats.percentile 95.0 xs);
-  Alcotest.(check (float 1e-9)) "p100" 100.0 (Stats.percentile 100.0 xs);
-  Alcotest.(check (float 1e-9)) "empty" 0.0 (Stats.percentile 50.0 []);
-  Alcotest.(check (float 1e-9)) "singleton" 7.0 (Stats.percentile 95.0 [ 7.0 ])
-
-(* ------------------------------------------------------------------ *)
-(* Reservoir sample                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let test_reservoir_basics () =
-  let r = Reservoir.create ~capacity:4 () in
-  Alcotest.(check int) "empty count" 0 (Reservoir.count r);
-  Alcotest.(check (float 1e-9)) "empty max" 0.0 (Reservoir.max_value r);
-  List.iter (Reservoir.add r) [ 3.0; 1.0; 2.0 ];
-  Alcotest.(check int) "filling keeps all" 3 (List.length (Reservoir.sample r));
-  List.iter (Reservoir.add r) [ 9.0; 4.0; 5.0; 6.0 ];
-  Alcotest.(check int) "exact count" 7 (Reservoir.count r);
-  Alcotest.(check (float 1e-9)) "exact max survives sampling" 9.0
-    (Reservoir.max_value r);
-  Alcotest.(check int) "sample bounded" 4 (List.length (Reservoir.sample r));
-  Alcotest.check_raises "capacity < 1"
-    (Invalid_argument "Reservoir.create: capacity < 1") (fun () ->
-      ignore (Reservoir.create ~capacity:0 ()))
-
-let test_reservoir_percentile_accuracy () =
-  (* the regression the reservoir replaces the unbounded latency list
-     with: p50/p95 estimated from a 1024-slot sample of 10_000 skewed
-     observations must stay within a few percent of the exact values *)
-  let rng = Random.State.make [| 2024 |] in
-  let values =
-    List.init 10_000 (fun _ ->
-        (* long-tailed, like service latencies *)
-        let u = Random.State.float rng 1.0 in
-        1.0 +. (100.0 *. u *. u *. u))
+(* [samples] (seconds) counted into a private registry's
+   service_job_seconds, laid out as the server's *)
+let job_dump samples =
+  let r = Obs.Metrics.create () in
+  let h =
+    Obs.Metrics.histogram ~buckets:Stats.latency_buckets r "service_job_seconds"
   in
-  let r = Reservoir.create ~capacity:1024 () in
-  List.iter (Reservoir.add r) values;
-  let exact p = Stats.percentile p values in
-  let sampled p = Stats.percentile p (Reservoir.sample r) in
-  let rel_err p = abs_float (sampled p -. exact p) /. exact p in
-  Alcotest.(check bool)
-    (Printf.sprintf "p50 within 10%% (err %.3f)" (rel_err 50.0))
-    true
-    (rel_err 50.0 < 0.10);
-  Alcotest.(check bool)
-    (Printf.sprintf "p95 within 10%% (err %.3f)" (rel_err 95.0))
-    true
-    (rel_err 95.0 < 0.10);
-  Alcotest.(check int) "exact count kept" 10_000 (Reservoir.count r);
-  Alcotest.(check (float 1e-9)) "exact max kept"
-    (List.fold_left Float.max 0.0 values)
-    (Reservoir.max_value r)
+  List.iter (Obs.Metrics.observe h) samples;
+  Obs.Metrics.dump r
+
+(* seeded latency samples in seconds: warm-like hits, cold-like misses,
+   and a Pareto tail (alpha 1.2 from 100 us) kept under the top bound *)
+let gen_latencies =
+  let open QCheck.Gen in
+  let uniform lo hi = map (fun u -> lo +. (u *. (hi -. lo))) (float_bound_inclusive 1.0) in
+  let pareto =
+    map
+      (fun u -> Float.min 100.0 (100e-6 /. Float.pow (1.0 -. u) (1.0 /. 1.2)))
+      (float_bound_exclusive 1.0)
+  in
+  let* draw = oneofl [ uniform 50e-6 500e-6; uniform 0.5e-3 20e-3; pareto ] in
+  let* n = int_range 1 2000 in
+  list_repeat n draw
+
+(* the dump's bounds carry 6 significant digits: 1e-5 covers them *)
+let prop_bucket_estimates =
+  QCheck.Test.make ~name:"stats: p50/p95/max bucket estimates within the bound"
+    ~count:200 ~long_factor:10
+    (QCheck.make gen_latencies ~print:(fun xs ->
+         String.concat " " (List.map string_of_float xs)))
+    (fun samples ->
+      let dump = job_dump samples in
+      let sorted = Array.of_list samples in
+      Array.sort compare sorted;
+      let n = Array.length sorted in
+      List.for_all
+        (fun p ->
+          let exact = 1000.0 *. sorted.(((p * n) + 99) / 100 - 1) in
+          let est = Stats.latency_ms dump p in
+          Float.abs (est -. exact) <= (Stats.latency_error +. 1e-5) *. exact)
+        [ 50; 95; 100 ])
+
+let test_estimates_out_of_range () =
+  let lowest = List.hd Stats.latency_buckets
+  and highest = List.nth Stats.latency_buckets (List.length Stats.latency_buckets - 1) in
+  let close want got = Float.abs (got -. want) <= 1e-5 *. want in
+  Alcotest.(check bool) "below the lowest bound reads as that bound" true
+    (close (1000.0 *. lowest) (Stats.latency_ms (job_dump [ lowest /. 10.0 ]) 50));
+  Alcotest.(check bool) "above the highest bound reads as that bound" true
+    (close (1000.0 *. highest) (Stats.latency_ms (job_dump [ 10.0 *. highest ]) 100));
+  Alcotest.(check (float 0.0)) "no observation reads 0" 0.0
+    (Stats.latency_ms (job_dump []) 95)
 
 (* ------------------------------------------------------------------ *)
 (* Fuel counter                                                        *)
@@ -730,8 +727,10 @@ let test_traffic_closed_loop () =
   Alcotest.(check int) "completed all" 30 stats.Stats.completed;
   Alcotest.(check bool) "queue bounded by clients" true
     (stats.Stats.queue_high_water <= 4);
+  (* the process's job histogram, this server's jobs among its counts *)
+  let dump = Obs.Metrics.dump Obs.Metrics.global in
   Alcotest.(check bool) "p95 >= p50" true
-    (stats.Stats.p95_latency_ms >= stats.Stats.p50_latency_ms)
+    (Stats.latency_ms dump 95 >= Stats.latency_ms dump 50)
 
 (* ------------------------------------------------------------------ *)
 (* Cold paths: closing, expiring, racing, shutting down                *)
@@ -851,11 +850,9 @@ let tests =
       test_cache_recency_bounded;
     Alcotest.test_case "cache: LRU order kept across many hits" `Quick
       test_cache_lru_order_after_many_hits;
-    Alcotest.test_case "stats: nearest-rank percentiles" `Quick test_percentiles;
-    Alcotest.test_case "reservoir: exact count/max, bounded sample" `Quick
-      test_reservoir_basics;
-    Alcotest.test_case "reservoir: p50/p95 within tolerance of exact" `Quick
-      test_reservoir_percentile_accuracy;
+    QCheck_alcotest.to_alcotest prop_bucket_estimates;
+    Alcotest.test_case "stats: estimates below and above the buckets" `Quick
+      test_estimates_out_of_range;
     Alcotest.test_case "fuel: polls inside the dependence pair scan" `Quick
       test_fuel_polls_inside_dependence_analysis;
     Alcotest.test_case "fuel: polls inside the interpreter serial loop" `Quick

@@ -196,11 +196,3 @@ let privatizable ~outer_index a (body : Ast.stmt list) : bool =
   in
   (match events with [] -> false | _ -> true) && walk [] events
 
-(** Whether the array's final contents are needed after the loop (then the
-    privatized copy of the last iteration must be copied out; we
-    conservatively refuse in that case, like the 1991 system). *)
-let candidates ~outer_index ~(live_after : string -> bool)
-    (arrays : string list) (body : Ast.stmt list) : string list =
-  List.filter
-    (fun a -> (not (live_after a)) && privatizable ~outer_index a body)
-    arrays

@@ -17,10 +17,3 @@ val covers : region -> region -> bool
 val privatizable :
   outer_index:string -> string -> Fortran.Ast.stmt list -> bool
 (** Is the array privatizable in the loop over [outer_index]? *)
-
-val candidates :
-  outer_index:string ->
-  live_after:(string -> bool) ->
-  string list ->
-  Fortran.Ast.stmt list ->
-  string list

@@ -142,8 +142,3 @@ let recognize a (body : Ast.stmt list) : array_reduction option =
     match List.sort_uniq compare !ops with
     | [ op ] -> Some { ar_array = a; ar_op = op; ar_sites = !sites }
     | _ -> None
-
-(** All reduction arrays among the carried-dependence arrays of a loop. *)
-let recognize_all (arrays : string list) (body : Ast.stmt list) :
-    array_reduction list =
-  List.filter_map (fun a -> recognize a body) arrays

@@ -17,5 +17,3 @@ val accum_form :
 val recognize : string -> Fortran.Ast.stmt list -> array_reduction option
 (** Is every access to the array in the body an accumulation with a
     single operator (and no other read)? *)
-
-val recognize_all : string list -> Fortran.Ast.stmt list -> array_reduction list

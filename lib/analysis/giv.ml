@@ -247,15 +247,3 @@ let recognize ~(lvl : Loops.level) v (body : Ast.stmt list) :
             | _ -> None)
         | _ -> None)
     | _ -> None
-
-(** All GIVs of a loop, given the scalar classification. *)
-let recognize_all ~(lvl : Loops.level) (cls : Scalars.result)
-    (body : Ast.stmt list) : closed_form list =
-  SMap.fold
-    (fun v c acc ->
-      match c with
-      | Scalars.Induction _ -> (
-          match recognize ~lvl v body with Some cf -> cf :: acc | None -> acc)
-      | _ -> acc)
-    cls.Scalars.classes []
-  |> List.rev

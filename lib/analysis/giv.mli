@@ -17,6 +17,3 @@ val recognize :
   lvl:Loops.level -> string -> Fortran.Ast.stmt list -> closed_form option
 (** Recognize [v] as a GIV of the given loop; [None] when no supported
     pattern matches (multiple updates, non-unit steps, …). *)
-
-val recognize_all :
-  lvl:Loops.level -> Scalars.result -> Fortran.Ast.stmt list -> closed_form list

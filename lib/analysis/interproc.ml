@@ -35,8 +35,9 @@ type t = {
 
 let find t name = SMap.find_opt (String.lowercase_ascii name) t.summaries
 
-(* collect direct per-unit facts *)
-let direct_summary (u : Ast.punit) (syms : Symbols.t) : summary =
+(* collect direct per-unit facts from the body's one walk *)
+let direct_summary (u : Ast.punit) (syms : Symbols.t)
+    (facts : Ast_utils.body_facts) : summary =
   let formals =
     match u.u_kind with
     | Ast.Program -> []
@@ -51,39 +52,21 @@ let direct_summary (u : Ast.punit) (syms : Symbols.t) : summary =
         else acc)
       syms.Symbols.syms SSet.empty
   in
-  let reads = Ast_utils.reads_of u.u_body in
-  let writes = Ast_utils.writes_of u.u_body in
+  let reads = facts.Ast_utils.reads and writes = facts.Ast_utils.writes in
   let fuse = Array.make nf false and fdef = Array.make nf false in
   List.iteri
     (fun i f ->
       if SSet.mem f reads then fuse.(i) <- true;
       if SSet.mem f writes then fdef.(i) <- true)
     formals;
-  let calls =
-    Ast_utils.fold_stmts
-      (fun acc s ->
-        match s with
-        | Ast.CallSt (n, _) -> n :: acc
-        | Ast.Assign (_, e) ->
-            Ast_utils.fold_expr
-              (fun acc e ->
-                match e with
-                | Ast.Call (n, _) when not (Ast.is_intrinsic n) -> n :: acc
-                | _ -> acc)
-              acc e
-        | _ -> acc)
-      [] u.u_body
-    |> List.sort_uniq compare
-  in
-  let has_io = Ast_utils.contains_io u.u_body in
   {
     s_unit = String.lowercase_ascii u.u_name;
     s_formal_use = fuse;
     s_formal_def = fdef;
     s_common_use = SSet.inter reads commons;
     s_common_def = SSet.inter writes commons;
-    s_calls = List.map String.lowercase_ascii calls;
-    s_has_io = has_io;
+    s_calls = List.map String.lowercase_ascii facts.Ast_utils.calls;
+    s_has_io = facts.Ast_utils.io;
     s_pure = false;
   }
 
@@ -93,14 +76,21 @@ let direct_summary (u : Ast.punit) (syms : Symbols.t) : summary =
     is considered defined (the caller-side refinement happens in the
     restructurer using positions). *)
 let analyze (prog : Ast.program) : t =
-  let tables = List.map (fun u -> (u, Symbols.of_unit u)) prog in
-  let direct =
+  (* one walk per unit body: its table is built from reads ∪ writes,
+     which is the [names_of] that [Symbols.of_unit] would walk for *)
+  let direct, tables =
     List.fold_left
-      (fun acc (u, syms) ->
-        let s = direct_summary u syms in
-        SMap.add s.s_unit s acc)
-      SMap.empty tables
+      (fun (acc, tables) u ->
+        let facts = Ast_utils.body_facts u.Ast.u_body in
+        let syms =
+          Symbols.of_decls u
+            ~used:(SSet.union facts.Ast_utils.reads facts.Ast_utils.writes)
+        in
+        let s = direct_summary u syms facts in
+        (SMap.add s.s_unit s acc, (u, syms) :: tables))
+      (SMap.empty, []) prog
   in
+  let tables = List.rev tables in
   (* fixpoint on common use/def and io through calls *)
   let tbl = ref direct in
   let changed = ref true in

@@ -9,13 +9,6 @@ type candidate = {
   rt_condition : Fortran.Ast.expr;  (** guard for the parallel version *)
 }
 
-val decompose :
-  indices:string list ->
-  invariant:(Fortran.Ast.expr -> bool) ->
-  Fortran.Ast.expr ->
-  (string * Fortran.Ast.expr) list option
-(** Per-index coefficient expressions of a linearized subscript. *)
-
 val condition_for :
   levels:Loops.level list ->
   invariant:(Fortran.Ast.expr -> bool) ->

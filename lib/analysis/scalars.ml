@@ -347,10 +347,3 @@ let classify ~(index : string) ~(live_after : string -> bool)
       tbl SMap.empty
   in
   { classes; exposed }
-
-(** The scalars that block DOALL conversion outright. *)
-let blockers (r : result) =
-  SMap.fold
-    (fun v c acc -> match c with Shared_dep -> v :: acc | _ -> acc)
-    r.classes []
-  |> List.rev

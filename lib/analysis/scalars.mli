@@ -50,5 +50,3 @@ type result = { classes : classification SMap.t; exposed : SSet.t }
 val classify :
   index:string -> live_after:(string -> bool) -> Fortran.Ast.stmt list -> result
 (** Classify every scalar written in the loop body. *)
-
-val blockers : result -> string list

@@ -111,12 +111,6 @@ let add_lhs_reads acc = function
 let subst_var v r e =
   map_expr (function Var x when x = v -> r | x -> x) e
 
-let subst_var_lhs v r = function
-  | LVar x -> LVar x
-  | LIdx (a, args) -> LIdx (a, List.map (subst_var v r) args)
-  | LSection (a, dims) ->
-      LSection (a, List.map (map_section_dim (function Var x when x = v -> r | x -> x)) dims)
-
 (* ------------------------------------------------------------------ *)
 (* Statement traversal                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -336,6 +330,58 @@ let rec stmt_names acc s =
 (** Every name the statements read or write:
     [SSet.union (reads_of stmts) (writes_of stmts)]. *)
 let names_of stmts = List.fold_left stmt_names SSet.empty stmts
+
+(** What a routine's interprocedural summary needs from its body, in one
+    walk: [reads_of], [writes_of], the routines it calls (each CALL, and
+    each non-intrinsic function reference on an assignment's right-hand
+    side), and whether it does I/O ([contains_io]). *)
+type body_facts = {
+  reads : SSet.t;
+  writes : SSet.t;
+  calls : string list;  (** sorted, without repeats *)
+  io : bool;
+}
+
+let body_facts stmts =
+  let reads = ref SSet.empty
+  and writes = ref SSet.empty
+  and calls = ref []
+  and io = ref false in
+  let rec stmt s =
+    match s with
+    | If (c, t, e) ->
+        reads := add_expr_vars !reads c;
+        List.iter stmt t;
+        List.iter stmt e
+    | Do (hdr, blk) ->
+        writes := SSet.add hdr.index !writes;
+        reads := add_opt_vars (add_expr_vars (add_expr_vars !reads hdr.lo) hdr.hi) hdr.step;
+        List.iter stmt blk.preamble;
+        List.iter stmt blk.body;
+        List.iter stmt blk.postamble
+    | Where (m, body) ->
+        reads := add_expr_vars !reads m;
+        List.iter stmt body
+    | Labeled (_, s) -> stmt s
+    | Assign _ | CallSt _ | Print _ | Read _ | Return | Stop | Continue | Goto _ -> (
+        (* a simple statement: the per-statement folds do not recurse *)
+        reads := stmt_reads !reads s;
+        writes := stmt_writes !writes s;
+        match s with
+        | Assign (_, e) ->
+            calls :=
+              fold_expr
+                (fun acc e ->
+                  match e with
+                  | Call (n, _) when not (is_intrinsic n) -> n :: acc
+                  | _ -> acc)
+                !calls e
+        | CallSt (n, _) -> calls := n :: !calls
+        | Print _ | Read _ -> io := true
+        | _ -> ())
+  in
+  List.iter stmt stmts;
+  { reads = !reads; writes = !writes; calls = List.sort_uniq String.compare !calls; io = !io }
 
 (** The coefficient of [index] in an expression viewed structurally as a
     sum of terms: terms free of the index may be arbitrarily nonlinear in

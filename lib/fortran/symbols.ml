@@ -89,9 +89,10 @@ let implicit_type name =
     | 'i' | 'j' | 'k' | 'l' | 'm' | 'n' -> Integer
     | _ -> Real
 
-(** Build the symbol table of one unit; variables used but not declared get
-    implicit typing. *)
-let of_unit (u : punit) : t =
+(** Build the symbol table of one unit from its declarations, COMMON
+    blocks, EQUIVALENCEs and formals; each name of [used] not declared
+    otherwise gets implicit typing. *)
+let of_decls (u : punit) ~(used : SSet.t) : t =
   let formals =
     match u.u_kind with
     | Program -> []
@@ -147,7 +148,6 @@ let of_unit (u : punit) : t =
       SMap.empty u.u_decls
   in
   (* add implicitly declared scalars used in the body *)
-  let used = Ast_utils.names_of u.u_body in
   let syms =
     SSet.fold
       (fun v acc ->
@@ -165,6 +165,8 @@ let of_unit (u : punit) : t =
       syms formals
   in
   { syms; params = u.u_params; unit_name = u.u_name; formals }
+
+let of_unit (u : punit) = of_decls u ~used:(Ast_utils.names_of u.u_body)
 
 (** Interface data of the unit: formals, commons, equivalenced vars — data
     whose usage may cross a routine boundary (the paper's placement

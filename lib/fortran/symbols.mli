@@ -31,6 +31,10 @@ val implicit_type : string -> Ast.dtype
 val of_unit : Ast.punit -> t
 (** Build the table; names used but not declared get implicit typing. *)
 
+val of_decls : Ast.punit -> used:SSet.t -> t
+(** The table with [used] standing for the names the body mentions:
+    [of_unit u = of_decls u ~used:(Ast_utils.names_of u.u_body)]. *)
+
 val lookup : t -> string -> sym option
 val is_array : t -> string -> bool
 val rank : t -> string -> int

@@ -243,6 +243,7 @@ let request t msg =
       match run c with
       | `Ok reply -> Ok reply
       | `Fatal msg -> Error msg
+      | `Retry why when t.cfg.max_attempts <= 1 -> Error why
       | `Retry why -> (
           (* reconnect with backoff and resend exactly once: the server
              side is idempotent (content-addressed cache) *)

@@ -15,7 +15,8 @@
     up to [max_attempts] and resends the request once on the fresh
     connection.  Requests are idempotent at the server (the result
     cache is content-addressed), so a resend after an ambiguous failure
-    is safe.
+    is safe.  A client with [max_attempts = 1] (the membership prober's)
+    never redials: its one connection attempt is the whole request.
 
     {!drive} is the closed-loop load generator over real sockets: the
     socket-side twin of {!Service.Traffic.run}, drawing the {e same}
@@ -60,9 +61,9 @@ val close : t -> unit
 
 val request : t -> Wire.message -> (Wire.message, string) result
 (** Send one message and wait for its reply (matched by request id).
-    Reconnects and resends once if the connection proves dead.  A
-    request that times out drops the connection; the next request
-    dials a fresh one. *)
+    Reconnects and resends once if the connection proves dead, unless
+    [max_attempts] is 1.  A request that times out drops the
+    connection; the next request dials a fresh one. *)
 
 val ping : t -> (float, string) result
 (** Round-trip a {!Wire.Ping}; returns the RTT in seconds. *)

@@ -4,23 +4,13 @@
 
 val same_bounds : Fortran.Ast.do_header -> Fortran.Ast.do_header -> bool
 
-val fusable :
-  Fortran.Ast.do_header ->
-  Fortran.Ast.stmt list ->
-  Fortran.Ast.do_header ->
-  Fortran.Ast.stmt list ->
-  bool
-(** Legality: shared arrays accessed elementwise-identically and moving
-    with the fused index; shared scalars only flowing forward into
-    write-before-read uses; no index capture. *)
-
 val fuse :
   Fortran.Ast.do_header ->
   Fortran.Ast.stmt list ->
   Fortran.Ast.do_header ->
   Fortran.Ast.stmt list ->
   Fortran.Ast.stmt
-(** Fuse two compatible loops (the caller checks {!fusable}). *)
+(** Fuse two compatible loops (the caller checks legality). *)
 
 val fuse_region :
   Fortran.Ast.stmt ->

@@ -16,18 +16,6 @@ type limits = { max_depth : int; max_stmts : int }
 
 val default_limits : limits
 
-val inline_call :
-  limits:limits ->
-  depth:int ->
-  csyms:Fortran.Symbols.t ->
-  Fortran.Ast.punit ->
-  Fortran.Ast.expr list ->
-  (Fortran.Ast.stmt list * Fortran.Ast.decl list, failure) result
-(** Inline one call site of a callee whose symbol table is [csyms]:
-    returns the replacement statements and the renamed callee locals to
-    declare in the caller.  Column-anchored actuals ([conc(1, j)] bound
-    to a rank-1 formal) rebuild the caller's full subscripts. *)
-
 val inline_unit :
   ?limits:limits ->
   syms:(Fortran.Ast.punit -> Fortran.Symbols.t) ->

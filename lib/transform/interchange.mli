@@ -9,12 +9,6 @@
 
 open Fortran
 
-val perfectly_nested :
-  Ast.stmt -> (Ast.do_header * Ast.do_header * Ast.stmt list) option
-(** [Do (h1, [Do (h2, body)])] with no other statements between (labels
-    and [CONTINUE] padding are ignored); both loops must be serial
-    [DO]s.  Returns [(h1, h2, body)]. *)
-
 val bounds_invariant_of : Ast.do_header -> string -> bool
 (** Do the lo/hi/step bounds of the header avoid mentioning [index]? *)
 

@@ -22,9 +22,6 @@ val issue_to_string : issue -> string
 val check_program : Fortran.Ast.program -> issue list
 (** Statically check every parallel loop of every unit. *)
 
-val check_unit : Analysis.Interproc.t -> Fortran.Ast.punit -> issue list
-(** Check one unit against precomputed interprocedural summaries. *)
-
 val check_stmts_in :
   syms:Fortran.Symbols.t ->
   interproc:Analysis.Interproc.t ->

@@ -977,6 +977,79 @@ let test_names_of_one_walk () =
   Alcotest.(check bool) "over a thousand statements checked" true
     (!checked > 1000)
 
+(* [Ast_utils.body_facts] walks a unit body once for what Interproc's
+   summary walked it four times for, and the table Interproc builds from
+   its reads and writes is the one [Symbols.of_unit] builds: over every
+   unit of the corpus (before and after restructuring), the synthetic
+   kernels and 200 programs from each fuzz generator. *)
+let test_body_facts_one_walk () =
+  let module SSet = Ast_utils.SSet in
+  (* the calls fold the summary used to run *)
+  let calls_of body =
+    Ast_utils.fold_stmts
+      (fun acc s ->
+        match s with
+        | Ast.CallSt (n, _) -> n :: acc
+        | Ast.Assign (_, e) ->
+            Ast_utils.fold_expr
+              (fun acc e ->
+                match e with
+                | Ast.Call (n, _) when not (Ast.is_intrinsic n) -> n :: acc
+                | _ -> acc)
+              acc e
+        | _ -> acc)
+      [] body
+    |> List.sort_uniq compare
+  in
+  let units = ref 0 in
+  let check label prog =
+    let ip = Interproc.analyze prog in
+    List.iter
+      (fun (u : Ast.punit) ->
+        let body = u.Ast.u_body and what = label ^ "/" ^ u.Ast.u_name in
+        let f = Ast_utils.body_facts body in
+        let set name a b =
+          if not (SSet.equal a b) then Alcotest.failf "%s: %s differ" what name
+        in
+        set "reads" f.Ast_utils.reads (Ast_utils.reads_of body);
+        set "writes" f.Ast_utils.writes (Ast_utils.writes_of body);
+        if f.Ast_utils.calls <> calls_of body then Alcotest.failf "%s: calls differ" what;
+        if f.Ast_utils.io <> Ast_utils.contains_io body then Alcotest.failf "%s: I/O differs" what;
+        let a = Interproc.symbols ip u and b = Symbols.of_unit u in
+        if
+          SMap.bindings a.Symbols.syms <> SMap.bindings b.Symbols.syms
+          || (a.Symbols.params, a.Symbols.unit_name, a.Symbols.formals)
+             <> (b.Symbols.params, b.Symbols.unit_name, b.Symbols.formals)
+        then Alcotest.failf "%s: table differs from of_unit" what;
+        incr units)
+      prog
+  in
+  List.iter
+    (fun w ->
+      let name = w.Workloads.Workload.name in
+      let prog = Parser.parse_program (w.Workloads.Workload.source w.Workloads.Workload.small_size) in
+      check name prog;
+      List.iter
+        (fun (set, opts) ->
+          check (name ^ " [" ^ set ^ "]")
+            (Restructurer.Driver.restructure (opts Machine.Config.cedar_config1) prog)
+              .Restructurer.Driver.program)
+        [ ("auto", Restructurer.Options.auto_1991); ("advanced", Restructurer.Options.advanced) ])
+    (Workloads.Linalg.all @ Workloads.Perfect.all);
+  List.iter
+    (fun k ->
+      check k.Workloads.Synthetic.k_name
+        (Parser.parse_program (Workloads.Synthetic.program_of k)))
+    Workloads.Synthetic.kernels;
+  let rand = Random.State.make [| 28 |] in
+  List.iter
+    (fun (name, gen) ->
+      List.iteri (fun i p -> check (Printf.sprintf "%s %d" name i) p)
+        (QCheck.Gen.generate ~rand ~n:200 gen))
+    [ ("fuzz", Test_fuzz.gen_program); ("fuzz hard", Test_fuzz.gen_program_hard) ];
+  Printf.printf "%d units checked\n" !units;
+  Alcotest.(check bool) "500 units checked" true (!units >= 500)
+
 (* ---------------- one-pass liveness ---------------- *)
 
 (* The driver derives liveness with one backward step per statement
@@ -1092,4 +1165,6 @@ let tests =
       test_liveness_one_pass;
     Alcotest.test_case "names_of is reads_of and writes_of in one walk" `Quick
       test_names_of_one_walk;
+    Alcotest.test_case "body_facts is the summary's walks in one" `Quick
+      test_body_facts_one_walk;
   ]

@@ -1739,6 +1739,43 @@ let test_proxy_starts_one_thread () =
     (state_of (Cluster.Proxy.membership proxy) "gone" = Cluster.Membership.Down);
   Alcotest.(check int) "threads started" 1 (thread_probe () - t0 - 1)
 
+(* A shard that accepts each connection and drops it costs one dial per
+   probe: the prober's client makes a single connection attempt and does
+   not redial to resend the ping. *)
+let test_probe_dials_once () =
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lfd) @@ fun () ->
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  let port =
+    match Unix.getsockname lfd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let accepted = Atomic.make 0 and stop = Atomic.make false in
+  let dropper =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          if Aio.poll_fd lfd `Read ~timeout_s:0.05 then begin
+            let fd, _ = Unix.accept lfd in
+            Atomic.incr accepted;
+            Unix.close fd
+          end
+        done)
+      ()
+  in
+  let m = Cluster.Membership.create ~timeout_s:2.0 [ mk_shard "d" port ] in
+  List.iter
+    (fun n ->
+      Cluster.Membership.probe_once m;
+      Alcotest.(check int)
+        (Printf.sprintf "connections after %d probes" n)
+        n (Atomic.get accepted))
+    [ 1; 2 ];
+  Atomic.set stop true;
+  Thread.join dropper
+
 let tests =
   [
     Alcotest.test_case "ring: routing is order- and duplicate-independent"
@@ -1812,4 +1849,6 @@ let tests =
       `Quick test_proxy_starts_one_thread;
     Alcotest.test_case "proxy: merged dump labels live shards only" `Quick
       test_proxy_merged_dump;
+    Alcotest.test_case "membership: a probe dials a dropping shard once"
+      `Quick test_probe_dials_once;
   ]

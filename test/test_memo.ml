@@ -64,7 +64,7 @@ let prop_equivalence name gen opts count =
   (* the memo table SURVIVES across cases: every generated program is
      also a cross-program collision test against all earlier ones *)
   let memo = R.Driver.create_memo ~capacity:4096 () in
-  QCheck.Test.make ~count ~name
+  QCheck.Test.make ~count ~long_factor:50 ~name
     (QCheck.make gen ~print:(fun p -> Printer.program_to_string p))
     (fun prog ->
       let plain = restructure opts prog in
@@ -145,7 +145,15 @@ let key_alpha_invariant () =
     "alpha-renamed nests share a key" a.R.Memo.p_key b.R.Memo.p_key;
   Alcotest.(check bool)
     "names differ" true
-    (a.R.Memo.p_names <> b.R.Memo.p_names)
+    (a.R.Memo.p_names <> b.R.Memo.p_names);
+  (* swapping aa and bb reverses their order: no order-preserving
+     renaming maps one nest onto the other *)
+  let swapped =
+    prep_of (saxpy_src ~index:"i1" ~arr1:"bb" ~arr2:"aa" ~scal:"ss" ~stride:1)
+  in
+  Alcotest.(check bool)
+    "order-reversing renaming splits the key" true
+    (a.R.Memo.p_key <> swapped.R.Memo.p_key)
 
 let key_sensitivity () =
   let base =

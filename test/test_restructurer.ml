@@ -951,7 +951,14 @@ let test_output_pinned () =
   shape "cold" ~validate:false ~target:Codegen.Target.Cedar ~jitter:32
     pinned_cold;
   shape "rebatch" ~validate:true ~target:Codegen.Target.Openmp ~jitter:0
-    pinned_rebatch
+    pinned_rebatch;
+  (* the memo's partition of these nests, captured when the key renamed
+     names to their sorted rank: a key that merged or split nests
+     differently moves these counts *)
+  let st = R.Driver.memo_stats memo in
+  Alcotest.(check (list int))
+    "memo hits, misses, evictions" [ 708; 1100; 553 ]
+    [ st.R.Memo.st_hits; st.R.Memo.st_misses; st.R.Memo.st_evictions ]
 
 (* ---------- what the validator reads, pinned ---------- *)
 

@@ -13,7 +13,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
 val scale : int -> t -> t
-val normalize : t -> t
 
 val is_const : t -> bool
 val coeff : string -> t -> int

@@ -414,6 +414,15 @@ let parse_clauses text =
   done;
   List.rev !out
 
+(* the name between the first two '/' of [s], "" if there are not two *)
+let slashed s =
+  match String.index_opt s '/' with
+  | Some i -> (
+      match String.index_from_opt s (i + 1) '/' with
+      | Some j -> String.sub s (i + 1) (j - i - 1)
+      | None -> "")
+  | None -> ""
+
 let split_commas s =
   String.split_on_char ',' s |> List.map trim |> List.filter (fun x -> x <> "")
 
@@ -565,20 +574,18 @@ let lift_source (src : string) : (string, string) result =
     let stack : frame list ref = ref [] in
     let pending : (string * string) list option ref = ref None in
     let decls : (string, string) Hashtbl.t = Hashtbl.create 16 in
-    let threadpriv : (string, unit) Hashtbl.t = Hashtbl.create 4 in
     let fresh = ref 0 in
-    (* prescan: which named commons stay task-local *)
-    iter_lines src (fun ls le ->
-        if is_directive src ls le then
-          let dt = directive_text (String.sub src ls (le - ls)) in
-          if starts_with ~prefix:"threadprivate" dt then
-            match String.index_opt dt '/' with
-            | Some i -> (
-                match String.index_from_opt dt (i + 1) '/' with
-                | Some j ->
-                    Hashtbl.replace threadpriv (String.sub dt (i + 1) (j - i - 1)) ()
-                | None -> ())
-            | None -> ());
+    (* which named commons stay task-local: read from the whole text when
+       the first named common line needs it *)
+    let threadpriv =
+      lazy
+        (let tp = Hashtbl.create 4 in
+         iter_lines src (fun ls le ->
+             if is_directive src ls le then
+               let dt = directive_text (String.sub src ls (le - ls)) in
+               if starts_with ~prefix:"threadprivate" dt then Hashtbl.replace tp (slashed dt) ());
+         tp)
+    in
     let cur_buf () = match !stack with [] -> out | f :: _ -> f.f_lines in
     let emit line =
       let b = cur_buf () in
@@ -755,16 +762,8 @@ let lift_source (src : string) : (string, string) result =
     in
     (* a named common with no threadprivate mark is process-shared *)
     let common_line ls le ts te cs =
-      let ct = String.sub src cs (te - cs) in
-      let blkname =
-        match String.index_opt ct '/' with
-        | Some i -> (
-            match String.index_from_opt ct (i + 1) '/' with
-            | Some j -> String.sub ct (i + 1) (j - i - 1)
-            | None -> "")
-        | None -> ""
-      in
-      if blkname <> "" && Hashtbl.mem threadpriv blkname then
+      let blkname = slashed (String.sub src cs (te - cs)) in
+      if blkname <> "" && Hashtbl.mem (Lazy.force threadpriv) blkname then
         String.sub src ls (le - ls)
       else
         leading_ws (String.sub src ls (le - ls))

@@ -2,10 +2,12 @@
     of fixed form (column-6 continuations, label fields, [c]/[*] comment
     lines) and free form ([&] continuations, [!] comments).
 
-    The source is scanned once, by index: a logical line is a range of
-    the source, and only a continued line is copied into a string of its
-    own.  Each identifier is lower-cased into one string, and each token
-    list is built front to back. *)
+    Each physical line is read in one scan, by index and with no copy:
+    the comment and blank test, the [!] cut, trimming, the label and the
+    tokens.  A continued statement carries only an open string literal
+    (and a trailing [&] or blanks, which count only if it goes on) from
+    one line to the next.  Each identifier is lower-cased into one
+    string, and each token list is built front to back. *)
 
 exception Error of string * int
 (** [Error (message, line)]: the front end's one error, also raised as

@@ -606,7 +606,9 @@ and unit_cost (env : env) ((u, syms) : Ast.punit * Symbols.t)
 
 (* working set per placement level, bytes *)
 let working_set (units : (Ast.punit * Symbols.t) list) : float * float =
-  (* (cluster_bytes, global_bytes) across all units; commons counted once *)
+  (* (cluster_bytes, global_bytes) across all units; commons counted once.
+     Only an entry that adds bytes (a sized array) claims its key, so a
+     scalar or implicit view of a name hides no later unit's array. *)
   let seen = Hashtbl.create 64 in
   List.fold_left
     (fun (cb, gb) (u, syms) ->
@@ -618,27 +620,23 @@ let working_set (units : (Ast.punit * Symbols.t) list) : float * float =
             | None -> u.Ast.u_name ^ ":" ^ name
           in
           if Hashtbl.mem seen key || s.Symbols.s_formal then (cb, gb)
-          else begin
-            Hashtbl.add seen key ();
+          else
             match Symbols.size_bytes syms name with
             | Some bytes when s.Symbols.s_dims <> [] ->
+                Hashtbl.add seen key ();
                 if s.Symbols.s_vis = Ast.Global || s.Symbols.s_process_common
                 then (cb, gb +. float_of_int bytes)
                 else (cb +. float_of_int bytes, gb)
-            | _ -> (cb, gb)
-          end)
+            | _ -> (cb, gb))
         syms.Symbols.syms (cb, gb))
     (0.0, 0.0) units
 
 (* The model reads a unit's table for placement, section bounds,
    PARAMETERs and the working set of declared arrays, and an implicitly
    typed name changes none of these, so most tables need no walk of the
-   body.  Two kinds of unit keep the full table: one with an undeclared
-   COMMON member (a mentioned one has the block's placement, and its
-   first-seen [common:] key in [working_set] shadows the same member in
-   later units), and one whose name another unit shares (its implicit
-   names' first-seen [unit:name] keys shadow the other's arrays). *)
-let table (prog : Ast.program) (u : Ast.punit) : Symbols.t =
+   body.  A unit with an undeclared COMMON member keeps the full table: a
+   mentioned one has the block's placement. *)
+let table (u : Ast.punit) : Symbols.t =
   let declared v =
     List.exists (fun (d : Ast.decl) -> String.equal d.Ast.d_name v) u.Ast.u_decls
     || List.mem_assoc v u.Ast.u_params
@@ -648,18 +646,14 @@ let table (prog : Ast.program) (u : Ast.punit) : Symbols.t =
       (fun (cb : Ast.common_block) -> not (List.for_all declared cb.Ast.c_vars))
       u.Ast.u_commons
   in
-  let namesakes =
-    List.filter (fun (o : Ast.punit) -> String.equal o.Ast.u_name u.Ast.u_name) prog
-  in
-  if undeclared_common || List.compare_length_with namesakes 1 > 0 then
-    Symbols.of_unit u
+  if undeclared_common then Symbols.of_unit u
   else Symbols.of_decls u ~used:Ast_utils.SSet.empty
 
 (** Evaluate a program's run time on [cfg].  [serial_memory] limits the
     memory available to cluster-placed data (the serial baseline runs in
     one cluster of Configuration 1: 16 MB). *)
 let evaluate ?(serial_memory = None) ~(cfg : Cfg.t) (prog : Ast.program) : run =
-  let units = List.map (fun u -> (u, table prog u)) prog in
+  let units = List.map (fun u -> (u, table u)) prog in
   let main, syms =
     match List.find_opt (fun (u, _) -> u.Ast.u_kind = Ast.Program) units with
     | Some unit -> unit

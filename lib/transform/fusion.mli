@@ -2,8 +2,6 @@
     with identical iteration spaces to enlarge the parallel grain, with
     the paper's replication trick for straight-line code between them. *)
 
-val same_bounds : Fortran.Ast.do_header -> Fortran.Ast.do_header -> bool
-
 val fuse :
   Fortran.Ast.do_header ->
   Fortran.Ast.stmt list ->

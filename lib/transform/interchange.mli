@@ -9,9 +9,6 @@
 
 open Fortran
 
-val bounds_invariant_of : Ast.do_header -> string -> bool
-(** Do the lo/hi/step bounds of the header avoid mentioning [index]? *)
-
 val swap : Ast.stmt -> Ast.stmt option
 (** Swap the two loops of a perfect nest.  [None] when the statement is
     not a perfect nest or the inner bounds depend on the outer index.

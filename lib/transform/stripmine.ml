@@ -21,6 +21,7 @@
 
 open Fortran
 
+(* Cedar's prefetch depth *)
 let default_strip = 32
 
 (** Stripmine loop [h]/[body] into class [cls] with strip size [strip].

@@ -3,9 +3,6 @@
     form, with privatizable scalars expanded into strip-sized loop-local
     arrays (the paper's privatization + scalar-expansion combination). *)
 
-val default_strip : int
-(** 32 — Cedar's prefetch depth. *)
-
 val apply :
   ?strip:int ->
   cls:Fortran.Ast.loop_class ->

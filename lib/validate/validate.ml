@@ -49,7 +49,7 @@ let issue_to_string i =
 
 type vctx = {
   syms : Symbols.t;
-  interproc : Interproc.t;
+  interproc : Interproc.t Lazy.t;  (** forced by the first call checked *)
   unit_name : string;
   mutable issues : issue list;
 }
@@ -96,16 +96,16 @@ let bound_facts (h : Ast.do_header) : (string * string) list =
 (* ------------------------------------------------------------------ *)
 
 (* names with per-worker storage inside the loop: the index, loop-local
-   declarations, and (recursively) the indices and locals of every nested
-   loop — a nested DO index lives in a worker-private cell *)
-let private_names (h : Ast.do_header) (body : Ast.stmt list) : SSet.t =
+   declarations, and the indices and locals of every [nested] loop — a
+   nested DO index lives in a worker-private cell *)
+let private_names (h : Ast.do_header) (nested : Ast.do_header list) : SSet.t =
   let of_header acc (hh : Ast.do_header) =
     List.fold_left
       (fun acc d -> SSet.add d.Ast.d_name acc)
       (SSet.add hh.Ast.index acc)
       hh.Ast.locals
   in
-  List.fold_left of_header (of_header SSet.empty h) (Loops.inner_loops body)
+  List.fold_left of_header (of_header SSet.empty h) nested
 
 (* ------------------------------------------------------------------ *)
 (* Pattern recognition for accepted shapes                             *)
@@ -120,30 +120,41 @@ let is_last_value_guard ~index ~hi (s : Ast.stmt) (v : string) =
       i = index && w = v && Ast.equal_expr bound hi
   | _ -> false
 
-(* scalar writes of a statement list, excluding CALL arguments (calls are
-   checked separately via their summaries) and nested-DO index updates
-   (those cells are worker-private) *)
-let scalar_write_sites (body : Ast.stmt list) : (Ast.stmt * string) list =
-  let acc = ref [] in
-  let rec stmt top s =
-    match Ast_utils.strip_labels_stmt s with
-    | Ast.Assign (Ast.LVar v, _) -> acc := (top, v) :: !acc
-    | Ast.Read ls ->
-        List.iter
-          (function Ast.LVar v -> acc := (top, v) :: !acc | _ -> ())
-          ls
-    | Ast.If (_, t, e) ->
-        List.iter (stmt top) t;
-        List.iter (stmt top) e
-    | Ast.Do (_, blk) ->
-        List.iter (stmt top) blk.Ast.preamble;
-        List.iter (stmt top) blk.Ast.body;
-        List.iter (stmt top) blk.Ast.postamble
-    | Ast.Where (_, b) -> List.iter (stmt top) b
-    | _ -> ()
+let add_call acc e =
+  match e with Ast.Call (n, args) when not (Ast.is_intrinsic n) -> (n, args) :: acc | _ -> acc
+
+(* One walk of a loop body for what the per-loop check reads of it: each
+   scalar an assignment or READ writes (with its top-level statement, none
+   under a label), [Ast_utils.writes_of], the nested loops' headers as
+   [Loops.inner_loops] lists them, and the calls in program order. *)
+let walk_body stmts =
+  let sites = ref [] and writes = ref SSet.empty and nested = ref [] and calls = ref [] in
+  let rec stmt top sited nest s =
+    let write (l : Ast.lhs) =
+      (match l with Ast.LVar v when sited -> sites := (top, v) :: !sites | _ -> ());
+      writes := SSet.add (Ast_utils.lhs_name l) !writes
+    in
+    match s with
+    | Ast.Assign (l, e) ->
+        write l;
+        calls := Ast_utils.fold_expr add_call !calls e
+    | Ast.Read ls -> List.iter write ls
+    | Ast.CallSt (n, args) ->
+        writes := Ast_utils.stmt_writes !writes s;
+        calls := (n, args) :: !calls
+    | Ast.If (_, t, e) -> List.iter (stmt top sited nest) (t @ e)
+    | Ast.Do (h, blk) ->
+        if nest then nested := h :: !nested;
+        writes := SSet.add h.Ast.index !writes;
+        List.iter (stmt top sited false) blk.Ast.preamble;
+        List.iter (stmt top sited nest) blk.Ast.body;
+        List.iter (stmt top sited false) blk.Ast.postamble
+    | Ast.Where (_, body) -> List.iter (stmt top sited false) body
+    | Ast.Labeled (_, s) -> stmt top false nest s
+    | Ast.Print _ | Ast.Return | Ast.Stop | Ast.Continue | Ast.Goto _ -> ()
   in
-  List.iter (fun s -> stmt s s) body;
-  List.rev !acc
+  List.iter (fun s -> stmt s true true s) stmts;
+  (List.rev !sites, !writes, List.rev !nested, List.rev !calls)
 
 (* variables a top-level statement touches (reads or writes) *)
 let stmt_vars (s : Ast.stmt) : SSet.t = Ast_utils.names_of [ s ]
@@ -154,11 +165,11 @@ let stmt_vars (s : Ast.stmt) : SSet.t = Ast_utils.names_of [ s ]
 
 let sync_calls = [ "await"; "advance"; "lock"; "unlock" ]
 
-let check_calls vctx issue ~index body =
+let check_calls vctx issue ~index calls =
   let check name args =
     if List.mem (lower name) sync_calls || Ast.is_intrinsic name then ()
     else
-      match Interproc.find vctx.interproc name with
+      match Interproc.find (Lazy.force vctx.interproc) name with
       | None -> issue (Printf.sprintf "call %s has no summary" name)
       | Some s ->
           if not s.Interproc.s_pure then
@@ -183,19 +194,7 @@ let check_calls vctx issue ~index body =
                            name (k + 1)))
               args
   in
-  Ast_utils.fold_stmts
-    (fun () s ->
-      match s with
-      | Ast.CallSt (n, args) -> check n args
-      | Ast.Assign (_, e) ->
-          Ast_utils.fold_expr
-            (fun () e ->
-              match e with
-              | Ast.Call (n, args) when not (Ast.is_intrinsic n) -> check n args
-              | _ -> ())
-            () e
-      | _ -> ())
-    () body
+  List.iter (fun (n, args) -> check n args) calls
 
 (* ------------------------------------------------------------------ *)
 (* The per-loop check                                                  *)
@@ -209,7 +208,8 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
     let i = { v_unit = vctx.unit_name; v_index = index; v_cls = h.Ast.cls; v_what = what } in
     if not (List.mem i vctx.issues) then vctx.issues <- i :: vctx.issues
   in
-  let priv = private_names h body in
+  let writes, written, nested, calls = walk_body body in
+  let priv = private_names h nested in
 
   (* ---- synchronization structure ---- *)
   let await = ref None and advance = ref None in
@@ -228,8 +228,7 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
   in
 
   (* ---- scalar discipline ---- *)
-  let writes = scalar_write_sites body in
-  let reads = Ast_utils.reads_of body in
+  let reads = lazy (Ast_utils.reads_of body) (* for a shared scalar only *) in
   let written_scalars =
     List.filter
       (fun (_, v) ->
@@ -243,7 +242,7 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
     (fun v ->
       let sites = List.filter (fun (_, w) -> w = v) writes in
       let all_last_value =
-        (not (SSet.mem v reads))
+        (not (SSet.mem v (Lazy.force reads)))
         && List.for_all
              (fun (s, _) -> is_last_value_guard ~index ~hi:h.Ast.hi s v)
              sites
@@ -275,13 +274,12 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
         ne_facts true c
     | _ -> []
   in
-  let written = Ast_utils.writes_of body in
   let disequal =
     List.filter
       (fun (a, b) -> (not (SSet.mem a written)) && not (SSet.mem b written))
       (facts @ body_guard_facts @ bound_facts h)
   in
-  let inner = List.map (fun hh -> hh.Ast.index) (Loops.inner_loops body) in
+  let inner = List.map (fun hh -> hh.Ast.index) nested in
   let trip =
     match
       ( Ast_utils.const_eval vctx.syms.Symbols.params h.Ast.lo,
@@ -414,7 +412,7 @@ let check_parallel_loop vctx ~facts ~rt_tested (h : Ast.do_header)
   check_once_region "postamble" blk.Ast.postamble;
 
   (* ---- calls ---- *)
-  check_calls vctx issue ~index body
+  check_calls vctx issue ~index calls
 
 (* ------------------------------------------------------------------ *)
 (* Statement walk                                                      *)
@@ -462,27 +460,27 @@ and check_stmt vctx ~facts s =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check_stmts_in ~(syms : Symbols.t) ~(interproc : Interproc.t)
-    ~(unit_name : string) ?(facts = []) (stmts : Ast.stmt list) : issue list =
+let check_in ~syms ~interproc ~unit_name ~facts stmts =
   let vctx = { syms; interproc; unit_name; issues = [] } in
   check_stmts vctx ~facts stmts;
   List.rev vctx.issues
 
-let check_unit interproc (u : Ast.punit) : issue list =
-  let vctx =
-    {
-      syms = Interproc.symbols interproc u;
-      interproc;
-      unit_name = u.Ast.u_name;
-      issues = [];
-    }
-  in
-  check_stmts vctx ~facts:[] u.Ast.u_body;
-  List.rev vctx.issues
+let check_stmts_in ~(syms : Symbols.t) ~(interproc : Interproc.t)
+    ~(unit_name : string) ?(facts = []) (stmts : Ast.stmt list) : issue list =
+  check_in ~syms ~interproc:(Lazy.from_val interproc) ~unit_name ~facts stmts
 
+(* The checker reads only [Symbols.is_array] and [params] of a table, and
+   no implicitly typed name changes either, so each unit's table comes
+   from its declarations alone; the call summaries are computed only
+   when a checked loop makes a call. *)
 let check_program (prog : Ast.program) : issue list =
-  let interproc = Interproc.analyze prog in
-  List.concat_map (check_unit interproc) prog
+  let interproc = lazy (Interproc.analyze prog) in
+  List.concat_map
+    (fun (u : Ast.punit) ->
+      check_in
+        ~syms:(Symbols.of_decls u ~used:SSet.empty)
+        ~interproc ~unit_name:u.Ast.u_name ~facts:[] u.Ast.u_body)
+    prog
 
 let check_source (text : string) : (issue list, string) result =
   match Parser.parse_program text with

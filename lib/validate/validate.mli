@@ -8,7 +8,14 @@
     [IF (i .EQ. hi)] last-value copies, lock-bracketed reduction merges
     in preambles/postambles, await/advance cascades whose delay factor
     covers every carried distance, and two-version loops under a run-time
-    dependence test — and reports everything else as an {!issue}. *)
+    dependence test — and reports everything else as an {!issue}.
+
+    Of a unit's symbol table the checker reads only {!Fortran.Symbols.is_array}
+    and the PARAMETERs, which no implicitly typed name changes, so
+    {!check_source} builds each unit's table from its declarations alone
+    ([Symbols.of_decls u ~used:SSet.empty]).  It runs
+    {!Analysis.Interproc.analyze} on the reparsed program only when a
+    checked loop first makes a call. *)
 
 type issue = {
   v_unit : string;  (** program unit containing the loop *)
@@ -18,9 +25,6 @@ type issue = {
 }
 
 val issue_to_string : issue -> string
-
-val check_program : Fortran.Ast.program -> issue list
-(** Statically check every parallel loop of every unit. *)
 
 val check_stmts_in :
   syms:Fortran.Symbols.t ->

@@ -310,6 +310,7 @@ let gen_front_end_input =
 
 let prop_front_end_total =
   QCheck.Test.make ~name:"front end raises only Parser.Error" ~count:1000
+    ~long_factor:50
     (QCheck.make gen_front_end_input ~print:(Printf.sprintf "%S"))
     (fun src ->
       match Parser.parse_program src with

@@ -183,6 +183,91 @@ let test_unlocked_merge_static () =
   Alcotest.(check bool) "flagged" true
     (any_issue_mentions "lock" (static_issues unlocked_merge))
 
+(* ---------------- calls: the summaries must prove them safe -------- *)
+
+(* the callee writes COMMON data: concurrent calls race on it *)
+let impure_call =
+  {|
+      program p
+      common /cnt/ n
+      n = 0
+      cdoall i = 1, 50
+        call bump(i)
+      end cdoall
+      print *, n
+      end
+      subroutine bump(k)
+      common /cnt/ n
+      n = n + k
+      end
+|}
+
+(* the callee is not in the program: nothing is known of its effects *)
+let unknown_call =
+  {|
+      program p
+      real a(50)
+      cluster a
+      cdoall i = 1, 50
+        call ext(a, i)
+      end cdoall
+      print *, a(1)
+      end
+|}
+
+(* a pure callee writes its first argument, which every iteration
+   passes as the same element *)
+let invariant_arg_call =
+  {|
+      program p
+      real a(50)
+      cluster a
+      cdoall i = 1, 50
+        call put(a(1), i)
+      end cdoall
+      print *, a(1)
+      end
+      subroutine put(x, k)
+      x = k
+      end
+|}
+
+(* the same callee given the iteration's own element *)
+let indexed_arg_call =
+  {|
+      program p
+      real a(50)
+      cluster a
+      cdoall i = 1, 50
+        call put(a(i), i)
+      end cdoall
+      print *, a(1)
+      end
+      subroutine put(x, k)
+      x = k
+      end
+|}
+
+let test_impure_call () =
+  Alcotest.(check bool) "flagged" true
+    (any_issue_mentions "call bump is not pure" (static_issues impure_call))
+
+let test_unknown_call () =
+  Alcotest.(check bool) "flagged" true
+    (any_issue_mentions "call ext has no summary" (static_issues unknown_call))
+
+let test_invariant_arg_call () =
+  Alcotest.(check bool) "flagged" true
+    (any_issue_mentions "call put writes argument 1 at a loop-invariant location"
+       (static_issues invariant_arg_call))
+
+let test_indexed_arg_call () =
+  match static_issues indexed_arg_call with
+  | [] -> ()
+  | issues ->
+      Alcotest.failf "rejected a call writing a(i):\n%s"
+        (String.concat "\n" (List.map Validate.issue_to_string issues))
+
 (* ---------------- clean programs: both checkers pass --------------- *)
 
 let clean_doacross =
@@ -294,6 +379,52 @@ let test_driver_output_validates () =
   let races, _ = Validate.check_dynamic ~cfg:cedar res.R.Driver.program in
   Alcotest.(check bool) "CG output race-free" true (races = [])
 
+(* The checker reads only [Symbols.is_array] and [params] of a unit's
+   table, so a table built from the declarations alone gives the issues a
+   table of every mentioned name gives: on every unit of the reparsed
+   output of the corpus (both technique sets, both targets) and of the
+   seeded programs above. *)
+let test_declaration_tables () =
+  let reparsed (w : Workloads.Workload.t) =
+    let prog = Parser.parse_program (w.Workloads.Workload.source w.Workloads.Workload.small_size) in
+    List.concat_map
+      (fun opts ->
+        List.map
+          (fun target ->
+            let out = (R.Driver.restructure { opts with R.Options.target } prog).R.Driver.program in
+            let text = Codegen.Emit.program_to_string ~target out in
+            match target with
+            | Codegen.Target.Cedar -> Parser.parse_program text
+            | Codegen.Target.Openmp -> (
+                match Codegen.Openmp.lift_source text with
+                | Ok t -> Parser.parse_program t
+                | Error m -> Alcotest.failf "%s: lift: %s" w.Workloads.Workload.name m))
+          [ Codegen.Target.Cedar; Codegen.Target.Openmp ])
+      [ R.Options.advanced cedar; R.Options.auto_1991 cedar ]
+  in
+  let seeded =
+    List.map Parser.parse_program
+      [ racy_doall; bad_delay_doacross; no_await_doacross; unprivatized_scalar; ww_race;
+        unlocked_merge; impure_call; unknown_call; invariant_arg_call; indexed_arg_call;
+        clean_doacross; clean_reduction; clean_independent ]
+  in
+  let units = ref 0 in
+  List.iter
+    (fun prog ->
+      let interproc = Analysis.Interproc.analyze prog in
+      List.iter
+        (fun (u : Ast.punit) ->
+          let check syms =
+            Validate.check_stmts_in ~syms ~interproc ~unit_name:u.Ast.u_name u.Ast.u_body
+          in
+          incr units;
+          if
+            check (Symbols.of_decls u ~used:Ast_utils.SSet.empty) <> check (Symbols.of_unit u)
+          then Alcotest.failf "unit %s: the tables' issues differ" u.Ast.u_name)
+        prog)
+    (List.concat_map reparsed (Workloads.Linalg.all @ Workloads.Perfect.all) @ seeded);
+  Alcotest.(check bool) "units checked" true (!units > 100)
+
 let tests =
   [
     Alcotest.test_case "racy CDOALL: static" `Quick test_racy_doall_static;
@@ -322,4 +453,11 @@ let tests =
       test_driver_demotes;
     Alcotest.test_case "driver output self-validates" `Quick
       test_driver_output_validates;
+    Alcotest.test_case "call to an impure routine: static" `Quick test_impure_call;
+    Alcotest.test_case "call with no summary: static" `Quick test_unknown_call;
+    Alcotest.test_case "call writing an invariant argument" `Quick
+      test_invariant_arg_call;
+    Alcotest.test_case "pure call writing a(i) passes" `Quick test_indexed_arg_call;
+    Alcotest.test_case "declaration-only tables, same issues" `Quick
+      test_declaration_tables;
   ]
